@@ -91,9 +91,6 @@ type Config struct {
 	// EdgeKinds restricts Gs edges used for replay (sdg.AllKinds when
 	// zero; ablation).
 	EdgeKinds sdg.Kind
-	// NoReduce disables the MagicFuzzer-style tuple reduction before
-	// cycle detection (ablation).
-	NoReduce bool
 	// DataDependency enables the value-flow extension: shared-variable
 	// accesses recorded through sim.Var add type-V edges to Gs, letting
 	// the Generator refute deadlocks that the recorded control flow
@@ -444,7 +441,7 @@ func detectAll(ctx context.Context, f sim.Factory, cfg *Config, timestamps bool)
 				obs.Attr{Key: "tuples", Value: int64(len(tr.Tuples))})
 		}
 		_, sp := obs.Start(ctx, "cycle-detect")
-		cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen, NoReduce: cfg.NoReduce})
+		cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen})
 		if sp != nil {
 			sp.Add("cycles", int64(len(cycles)))
 			sp.End()

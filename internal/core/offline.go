@@ -43,7 +43,7 @@ func AnalyzeTraceCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*Report,
 	}
 
 	_, sp := obs.Start(ctx, "cycle-detect")
-	cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen, NoReduce: cfg.NoReduce})
+	cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen})
 	for _, c := range cycles {
 		rep.Cycles = append(rep.Cycles, &CycleReport{Cycle: c, Trace: tr})
 	}

@@ -377,17 +377,18 @@ func (d *detector) extend(tp *trace.Tuple) {
 		if next.Thread <= first.Thread {
 			continue // canonical rotation: chain[0] is the min thread
 		}
-		if d.conflicts(next) {
+		if Conflicts(d.chain, next) {
 			continue
 		}
 		d.extend(next)
 	}
 }
 
-// conflicts reports whether next violates the distinct-thread or
-// guard-lock conditions against the current chain.
-func (d *detector) conflicts(next *trace.Tuple) bool {
-	for _, tp := range d.chain {
+// Conflicts reports whether next violates the distinct-thread or
+// guard-lock conditions against chain: the extension rule shared by
+// the batch chain search and the incremental stream engine.
+func Conflicts(chain []*trace.Tuple, next *trace.Tuple) bool {
+	for _, tp := range chain {
 		if tp.Thread == next.Thread {
 			return true
 		}

@@ -631,12 +631,21 @@ func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
 // corpus and the metrics. Caller holds f.mu.
 func (s *Server) acceptResultLocked(ctx context.Context, j *Job, node *fleetNode, req *fleet.CompleteRequest) {
 	// Workload jobs ship the trace they recorded; archive it so the
-	// corpus holds what was analyzed, exactly like the local path.
+	// corpus holds what was analyzed, exactly like the local path. A
+	// shipped trace that fails to decode or validate is not archived;
+	// the verdict still counts.
 	if req.TraceB64 != "" && s.cfg.Store != nil && j.TraceHash() == "" {
-		if raw, err := base64.StdEncoding.DecodeString(req.TraceB64); err == nil {
-			if tr, err := trace.ReadBinary(bytes.NewReader(raw)); err == nil {
-				s.archiveTrace(ctx, j, tr)
-			}
+		raw, err := base64.StdEncoding.DecodeString(req.TraceB64)
+		var tr *trace.Trace
+		if err == nil {
+			tr, err = trace.ReadBinary(bytes.NewReader(raw))
+		}
+		if err != nil {
+			s.cfg.Logger.Error("shipped trace rejected, not archived", "job", j.ID, "node", req.Node,
+				"trace", j.TraceID(), "err", err)
+			s.jobEvent(evStoreTrace, j, "shipped trace rejected: "+err.Error(), map[string]string{"node": req.Node})
+		} else {
+			s.archiveTrace(ctx, j, tr)
 		}
 	}
 	if s.cfg.Store != nil && len(req.Summaries) > 0 {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -529,5 +530,64 @@ func TestCompleteFromForgottenNode(t *testing.T) {
 	}
 	if verdict.Result != "accepted" {
 		t.Fatalf("result = %q, want accepted even from an unknown node", verdict.Result)
+	}
+}
+
+// TestCompleteWithGarbledTrace: a completion whose shipped trace does
+// not decode still finishes the job, but the trace is not archived and
+// the rejection is visible — an error log line naming the job and the
+// node, and a job event.
+func TestCompleteWithGarbledTrace(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var logs syncBuffer
+	_, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator, Store: st,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	node := registerNode(t, ts.URL, "garbler")
+	var accepted map[string]any
+	if code := fleetPost(t, ts.URL+"/v1/workloads/Figure4", struct{}{}, &accepted); code != http.StatusAccepted {
+		t.Fatalf("workload job = %d", code)
+	}
+	id, _ := accepted["id"].(string)
+	if w := pullWork(t, ts.URL, node); w.Job != id {
+		t.Fatalf("granted %s, want %s", w.Job, id)
+	}
+
+	req := okComplete(node, id)
+	req.TraceB64 = base64.StdEncoding.EncodeToString([]byte("WTRC not really a trace"))
+	var verdict fleet.CompleteView
+	if code := fleetPost(t, ts.URL+"/v1/work/complete", req, &verdict); code != http.StatusOK || verdict.Result != "accepted" {
+		t.Fatalf("complete = %d %q, want 200 accepted", code, verdict.Result)
+	}
+	if v := pollJob(t, ts.URL, id); v.State != string(StateDone) {
+		t.Fatalf("job = %s, want done", v.State)
+	}
+	if st.Stats().Traces != 0 {
+		t.Fatal("garbled trace was archived")
+	}
+
+	var line string
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(l, "shipped trace rejected") {
+			line = l
+		}
+	}
+	if !strings.Contains(line, "level=ERROR") || !strings.Contains(line, "job="+id) || !strings.Contains(line, "node="+node) {
+		t.Fatalf("no error log naming job %s and node %s:\n%s", id, node, logs.String())
+	}
+	var found bool
+	for _, ev := range debugEvents(t, ts.URL, "?job="+id) {
+		if ev.Kind == evStoreTrace && strings.Contains(ev.Msg, "rejected") && ev.Attrs["node"] == node {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no job event for the rejected trace")
 	}
 }

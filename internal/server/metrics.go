@@ -226,8 +226,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "%s{reason=\"watchdog\"} %d\n", name, m.JobsWatchdogged.Load())
 	fmt.Fprintf(w, "%s{reason=\"drained\"} %d\n", name, m.JobsDrained.Load())
 	fmt.Fprintf(w, "%s{reason=\"reassign-exhausted\"} %d\n", name, m.JobsReassignEx.Load())
-	counter("wolfd_jobs_timeout_total", "Deprecated alias of wolfd_jobs_failed_total{reason=\"timeout\"}.", m.JobsTimedOut.Load())
-	counter("wolfd_jobs_panic_total", "Deprecated alias of wolfd_jobs_failed_total{reason=\"panic\"}.", m.JobsPanicked.Load())
 	counter("wolfd_sync_rejected_total", "Synchronous analyses shed because every worker slot was busy.", m.SyncRejected.Load())
 
 	gauge("wolfd_streams_open", "Currently open ingestion streams.", m.StreamsOpen.Load())

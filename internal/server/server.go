@@ -620,11 +620,9 @@ func (s *Server) runJob(j *Job) {
 }
 
 // readTrace decodes an uploaded trace body — either format, gzip-aware
-// (Content-Encoding header or magic sniff), size-capped — and validates
-// its structural integrity before any analysis work is queued. Bytes
-// that do not parse are a 400; bytes that parse into a trace no
-// execution could have recorded are a 422, labeled with the corruption
-// class trace.Validate found.
+// (Content-Encoding header or magic sniff), size-capped. trace.Decode
+// validates as it decodes, so a returned trace is ready for analysis;
+// failures answer through rejectTrace, the mapping every door shares.
 func (s *Server) readTrace(w http.ResponseWriter, r *http.Request) (*trace.Trace, bool) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var in = body
@@ -639,29 +637,42 @@ func (s *Server) readTrace(w http.ResponseWriter, r *http.Request) (*trace.Trace
 	}
 	tr, err := trace.Decode(in)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "bad trace: "+err.Error())
+		s.rejectTrace(w, err, nil)
 		return nil, false
 	}
 	if len(tr.Tuples) == 0 {
 		httpError(w, http.StatusBadRequest, "bad trace: no lock acquisitions recorded")
 		return nil, false
 	}
-	if err := trace.Validate(tr); err != nil {
+	return tr, true
+}
+
+// rejectTrace answers a trace that failed to decode, for every door —
+// uploads, stream chunks and stream close — with one error→status
+// mapping: 413 when a size or memory limit was hit, 422 labelled with
+// the validation class (and counted in wolfd_traces_invalid_total) for
+// well-formed bytes describing an impossible execution, 400 for bytes
+// that do not parse. A failed stream is evicted under the error's
+// family before the response is written.
+func (s *Server) rejectTrace(w http.ResponseWriter, err error, ss *streamSession) {
+	status, family, msg := http.StatusBadRequest, "corrupt", "bad trace: "+err.Error()
+	var tooLarge *http.MaxBytesError
+	var ve *trace.ValidationError
+	switch {
+	case errors.As(err, &tooLarge), errors.Is(err, trace.ErrBudget):
+		status, family = http.StatusRequestEntityTooLarge, "budget"
+	case errors.Is(err, trace.ErrInvalid):
 		class := "invalid"
-		var ve *trace.ValidationError
 		if errors.As(err, &ve) {
 			class = ve.Class
 		}
 		s.metrics.InvalidTraces.Add(class, 1)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return nil, false
+		status, family, msg = http.StatusUnprocessableEntity, "invalid", err.Error()
 	}
-	return tr, true
+	if ss != nil {
+		s.dropStream(ss, family)
+	}
+	httpError(w, status, msg)
 }
 
 // readCloser adapts a gzip reader for MaxBytesReader (which wants a
@@ -725,8 +736,11 @@ func (s *Server) handleWorkloadJob(w http.ResponseWriter, r *http.Request) {
 // admit enqueues a freshly created job and writes the accept response.
 // Every outcome is journaled: the accepted record marks admission, and
 // a rejected job's terminal failure is persisted too, so the history a
-// restarted server rehydrates matches what clients were told.
+// restarted server rehydrates matches what clients were told. The
+// admission record is written before a worker can see the job, so a
+// fast worker's terminal record always lands after it.
 func (s *Server) admit(w http.ResponseWriter, j *Job) {
+	s.persistJob(j)
 	ok, closed := s.enqueue(j)
 	switch {
 	case closed:
@@ -741,7 +755,6 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "analysis queue full")
 	default:
-		s.persistJob(j)
 		s.jobEvent(evJobQueued, j, "", map[string]string{"source": j.source})
 		w.Header().Set("Location", "/v1/jobs/"+j.ID)
 		writeJSON(w, http.StatusAccepted, j.view())

@@ -665,9 +665,27 @@ func TestUploadTooLarge(t *testing.T) {
 	if buf.Len() <= 128 {
 		t.Fatalf("fixture too small: %d bytes", buf.Len())
 	}
-	code, _ := postTrace(t, ts.URL+"/v1/traces", buf.Bytes(), nil)
-	if code != http.StatusRequestEntityTooLarge && code != http.StatusBadRequest {
-		t.Fatalf("oversized upload = %d, want 413/400", code)
+	bin := encodeBinary(t, tr)
+	if len(bin) <= 128 {
+		t.Fatalf("binary fixture too small: %d bytes", len(bin))
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(bin)
+	zw.Close()
+	for _, up := range []struct {
+		name string
+		body []byte
+		hdr  map[string]string
+	}{
+		{"json", buf.Bytes(), nil},
+		{"wtrc", bin, nil},
+		{"wtrc-gzip", gz.Bytes(), map[string]string{"Content-Encoding": "gzip"}},
+	} {
+		code, out := postTrace(t, ts.URL+"/v1/traces", up.body, up.hdr)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s upload = %d (%v), want 413", up.name, code, out)
+		}
 	}
 }
 
@@ -769,26 +787,39 @@ func TestWorkerWatchdog(t *testing.T) {
 	}
 }
 
-// corruptUpload decodes a fresh copy of base, applies the corruption and
-// re-encodes it as JSON for upload.
-func corruptUpload(t *testing.T, base []byte, corrupt func(tr *trace.Trace)) []byte {
+// corruptTrace decodes a fresh copy of base and applies the corruption.
+func corruptTrace(t *testing.T, base []byte, corrupt func(tr *trace.Trace)) *trace.Trace {
 	t.Helper()
 	tr, err := trace.Decode(bytes.NewReader(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupt(tr)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
+	return tr
+}
+
+// streamUpload sends body through /v1/streams in 512-byte chunks and
+// closes the stream, returning the first non-2xx answer (or the
+// close's) — the stream door's verdict on the whole trace.
+func streamUpload(t *testing.T, base string, body []byte) (int, map[string]any) {
+	t.Helper()
+	id := openStream(t, base)
+	for off := 0; off < len(body); off += 512 {
+		end := min(off+512, len(body))
+		if code, out := postTrace(t, base+"/v1/streams/"+id+"/chunks", body[off:end], nil); code != http.StatusOK {
+			return code, out
+		}
 	}
-	return buf.Bytes()
+	return postTrace(t, base+"/v1/streams/"+id+"/close", nil, nil)
 }
 
 // TestUploadRejectsInvalidTrace: traces that parse but violate
 // structural invariants are rejected with 422 before any analysis is
 // queued, one counted corruption class each, and the classes surface on
-// /metrics.
+// /metrics. Every case goes through every door — JSON and WTRC to
+// /v1/traces, WTRC in chunks to /v1/streams — and every door gives the
+// same status, the same class and the same count; a position that
+// breaks its thread's density is wire corruption (400) everywhere.
 func TestUploadRejectsInvalidTrace(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, QueueSize: 4})
 	tr := fig4Trace(t)
@@ -799,16 +830,17 @@ func TestUploadRejectsInvalidTrace(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		class   string
+		status  int
+		class   string // validation class, or "corrupt" for a 400
 		corrupt func(tr *trace.Trace)
 	}{
-		{"empty-lock", trace.InvalidMissingField, func(tr *trace.Trace) {
+		{"empty-lock", http.StatusUnprocessableEntity, trace.InvalidMissingField, func(tr *trace.Trace) {
 			tr.Tuples[0].Lock = ""
 		}},
-		{"key-zero-occ", trace.InvalidBadKey, func(tr *trace.Trace) {
+		{"key-zero-occ", http.StatusUnprocessableEntity, trace.InvalidBadKey, func(tr *trace.Trace) {
 			tr.Tuples[0].Key.Occ = 0
 		}},
-		{"held-duplicate", trace.InvalidHeldSet, func(tr *trace.Trace) {
+		{"held-duplicate", http.StatusUnprocessableEntity, trace.InvalidHeldSet, func(tr *trace.Trace) {
 			for i := len(tr.Tuples) - 1; i >= 0; i-- {
 				if len(tr.Tuples[i].Held) > 0 {
 					tr.Tuples[i].Held = append(tr.Tuples[i].Held, tr.Tuples[i].Held[0])
@@ -817,13 +849,13 @@ func TestUploadRejectsInvalidTrace(t *testing.T) {
 			}
 			t.Fatal("no tuple with held locks in fixture")
 		}},
-		{"thread-id-range", trace.InvalidThreadID, func(tr *trace.Trace) {
+		{"thread-id-range", http.StatusUnprocessableEntity, trace.InvalidThreadID, func(tr *trace.Trace) {
 			tr.Tuples[0].ThreadID = 99
 		}},
-		{"clock-shape", trace.InvalidClockShape, func(tr *trace.Trace) {
+		{"clock-shape", http.StatusUnprocessableEntity, trace.InvalidClockShape, func(tr *trace.Trace) {
 			tr.Taus = tr.Taus[:len(tr.Taus)-1]
 		}},
-		{"tau-backwards", trace.InvalidNonMonotonicTau, func(tr *trace.Trace) {
+		{"tau-backwards", http.StatusUnprocessableEntity, trace.InvalidNonMonotonicTau, func(tr *trace.Trace) {
 			for _, name := range tr.Threads() {
 				if ts := tr.ByThread(name); len(ts) >= 2 {
 					ts[0].Tau = 1 << 20
@@ -832,19 +864,54 @@ func TestUploadRejectsInvalidTrace(t *testing.T) {
 			}
 			t.Fatal("no thread with two acquisitions in fixture")
 		}},
+		{"bad-position", http.StatusBadRequest, "corrupt", func(tr *trace.Trace) {
+			tr.Tuples[0].Pos = 9
+		}},
+	}
+	invalidTotal := func() int64 {
+		var n int64
+		for _, v := range s.Metrics().InvalidTraces.Snapshot() {
+			n += v
+		}
+		return n
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := corruptUpload(t, base.Bytes(), tc.corrupt)
-			code, out := postTrace(t, ts.URL+"/v1/traces", body, nil)
-			if code != http.StatusUnprocessableEntity {
-				t.Fatalf("upload = %d (%v), want 422", code, out)
+			bad := corruptTrace(t, base.Bytes(), tc.corrupt)
+			var js, bin bytes.Buffer
+			if err := bad.Write(&js); err != nil {
+				t.Fatal(err)
 			}
-			if msg, _ := out["error"].(string); !strings.Contains(msg, tc.class) {
-				t.Fatalf("error %q does not name class %s", msg, tc.class)
+			if err := bad.WriteBinary(&bin); err != nil {
+				t.Fatal(err)
 			}
-			if got := s.Metrics().InvalidTraces.Get(tc.class); got == 0 {
-				t.Fatalf("class %s not counted", tc.class)
+			doors := []struct {
+				name string
+				send func() (int, map[string]any)
+			}{
+				{"json", func() (int, map[string]any) { return postTrace(t, ts.URL+"/v1/traces", js.Bytes(), nil) }},
+				{"wtrc", func() (int, map[string]any) { return postTrace(t, ts.URL+"/v1/traces", bin.Bytes(), nil) }},
+				{"stream", func() (int, map[string]any) { return streamUpload(t, ts.URL, bin.Bytes()) }},
+			}
+			for _, door := range doors {
+				before, beforeTotal := s.Metrics().InvalidTraces.Get(tc.class), invalidTotal()
+				code, out := door.send()
+				if code != tc.status {
+					t.Fatalf("%s: upload = %d (%v), want %d", door.name, code, out, tc.status)
+				}
+				if msg, _ := out["error"].(string); !strings.Contains(msg, tc.class) {
+					t.Fatalf("%s: error %q does not name class %s", door.name, msg, tc.class)
+				}
+				want := int64(0)
+				if tc.status == http.StatusUnprocessableEntity {
+					want = 1
+				}
+				if got := s.Metrics().InvalidTraces.Get(tc.class) - before; got != want {
+					t.Fatalf("%s: class %s counted %d times, want %d", door.name, tc.class, got, want)
+				}
+				if got := invalidTotal() - beforeTotal; got != want {
+					t.Fatalf("%s: invalid-trace total moved by %d, want %d", door.name, got, want)
+				}
 			}
 		})
 	}
@@ -861,7 +928,7 @@ func TestUploadRejectsInvalidTrace(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	if !strings.Contains(text, `wolfd_traces_invalid_total{class="bad-key"} 1`) {
+	if !strings.Contains(text, `wolfd_traces_invalid_total{class="bad-key"} 3`) {
 		t.Fatalf("invalid-trace counter missing:\n%s", text)
 	}
 	if errs := obs.PromLint(strings.NewReader(text)); len(errs) != 0 {

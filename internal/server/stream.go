@@ -54,7 +54,7 @@ type streamSession struct {
 
 	mu    sync.Mutex
 	last  time.Time
-	dec   *stream.Decoder
+	dec   *trace.Decoder
 	eng   *stream.Engine
 	armed bool // engine clocks set from the stream header
 	cands int  // candidates emitted so far
@@ -122,8 +122,8 @@ func (st *streamStore) open(max, budget int, traceID, source string) (*streamSes
 		rec:     obs.NewRecorder(),
 		trace:   traceID,
 		source:  source,
-		dec:     stream.NewDecoder(budget),
-		eng:     stream.NewEngine(stream.EngineConfig{}),
+		dec:     trace.NewDecoder(budget),
+		eng:     stream.NewEngine(),
 	}
 	st.m[ss.ID] = ss
 	return ss, true
@@ -344,33 +344,10 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	ss.mu.Unlock()
 
 	if werr != nil {
-		s.rejectStream(w, ss, werr)
+		s.rejectTrace(w, werr, ss)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// rejectStream maps a decode error to its HTTP status, evicts the
-// stream, and labels the eviction with the error family — the
-// mid-stream analogue of readTrace's 400/413/422 mapping.
-func (s *Server) rejectStream(w http.ResponseWriter, ss *streamSession, err error) {
-	var ve *trace.ValidationError
-	switch {
-	case errors.Is(err, stream.ErrBudget):
-		s.dropStream(ss, "budget")
-		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
-	case errors.As(err, &ve):
-		s.metrics.InvalidTraces.Add(ve.Class, 1)
-		s.dropStream(ss, "invalid")
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-	case errors.Is(err, trace.ErrInvalid):
-		s.metrics.InvalidTraces.Add("invalid", 1)
-		s.dropStream(ss, "invalid")
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-	default:
-		s.dropStream(ss, "corrupt")
-		httpError(w, http.StatusBadRequest, "bad trace: "+err.Error())
-	}
 }
 
 // handleStreamGet is GET /v1/streams/{id}.
@@ -408,7 +385,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	ss.mu.Unlock()
 
 	if err != nil {
-		s.rejectStream(w, ss, err)
+		s.rejectTrace(w, err, ss)
 		return
 	}
 	if len(tr.Tuples) == 0 {

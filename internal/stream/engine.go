@@ -1,3 +1,8 @@
+// Package stream is the incremental deadlock detector behind wolfd's
+// streaming ingestion: a client opens a stream, appends trace bytes in
+// arbitrary chunks (decoded by trace.Decoder), and cycle candidates are
+// emitted as soon as the closing acquisition arrives — long before the
+// upload completes.
 package stream
 
 import (
@@ -31,13 +36,6 @@ type Candidate struct {
 	PruneRule string `json:"prune_rule,omitempty"`
 }
 
-// EngineConfig controls the incremental detector.
-type EngineConfig struct {
-	// MaxLength bounds the number of threads per cycle;
-	// detect.DefaultMaxLength when zero.
-	MaxLength int
-}
-
 // Engine is the incremental half of the Extended Dynamic Cycle
 // Detector: it maintains the lock graph ("who holds ℓ" postings) and
 // per-thread lockset state online, and emits each cycle exactly once —
@@ -56,7 +54,6 @@ type EngineConfig struct {
 // Engine is not safe for concurrent use; the server serializes chunk
 // appends per stream.
 type Engine struct {
-	maxLen int
 	clocks []vclock.Vector
 	heldBy map[string][]*trace.Tuple
 	events int
@@ -66,13 +63,10 @@ type Engine struct {
 	found []*detect.Cycle
 }
 
-// NewEngine returns an empty incremental detector.
-func NewEngine(cfg EngineConfig) *Engine {
-	maxLen := cfg.MaxLength
-	if maxLen <= 0 {
-		maxLen = detect.DefaultMaxLength
-	}
-	return &Engine{maxLen: maxLen, heldBy: make(map[string][]*trace.Tuple)}
+// NewEngine returns an empty incremental detector bounding cycles at
+// detect.DefaultMaxLength threads, like batch detection.
+func NewEngine() *Engine {
+	return &Engine{heldBy: make(map[string][]*trace.Tuple)}
 }
 
 // SetClocks arms the online Pruner with the trace's (S,J) vector-clock
@@ -125,31 +119,15 @@ func (e *Engine) extend(tp *trace.Tuple) {
 			Tuples: canonical(append([]*trace.Tuple(nil), e.chain...)),
 		})
 	}
-	if len(e.chain) == e.maxLen {
+	if len(e.chain) == detect.DefaultMaxLength {
 		return
 	}
 	for _, next := range e.heldBy[tp.Lock] {
-		if e.conflicts(next) {
+		if detect.Conflicts(e.chain, next) {
 			continue
 		}
 		e.extend(next)
 	}
-}
-
-// conflicts mirrors detector.conflicts: distinct threads, pairwise
-// disjoint locksets.
-func (e *Engine) conflicts(next *trace.Tuple) bool {
-	for _, tp := range e.chain {
-		if tp.Thread == next.Thread {
-			return true
-		}
-		for _, h := range next.Held {
-			if tp.HoldsLock(h.Lock) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // canonical rotates the chain so the lexicographically smallest thread

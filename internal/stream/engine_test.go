@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,6 +13,30 @@ import (
 	"wolf/internal/trace"
 	"wolf/internal/workloads"
 )
+
+// recordTrace records one terminating run of the named workload.
+func recordTrace(t *testing.T, name string) *trace.Trace {
+	t.Helper()
+	w, ok := workloads.ByName(name)
+	if !ok {
+		t.Fatalf("workload %s not registered", name)
+	}
+	seed, ok := workloads.FindTerminatingSeed(w.New, 300)
+	if !ok {
+		t.Fatalf("no terminating seed for %s", name)
+	}
+	return core.Record(w.New, seed, 0)
+}
+
+// encode serializes a trace to WTRC bytes.
+func encode(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // cycleKey identifies a cycle instance by its exact tuples in
 // canonical chain order, so stream and batch results compare as
@@ -50,8 +75,8 @@ func TestEngineMatchesBatchDetect(t *testing.T) {
 			}
 
 			// Streamed: decode in 512-byte chunks, drain into the engine.
-			d := stream.NewDecoder(0)
-			e := stream.NewEngine(stream.EngineConfig{})
+			d := trace.NewDecoder(0)
+			e := stream.NewEngine()
 			var cands []stream.Candidate
 			armed := false
 			for off := 0; off < len(data); off += 512 {
@@ -122,7 +147,7 @@ func TestEngineEmitsAtClosingEvent(t *testing.T) {
 		pos[tp] = i + 1
 	}
 
-	e := stream.NewEngine(stream.EngineConfig{})
+	e := stream.NewEngine()
 	e.SetClocks(tr.Clocks)
 	var cands []stream.Candidate
 	for _, tp := range tr.Tuples {
@@ -144,4 +169,75 @@ func TestEngineEmitsAtClosingEvent(t *testing.T) {
 			t.Errorf("candidate %s deferred to end of trace", c.Signature)
 		}
 	}
+}
+
+// FuzzChunkedDecoder: for arbitrary bytes and arbitrary split points,
+// the streaming path — the chunked decoder draining into the engine —
+// and the batch path (ReadBinary, then detect.Cycles) agree on
+// accept/reject, and on accept produce identical traces and the same
+// multiset of cycles.
+func FuzzChunkedDecoder(f *testing.F) {
+	for _, wl := range []string{"Figure4", "Figure9"} {
+		w, ok := workloads.ByName(wl)
+		if !ok {
+			continue
+		}
+		if seed, ok := workloads.FindTerminatingSeed(w.New, 300); ok {
+			f.Add(encode(f, core.Record(w.New, seed, 0)), uint64(3))
+		}
+	}
+	f.Add([]byte("WTRC"), uint64(1))
+	f.Add([]byte{}, uint64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, splitSeed uint64) {
+		batch, batchErr := trace.ReadBinary(bytes.NewReader(data))
+
+		// Huge budget: equivalence is about parsing, not shedding.
+		d := trace.NewDecoder(1 << 30)
+		e := stream.NewEngine()
+		var cands []stream.Candidate
+		var streamErr error
+		armed := false
+		rng := splitSeed
+		for off := 0; off < len(data) && streamErr == nil; {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			end := min(off+1+int(rng>>33)%64, len(data))
+			streamErr = d.Write(data[off:end])
+			off = end
+			if streamErr == nil {
+				if !armed && d.HeaderDone() {
+					e.SetClocks(d.Clocks())
+					armed = true
+				}
+				for _, tp := range d.Events() {
+					cands = append(cands, e.Add(tp)...)
+				}
+			}
+		}
+		var streamed *trace.Trace
+		if streamErr == nil {
+			streamed, streamErr = d.Finalize()
+		}
+
+		if (batchErr == nil) != (streamErr == nil) {
+			t.Fatalf("accept mismatch: batch=%v stream=%v", batchErr, streamErr)
+		}
+		if batchErr != nil {
+			return
+		}
+		if !bytes.Equal(encode(t, batch), encode(t, streamed)) {
+			t.Fatal("decoded traces differ between batch and chunked paths")
+		}
+		want := make(map[string]int)
+		for _, c := range detect.Cycles(batch, detect.Config{}) {
+			want[cycleKey(c)]++
+		}
+		got := make(map[string]int)
+		for _, c := range cands {
+			got[cycleKey(c.Cycle)]++
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("stream cycles %v, batch cycles %v", got, want)
+		}
+	})
 }

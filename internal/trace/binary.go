@@ -6,17 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-
-	"wolf/internal/vclock"
-	"wolf/sim"
 )
 
-// ErrCorrupt is the sentinel wrapped by every binary-decode failure —
-// truncated streams, oversized length prefixes, out-of-range indices,
-// bad magic — so callers can distinguish adversarial or damaged input
+// ErrCorrupt is the sentinel wrapped by every structural decode
+// failure — truncated streams, oversized length prefixes, out-of-range
+// indices, bad magic, per-thread positions that are not dense — so
+// callers can distinguish adversarial or damaged input
 // (errors.Is(err, ErrCorrupt)) from I/O problems and reject it at the
-// door.
+// door. Errors from the underlying reader are never wrapped in it.
 var ErrCorrupt = errors.New("corrupt binary trace")
 
 // corruptf builds an ErrCorrupt-wrapping decode error.
@@ -29,7 +26,7 @@ func corruptf(format string, args ...any) error {
 // reject foreign or future data without scanning it:
 //
 //	magic   4 bytes "WTRC"
-//	version uvarint (BinaryVersion)
+//	version uvarint (binaryVersion)
 //	seed    varint
 //	steps   uvarint
 //	taus    uvarint count, then varint each
@@ -44,33 +41,30 @@ func corruptf(format string, args ...any) error {
 // index, which is what makes the format both smaller and faster to
 // decode than JSON (no field names, no quoting, no reflection).
 
-// BinaryMagic marks a binary trace stream ("WTRC"). Exported so the
-// streaming decoder (internal/stream) recognizes the same header.
-var BinaryMagic = [4]byte{'W', 'T', 'R', 'C'}
+// binaryMagic marks a binary trace stream ("WTRC").
+var binaryMagic = [4]byte{'W', 'T', 'R', 'C'}
 
-// BinaryVersion is the current binary schema version.
-const BinaryVersion = 1
+// binaryVersion is the current binary schema version.
+const binaryVersion = 1
 
-// MaxStringLen bounds a single interned string so corrupt length
-// prefixes cannot drive huge allocations. Shared by the batch and
-// streaming decoders.
-const MaxStringLen = 1 << 20
+// maxStringLen bounds a single interned string so corrupt length
+// prefixes cannot drive huge allocations.
+const maxStringLen = 1 << 20
 
 // maxPrealloc caps slice preallocation from wire-declared counts.
 const maxPrealloc = 1024
 
-// CapAlloc returns the preallocation capacity for a collection whose
+// capAlloc returns the preallocation capacity for a collection whose
 // length n came from the wire: at most maxPrealloc, so an adversarial
 // length prefix costs the attacker bytes, not us memory — slices grow
-// incrementally past the bound. Both the batch (ReadBinary) and the
-// streaming (internal/stream) decoders size every count-prefixed
+// incrementally past the bound. The Decoder sizes every count-prefixed
 // collection through this one helper.
-func CapAlloc(n int) int { return min(n, maxPrealloc) }
+func capAlloc(n int) int { return min(n, maxPrealloc) }
 
 // WriteBinary serializes the trace in the binary format.
 func (tr *Trace) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(BinaryMagic[:]); err != nil {
+	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
 	e := &binWriter{w: bw, index: make(map[string]uint64)}
@@ -95,7 +89,7 @@ func (tr *Trace) WriteBinary(w io.Writer) error {
 		}
 	}
 
-	e.uvarint(BinaryVersion)
+	e.uvarint(binaryVersion)
 	e.varint(tr.Seed)
 	e.uvarint(uint64(tr.Steps))
 	e.uvarint(uint64(len(tr.Taus)))
@@ -187,186 +181,27 @@ func (e *binWriter) bytes(b []byte) {
 }
 
 // ReadBinary deserializes a trace written by WriteBinary, rebuilding the
-// per-thread indexes. Malformed input yields an error, never a panic,
+// per-thread indexes, and validates it (Validate's rules, checked as
+// each tuple decodes). Malformed input yields an error, never a panic,
 // and allocations are bounded by the input length.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf("binary magic: %v", err)
-	}
-	if magic != BinaryMagic {
-		return nil, corruptf("bad magic %q", magic[:])
-	}
-	return readBinaryBody(br)
-}
+func ReadBinary(r io.Reader) (*Trace, error) { return decodeBinary(r) }
 
-// readBinaryBody decodes everything after the magic.
-func readBinaryBody(br *bufio.Reader) (*Trace, error) {
-	d := &binReader{r: br}
-	if v := d.uvarint(); d.err == nil && v != BinaryVersion {
-		return nil, corruptf("unsupported binary version %d (want %d)", v, BinaryVersion)
-	}
-	tr := &Trace{byThread: make(map[string][]*Tuple)}
-	tr.Seed = d.varint()
-	tr.Steps = d.int()
-
-	// Collection counts come from the wire, so pre-allocation is capped
-	// and slices grow incrementally past the bound — an adversarial
-	// length prefix costs the attacker bytes, not us memory.
-	nTaus := d.count()
-	if nTaus > 0 {
-		tr.Taus = make([]int, 0, CapAlloc(nTaus))
-	}
-	for i := 0; i < nTaus && d.err == nil; i++ {
-		tr.Taus = append(tr.Taus, int(d.varint()))
-	}
-	nClocks := d.count()
-	for i := 0; i < nClocks && d.err == nil; i++ {
-		n := d.count()
-		v := make(vclock.Vector, 0, CapAlloc(n))
-		for j := 0; j < n && d.err == nil; j++ {
-			v = append(v, vclock.SJ{S: int(d.varint()), J: int(d.varint())})
-		}
-		tr.Clocks = append(tr.Clocks, v)
-	}
-
-	nStrings := d.count()
-	table := make([]string, 0, CapAlloc(nStrings))
-	for i := 0; i < nStrings && d.err == nil; i++ {
-		table = append(table, d.string())
-	}
-	d.table = table
-
-	nTuples := d.count()
-	for i := 0; i < nTuples && d.err == nil; i++ {
-		tp := &Tuple{
-			Thread:   d.str(),
-			Lock:     d.str(),
-			Site:     d.str(),
-			ThreadID: sim.ThreadID(d.varint()),
-		}
-		tp.Idx = sim.Index{Thread: d.str(), Seq: d.int()}
-		tp.Key = Key{Thread: d.str(), Site: d.str(), Occ: d.int()}
-		tp.Tau = int(d.varint())
-		tp.Pos = d.int()
-		nHeld := d.count()
-		if nHeld > 0 && d.err == nil {
-			tp.Held = make([]HeldLock, 0, CapAlloc(nHeld))
-		}
-		for j := 0; j < nHeld && d.err == nil; j++ {
-			h := HeldLock{Lock: d.str(), Site: d.str()}
-			h.Idx = sim.Index{Thread: d.str(), Seq: d.int()}
-			h.Key = Key{Thread: d.str(), Site: d.str(), Occ: d.int()}
-			tp.Held = append(tp.Held, h)
-		}
-		if d.err != nil {
-			break
-		}
-		seq := tr.byThread[tp.Thread]
-		if tp.Pos != len(seq) {
-			return nil, corruptf("tuple %v has position %d, want %d", tp, tp.Pos, len(seq))
-		}
-		tr.byThread[tp.Thread] = append(seq, tp)
-		tr.Tuples = append(tr.Tuples, tp)
-	}
-	if d.err != nil {
-		return nil, corruptf("binary decode: %v", d.err)
-	}
-	return tr, nil
-}
-
-// binReader decodes varint-encoded fields, resolving string indices. The
-// first error sticks; subsequent reads return zero values.
-type binReader struct {
-	r     *bufio.Reader
-	table []string
-	err   error
-}
-
-func (d *binReader) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *binReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.fail(err)
-		return 0
-	}
-	return v
-}
-
-func (d *binReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.fail(err)
-		return 0
-	}
-	return v
-}
-
-// int reads a uvarint that must fit a non-negative int.
-func (d *binReader) int() int {
-	v := d.uvarint()
-	if v > math.MaxInt32 {
-		d.fail(fmt.Errorf("value %d out of range", v))
-		return 0
-	}
-	return int(v)
-}
-
-// count reads a collection length.
-func (d *binReader) count() int { return d.int() }
-
-// string reads one length-prefixed string for the table.
-func (d *binReader) string() string {
-	n := d.int()
-	if d.err != nil {
-		return ""
-	}
-	if n > MaxStringLen {
-		d.fail(fmt.Errorf("string length %d exceeds limit", n))
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail(err)
-		return ""
-	}
-	return string(b)
-}
-
-// str resolves a string-table index.
-func (d *binReader) str() string {
-	i := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if i >= uint64(len(d.table)) {
-		d.fail(fmt.Errorf("string index %d out of range (table size %d)", i, len(d.table)))
-		return ""
-	}
-	return d.table[i]
-}
-
-// Decode reads a trace in either supported format, sniffing the binary
-// magic: uploads to wolfd and the wolf -trace flag accept both without
-// the caller declaring which one it is.
+// Decode reads and validates a trace in either supported format,
+// sniffing the binary magic: uploads to wolfd and the wolf -trace flag
+// accept both without the caller declaring which one it is. Binary
+// input goes through the Decoder; JSON through Read, then Validate.
 func Decode(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(BinaryMagic))
-	if err == nil && [4]byte(head) == BinaryMagic {
-		br.Discard(len(BinaryMagic))
-		return readBinaryBody(br)
+	head, err := br.Peek(len(binaryMagic))
+	if err == nil && [4]byte(head) == binaryMagic {
+		return decodeBinary(br)
 	}
-	return Read(br)
+	tr, err := Read(br)
+	if err != nil {
+		return nil, err
+	}
+	if err := Validate(tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,9 +162,14 @@ func TestBinaryOutOfOrderPos(t *testing.T) {
 	}
 }
 
-// FuzzTraceRead: arbitrary bytes through every reader must return an
-// error or a consistent trace — never panic. Valid encodings are seeded
-// so the fuzzer starts from structurally interesting inputs.
+// FuzzTraceRead: arbitrary bytes through every reader — JSON, Decode,
+// ReadBinary, and the Decoder fed in one Write or in random chunk
+// splits — must return an error or a consistent trace, never panic.
+// The encoder, Validate and split invariance are the oracle: one Write
+// and any chunking agree on accept/reject and on the error family, and
+// on accept produce traces that pass Validate and re-encode byte for
+// byte through WriteBinary. Valid encodings are seeded so the fuzzer
+// starts from structurally interesting inputs.
 func FuzzTraceRead(f *testing.F) {
 	prog, opts, _ := fig4()
 	vt := vclock.NewTracker()
@@ -178,26 +184,111 @@ func FuzzTraceRead(f *testing.F) {
 	if err := tr.WriteBinary(&bin); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(js.Bytes())
-	f.Add(bin.Bytes())
-	f.Add([]byte(`{"version":1,"tuples":[]}`))
-	f.Add([]byte("WTRC\x01"))
+	f.Add(js.Bytes(), uint64(0))
+	f.Add(bin.Bytes(), uint64(3))
+	f.Add([]byte(`{"version":1,"tuples":[]}`), uint64(0))
+	f.Add([]byte("WTRC\x01"), uint64(1))
 	// Adversarial seeds: truncated valid stream, oversized collection
 	// counts (tau, clock, string, tuple), oversized string length — the
-	// length-prefix attacks ReadBinary caps allocation against.
-	f.Add(bin.Bytes()[:len(bin.Bytes())/2])
-	f.Add(bin.Bytes()[:len(bin.Bytes())-3])
+	// length-prefix attacks the Decoder caps allocation against.
+	f.Add(bin.Bytes()[:len(bin.Bytes())/2], uint64(5))
+	f.Add(bin.Bytes()[:len(bin.Bytes())-3], uint64(7))
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
-	f.Add(append([]byte("WTRC\x01\x00\x00"), huge...))
-	f.Add(append([]byte("WTRC\x01\x00\x00\x00"), huge...))
-	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00"), huge...))
-	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00\x00"), huge...))
-	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00\x01"), 0xff, 0xff, 0xff, 0xff, 0x7f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, read := range []func([]byte) error{readJSON, readBin, readDecode} {
-			if err := read(data); err != nil {
-				continue
-			}
+	f.Add(append([]byte("WTRC\x01\x00\x00"), huge...), uint64(1))
+	f.Add(append([]byte("WTRC\x01\x00\x00\x00"), huge...), uint64(2))
+	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00"), huge...), uint64(3))
+	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00\x00"), huge...), uint64(4))
+	f.Add(append([]byte("WTRC\x01\x00\x00\x00\x00\x01"), 0xff, 0xff, 0xff, 0xff, 0x7f), uint64(5))
+	// A larger multi-thread trace with nested locksets, and the empty
+	// input.
+	bp, bopts := benchProgram(3)
+	bvt := vclock.NewTracker()
+	brec := NewRecorder(bvt)
+	bopts.Listeners = append(bopts.Listeners, bvt, brec)
+	sim.Run(bp, sim.NewRandomStrategy(1), bopts)
+	var big bytes.Buffer
+	if err := brec.Finish(1).WriteBinary(&big); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(big.Bytes(), uint64(11))
+	f.Add([]byte{}, uint64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, splitSeed uint64) {
+		for _, read := range []func([]byte) error{readJSON, readDecode} {
+			_ = read(data)
+		}
+
+		whole := NewDecoder(0)
+		oneErr := whole.Write(data)
+		var one *Trace
+		if oneErr == nil {
+			one, oneErr = whole.Finalize()
+		}
+
+		chunked := NewDecoder(0)
+		var splitErr error
+		rng := splitSeed
+		for off := 0; off < len(data) && splitErr == nil; {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			end := min(off+1+int(rng>>33)%64, len(data))
+			splitErr = chunked.Write(data[off:end])
+			off = end
+		}
+		var split *Trace
+		if splitErr == nil {
+			split, splitErr = chunked.Finalize()
+		}
+
+		batch, batchErr := ReadBinary(bytes.NewReader(data))
+
+		if errFamily(oneErr) != errFamily(splitErr) || errFamily(oneErr) != errFamily(batchErr) {
+			t.Fatalf("error family differs: one write %v, chunked %v, ReadBinary %v", oneErr, splitErr, batchErr)
+		}
+		if oneErr != nil {
+			return
+		}
+		if err := Validate(one); err != nil {
+			t.Fatalf("accepted trace fails Validate: %v", err)
+		}
+		enc := encodeBinary(t, one)
+		if !bytes.Equal(enc, encodeBinary(t, split)) || !bytes.Equal(enc, encodeBinary(t, batch)) {
+			t.Fatal("chunked or reader decode re-encodes differently from one Write")
+		}
+		again, err := ReadBinary(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !bytes.Equal(enc, encodeBinary(t, again)) {
+			t.Fatal("WriteBinary round trip is not byte-identical")
 		}
 	})
+}
+
+// errFamily names the error taxonomy branch err belongs to, with the
+// corruption class for validation errors.
+func errFamily(err error) string {
+	var ve *ValidationError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.As(err, &ve):
+		return "invalid:" + ve.Class
+	case errors.Is(err, ErrInvalid):
+		return "invalid"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrBudget):
+		return "budget"
+	}
+	return "other: " + err.Error()
+}
+
+// encodeBinary serializes tr with WriteBinary.
+func encodeBinary(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -1,13 +1,13 @@
 package trace
 
 // Trace validation: structural integrity checks that gate analysis.
-// Decoding only proves the bytes parse; Validate proves the decoded
+// Parsing only proves the bytes parse; validation proves the decoded
 // relation Dσ is a trace some execution could actually have recorded —
 // every tuple names its thread and locks, locksets are consistent,
 // positions are dense, thread IDs resolve into the clock tables, and
-// per-thread timestamps never run backwards. wolfd runs it on every
-// upload and rejects failures with HTTP 422 before any analysis work is
-// queued.
+// per-thread timestamps never run backwards. The Decoder and Decode
+// apply it to every trace they return, so wolfd rejects failures with
+// HTTP 422 before any analysis work is queued.
 //
 // Every invariant here is deliberately per-thread, because recorders
 // fall into two classes with different global guarantees:
@@ -98,12 +98,12 @@ func invalidf(class string, tuple int, format string, args ...any) error {
 	return &ValidationError{Class: class, Tuple: tuple, Detail: fmt.Sprintf(format, args...)}
 }
 
-// ValidateClocks checks the clock and timestamp tables of a trace: the
+// validateClocks checks the clock and timestamp tables of a trace: the
 // two tables must agree in length when both were recorded, and no clock
 // vector may be wider than the thread table. It is split out of
-// Validate so the streaming decoder can run it as soon as the header
+// Validate so the Decoder can run it as soon as the header
 // sections (taus, clocks) complete, before any tuple arrives.
-func ValidateClocks(clocks []vclock.Vector, taus []int) error {
+func validateClocks(clocks []vclock.Vector, taus []int) error {
 	if len(taus) > 0 && len(clocks) > 0 && len(taus) != len(clocks) {
 		return invalidf(InvalidClockShape, -1,
 			"%d timestamps but %d clock vectors", len(taus), len(clocks))
@@ -117,37 +117,40 @@ func ValidateClocks(clocks []vclock.Vector, taus []int) error {
 	return nil
 }
 
-// TupleValidator applies Validate's per-tuple rules incrementally, in
-// trace order — the mid-stream 422 gate of the streaming ingestion
-// path. Feed every tuple through Check as it decodes; the first defect
-// is returned as the same *ValidationError batch validation would
-// produce.
-type TupleValidator struct {
+// tupleValidator applies Validate's per-tuple rules incrementally, in
+// trace order — the Decoder's 422 gate, which fires at the chunk that
+// holds the bad tuple. Feed every tuple through Check as it decodes;
+// the first defect is returned as the same *ValidationError batch
+// validation would produce.
+type tupleValidator struct {
 	// nThreads is the recorded thread-table size tuples' thread IDs must
 	// resolve into (0 when neither clocks nor taus were recorded).
 	nThreads int
-	pos      map[string]int
-	lastTau  map[string]int
+	threads  map[string]*threadCheck
 	n        int
 }
 
-// NewTupleValidator returns a validator for a trace whose clock and
+// threadCheck is one thread's running state: the position its next
+// tuple must have and the last non-Bottom timestamp seen.
+type threadCheck struct {
+	pos     int
+	lastTau int
+	hasTau  bool
+}
+
+// newTupleValidator returns a validator for a trace whose clock and
 // timestamp tables are clocks and taus (either may be empty).
-func NewTupleValidator(clocks []vclock.Vector, taus []int) *TupleValidator {
+func newTupleValidator(clocks []vclock.Vector, taus []int) *tupleValidator {
 	nThreads := len(clocks)
 	if nThreads == 0 {
 		nThreads = len(taus)
 	}
-	return &TupleValidator{
-		nThreads: nThreads,
-		pos:      make(map[string]int),
-		lastTau:  make(map[string]int),
-	}
+	return &tupleValidator{nThreads: nThreads, threads: make(map[string]*threadCheck)}
 }
 
 // Check validates the next tuple in trace order, returning a
 // *ValidationError for the first defect found.
-func (v *TupleValidator) Check(tp *Tuple) error {
+func (v *tupleValidator) Check(tp *Tuple) error {
 	i := v.n
 	v.n++
 	if tp == nil {
@@ -163,23 +166,35 @@ func (v *TupleValidator) Check(tp *Tuple) error {
 	if tp.Idx.Thread != tp.Thread || tp.Idx.Seq < 1 {
 		return invalidf(InvalidBadKey, i, "index %v contradicts tuple %v", tp.Idx, tp)
 	}
-	if tp.Pos != v.pos[tp.Thread] {
-		return invalidf(InvalidBadPosition, i,
-			"thread %s position %d, want %d", tp.Thread, tp.Pos, v.pos[tp.Thread])
+	th := v.threads[tp.Thread]
+	if th == nil {
+		th = &threadCheck{}
+		v.threads[tp.Thread] = th
 	}
-	v.pos[tp.Thread]++
-	seen := make(map[string]bool, len(tp.Held))
-	for _, h := range tp.Held {
+	if tp.Pos != th.pos {
+		return invalidf(InvalidBadPosition, i,
+			"thread %s position %d, want %d", tp.Thread, tp.Pos, th.pos)
+	}
+	th.pos++
+	// Locksets are short: a pairwise scan finds duplicates without a
+	// per-tuple map, which only pays off for long ones.
+	var seen map[string]bool
+	if len(tp.Held) > 8 {
+		seen = make(map[string]bool, len(tp.Held))
+	}
+	for j, h := range tp.Held {
 		switch {
 		case h.Lock == "":
 			return invalidf(InvalidHeldSet, i, "lockset entry without a lock name")
 		case h.Lock == tp.Lock:
 			return invalidf(InvalidHeldSet, i,
 				"acquired lock %s appears in its own lockset", tp.Lock)
-		case seen[h.Lock]:
+		case seen[h.Lock] || seen == nil && heldBefore(tp.Held[:j], h.Lock):
 			return invalidf(InvalidHeldSet, i, "lock %s held twice", h.Lock)
 		}
-		seen[h.Lock] = true
+		if seen != nil {
+			seen[h.Lock] = true
+		}
 	}
 	// Thread IDs index the clock and timestamp tables; when neither
 	// was recorded (the base, timestamp-free detector) any
@@ -189,28 +204,38 @@ func (v *TupleValidator) Check(tp *Tuple) error {
 			"thread id %d outside recorded table of %d", tp.ThreadID, v.nThreads)
 	}
 	if tp.Tau != vclock.Bottom {
-		if last, ok := v.lastTau[tp.Thread]; ok && tp.Tau < last {
+		if th.hasTau && tp.Tau < th.lastTau {
 			return invalidf(InvalidNonMonotonicTau, i,
-				"thread %s timestamp %d after %d", tp.Thread, tp.Tau, last)
+				"thread %s timestamp %d after %d", tp.Thread, tp.Tau, th.lastTau)
 		}
-		v.lastTau[tp.Thread] = tp.Tau
+		th.lastTau, th.hasTau = tp.Tau, true
 	}
 	return nil
+}
+
+// heldBefore reports whether lock appears in held.
+func heldBefore(held []HeldLock, lock string) bool {
+	for _, h := range held {
+		if h.Lock == lock {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate checks the structural integrity of a decoded trace and
 // returns the first defect found as a *ValidationError (nil when the
 // trace is well-formed). It never mutates the trace. It is the batch
-// composition of ValidateClocks and TupleValidator, which the streaming
-// decoder runs incrementally instead.
+// composition of validateClocks and tupleValidator, which the Decoder
+// runs incrementally instead.
 func Validate(tr *Trace) error {
 	if tr == nil {
 		return invalidf(InvalidMissingField, -1, "nil trace")
 	}
-	if err := ValidateClocks(tr.Clocks, tr.Taus); err != nil {
+	if err := validateClocks(tr.Clocks, tr.Taus); err != nil {
 		return err
 	}
-	v := NewTupleValidator(tr.Clocks, tr.Taus)
+	v := newTupleValidator(tr.Clocks, tr.Taus)
 	for _, tp := range tr.Tuples {
 		if err := v.Check(tp); err != nil {
 			return err
