@@ -63,9 +63,10 @@ type component struct {
 }
 
 // matches reports whether thread t, about to acquire l at site, is "in
-// position" for the component.
+// position" for the component. The checks run cheapest first: the site
+// is a plain comparison, and ThreadAbs allocates.
 func (c *component) matches(t *sim.Thread, l *sim.Lock, site string) bool {
-	if ThreadAbs(t.Name()) != c.thread || site != c.site || LockAbs(l.Name()) != c.want {
+	if site != c.site || LockAbs(l.Name()) != c.want || ThreadAbs(t.Name()) != c.thread {
 		return false
 	}
 	for _, h := range c.held {
@@ -205,7 +206,7 @@ func (s *strategy) checkAllFilled() {
 func Attempt(f sim.Factory, cycle *detect.Cycle, seed int64, maxSteps int) *sim.Outcome {
 	prog, opts := f()
 	st := &strategy{
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     sim.NewRand(seed),
 		paused:  make(map[*sim.Thread]int),
 		filled:  make([]int, len(cycle.Tuples)),
 		decided: make(map[*sim.Thread]pauseDecision),

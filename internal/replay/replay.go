@@ -322,7 +322,7 @@ func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, 
 	st := &strategy{
 		g:       g.Clone(),
 		inCycle: make(map[string]bool, len(cycle.Tuples)),
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     sim.NewRand(seed),
 		occ:     make(map[string]map[string]int),
 		tl:      o.Timeline,
 		tlPid:   o.Pid,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -108,5 +109,69 @@ func BenchmarkManyThreadsFanout(b *testing.B) {
 				b.Fatalf("outcome = %v", out)
 			}
 		})
+	}
+}
+
+// benchSink keeps benchmarked draws observable.
+var benchSink int
+
+// BenchmarkNewRand measures the fixed cost of one seeded schedule
+// source plus a short run's worth of draws, against math/rand's eager
+// seeding. Every simulated execution pays it at least once.
+func BenchmarkNewRand(b *testing.B) {
+	for _, src := range []struct {
+		name string
+		new  func(seed int64) *rand.Rand
+	}{
+		{"sim", NewRand},
+		{"math-rand", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }},
+	} {
+		for _, draws := range []int{1, 64, 1024} {
+			b.Run(fmt.Sprintf("%s/draws=%d", src.name, draws), func(b *testing.B) {
+				b.ReportAllocs()
+				var seed int64
+				for b.Loop() {
+					seed++
+					r := src.new(seed)
+					for j := 0; j < draws; j++ {
+						benchSink += r.Intn(3)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkShortRun measures the per-execution fixed cost the paper's
+// re-execution loops pay: one fresh world under a fresh random
+// strategy, running a two-thread lock-order program of about a dozen
+// steps to completion or deadlock.
+func BenchmarkShortRun(b *testing.B) {
+	var l1, l2 *Lock
+	prog := func(t *Thread) {
+		h := t.Go("w", func(u *Thread) {
+			u.Lock(l2, "w1")
+			u.Lock(l1, "w2")
+			u.Unlock(l1, "w3")
+			u.Unlock(l2, "w4")
+		}, "m0")
+		t.Lock(l1, "m1")
+		t.Lock(l2, "m2")
+		t.Unlock(l2, "m3")
+		t.Unlock(l1, "m4")
+		t.Join(h, "m5")
+	}
+	opts := Options{Setup: func(w *World) {
+		l1 = w.NewLock("L1")
+		l2 = w.NewLock("L2")
+	}}
+	b.ReportAllocs()
+	var seed int64
+	for b.Loop() {
+		seed++
+		out := Run(prog, NewRandomStrategy(seed), opts)
+		if out.Kind != Terminated && out.Kind != Deadlocked {
+			b.Fatalf("outcome = %v", out)
+		}
 	}
 }

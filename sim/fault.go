@@ -222,7 +222,7 @@ func NewInjector(base Strategy, cfg FaultConfig) *Injector {
 		base:    base,
 		cfg:     cfg,
 		kinds:   cfg.kinds(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     NewRand(cfg.Seed),
 		stalled: make(map[ThreadID]int),
 	}
 }

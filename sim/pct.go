@@ -38,7 +38,7 @@ func NewPCTStrategy(seed int64, depth, expectedSteps int) *PCTStrategy {
 		expectedSteps = 1024
 	}
 	s := &PCTStrategy{
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           NewRand(seed),
 		depth:         depth,
 		expectedSteps: expectedSteps,
 		priorities:    make(map[ThreadID]int),

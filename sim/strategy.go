@@ -5,6 +5,8 @@ import "math/rand"
 // Strategy decides which enabled thread executes its pending operation
 // next. Pick is never called with an empty enabled slice; enabled is in
 // thread-creation order. Pick must return one of the enabled threads.
+// The world reuses enabled's backing array on the next step, so it is
+// valid only during the call: Pick must neither keep nor modify it.
 //
 // Strategies are the extension point the WOLF Replayer and the
 // DeadlockFuzzer baseline plug into: both steer the schedule by choosing
@@ -30,7 +32,7 @@ type RandomStrategy struct {
 // Runs are reproducible: the same program, seed and options yield the
 // same schedule.
 func NewRandomStrategy(seed int64) *RandomStrategy {
-	return &RandomStrategy{rng: rand.New(rand.NewSource(seed))}
+	return &RandomStrategy{rng: NewRand(seed)}
 }
 
 // Pick returns a uniformly random enabled thread.

@@ -89,7 +89,7 @@ func (t *Thread) Rand() *rand.Rand {
 	if t.rng == nil {
 		h := fnv.New64a()
 		h.Write([]byte(t.name))
-		t.rng = rand.New(rand.NewSource(t.w.seed ^ int64(h.Sum64())))
+		t.rng = NewRand(t.w.seed ^ int64(h.Sum64()))
 	}
 	return t.rng
 }

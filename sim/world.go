@@ -34,6 +34,8 @@ type World struct {
 	// compacts it lazily so scheduling cost tracks live threads, not
 	// every thread ever created.
 	active []*Thread
+	// en backs the slice enabled returns, reused every step.
+	en     []*Thread
 	locks  []*Lock
 	byLock map[string]*Lock
 	vars   []*Var
@@ -144,9 +146,11 @@ func (w *World) newThread(name string, parent *Thread, prog Program) *Thread {
 
 // enabled returns the parked threads whose pending operation can execute
 // now, in thread-creation order (deterministic for strategies). It also
-// compacts terminated threads out of the active list.
+// compacts terminated threads out of the active list. The result shares
+// its backing array with every other step's and is valid until the next
+// call.
 func (w *World) enabled() []*Thread {
-	var en []*Thread
+	en := w.en[:0]
 	live := w.active[:0]
 	for _, t := range w.active {
 		if t.state == stateDone {
@@ -158,6 +162,7 @@ func (w *World) enabled() []*Thread {
 		}
 	}
 	w.active = live
+	w.en = en
 	return en
 }
 
