@@ -24,7 +24,10 @@
 // under time-bounded leases; -role=analyzer -coordinator=URL runs one
 // such node — it registers, heartbeats, pulls leased work, and
 // delivers results, retrying every coordinator call with exponential
-// backoff so either side can restart without losing work.
+// backoff so either side can restart without losing work. A pull with
+// nothing to lease waits at the coordinator for up to half of
+// -heartbeat-timeout, so an idle analyzer picks up new work at once;
+// -poll is only its back-off after a failed pull or a 503.
 //
 // Logs are structured (log/slog) and tagged with job IDs; -log-format
 // json emits one JSON object per line for log shippers. -debug-addr
@@ -136,7 +139,7 @@ func main() {
 		hbOut    = flag.Duration("heartbeat-timeout", 10*time.Second, "coordinator: silence after which a node is lost and its jobs reassigned")
 		maxDeliv = flag.Int("max-deliveries", 3, "coordinator: deliveries per job before it fails with reason reassign-exhausted")
 		maxRenew = flag.Int("max-renewals", 8, "coordinator: lease renewals before a job is re-offered to a second node")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "analyzer: idle sleep between work pulls")
+		poll     = flag.Duration("poll", 500*time.Millisecond, "analyzer: back-off after a failed pull")
 	)
 	flag.Parse()
 

@@ -29,8 +29,10 @@ type AnalyzerConfig struct {
 	Coordinator string
 	// Name is the node's self-chosen label (default: hostname).
 	Name string
-	// Poll is the idle sleep between pulls when the coordinator has no
-	// work (default 500ms).
+	// Poll is the back-off after a failed pull or a 503 (default
+	// 500ms). A coordinator that holds idle pulls (RegisterView's
+	// PullHoldMillis > 0) is pulled again at once after a 204; against
+	// one that does not, Poll is also the sleep between idle pulls.
 	Poll time.Duration
 	// JobTimeout cancels an analysis that runs longer (default 30s) —
 	// the local bound; the coordinator's lease is the distributed one.
@@ -88,6 +90,7 @@ type Analyzer struct {
 	heartbeatEvery   time.Duration
 	heartbeatTimeout time.Duration
 	leaseTTL         time.Duration
+	pullHold         time.Duration
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -112,13 +115,19 @@ func (a *Analyzer) url(path string) string { return a.cfg.Coordinator + path }
 
 // postJSON posts v and decodes the response body into out (when the
 // status is 2xx and out is non-nil). The response status is always
-// returned for protocol branching.
-func (a *Analyzer) postJSON(path string, v, out any) (int, error) {
+// returned for protocol branching. Ending ctx abandons the request,
+// retries included.
+func (a *Analyzer) postJSON(ctx context.Context, path string, v, out any) (int, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := a.cfg.Client.Post(a.url(path), "application/json", body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.url(path), bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := a.cfg.Client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -143,16 +152,20 @@ func (a *Analyzer) register(ctx context.Context) error {
 	delay := 100 * time.Millisecond
 	for {
 		var view RegisterView
-		status, err := a.postJSON("/v1/nodes", RegisterRequest{Name: a.cfg.Name}, &view)
+		status, err := a.postJSON(ctx, "/v1/nodes", RegisterRequest{Name: a.cfg.Name}, &view)
 		if err == nil && status == http.StatusOK {
 			a.id.Store(view.ID)
 			a.heartbeatEvery = Millis(view.HeartbeatMillis)
 			a.heartbeatTimeout = Millis(view.HeartbeatTimeoutMillis)
 			a.leaseTTL = Millis(view.LeaseTTLMillis)
+			a.pullHold = Millis(view.PullHoldMillis)
 			a.cfg.Logger.Info("registered with coordinator",
 				"node", view.ID, "coordinator", a.cfg.Coordinator,
-				"heartbeat", a.heartbeatEvery, "lease_ttl", a.leaseTTL)
+				"heartbeat", a.heartbeatEvery, "lease_ttl", a.leaseTTL, "pull_hold", a.pullHold)
 			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
 		if err != nil {
 			a.cfg.Logger.Warn("registration failed, retrying", "err", err, "delay", delay)
@@ -175,7 +188,11 @@ func (a *Analyzer) register(ctx context.Context) error {
 // fleet endpoint means the coordinator no longer knows the node (it
 // restarted, or declared this node lost); the analyzer re-registers
 // under a fresh identity and carries on — that is the whole
-// coordinator-restart survival story on this side.
+// coordinator-restart survival story on this side. Pulls are long
+// polls: the coordinator holds an idle pull until work arrives, so
+// after a 204 the analyzer pulls again at once; it sleeps Poll only
+// after a failed pull or a 503, or between idle pulls to a coordinator
+// that does not hold them. Cancelling ctx ends a parked pull at once.
 func (a *Analyzer) Run(ctx context.Context) error {
 	if err := a.register(ctx); err != nil {
 		return err
@@ -189,8 +206,10 @@ func (a *Analyzer) Run(ctx context.Context) error {
 			return err
 		}
 		var work WorkView
-		status, err := a.postJSON("/v1/work/pull", PullRequest{Node: a.ID()}, &work)
+		status, err := a.postJSON(ctx, "/v1/work/pull", PullRequest{Node: a.ID()}, &work)
 		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
 		case err != nil:
 			a.cfg.Logger.Warn("pull failed", "err", err)
 			if !a.sleep(ctx, a.cfg.Poll) {
@@ -203,6 +222,8 @@ func (a *Analyzer) Run(ctx context.Context) error {
 			if err := a.register(ctx); err != nil {
 				return err
 			}
+		case status == http.StatusNoContent && a.pullHold > 0:
+			// The coordinator already waited for work; ask again.
 		case status == http.StatusNoContent || status == http.StatusServiceUnavailable:
 			if !a.sleep(ctx, a.cfg.Poll) {
 				return ctx.Err()
@@ -248,7 +269,7 @@ func (a *Analyzer) heartbeatLoop(ctx context.Context) {
 			if id == "" {
 				continue
 			}
-			if status, err := a.postJSON("/v1/nodes/"+id+"/heartbeat", struct{}{}, nil); err != nil {
+			if status, err := a.postJSON(ctx, "/v1/nodes/"+id+"/heartbeat", struct{}{}, nil); err != nil {
 				a.cfg.Logger.Warn("heartbeat failed", "err", err)
 			} else if status == http.StatusNotFound {
 				a.cfg.Logger.Warn("heartbeat rejected: node unknown", "node", id)
@@ -313,6 +334,10 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	runCtx, cancel := context.WithTimeout(ctx, a.cfg.JobTimeout)
 	defer cancel()
 	runCtx = obs.WithTrace(runCtx, w.TraceID, "")
+	// A finished analysis is delivered even when the job's timeout or
+	// Run's cancellation has already fired: the result (or the timeout
+	// verdict) must reach the coordinator.
+	doneCtx := context.WithoutCancel(ctx)
 
 	// Lease renewal runs beside the analysis; leaseLost flips when the
 	// coordinator says the lease is gone.
@@ -332,7 +357,7 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 			case <-renewStop:
 				return
 			case <-tick.C:
-				status, err := a.postJSON("/v1/work/renew", RenewRequest{Node: a.ID(), Job: w.Job}, nil)
+				status, err := a.postJSON(runCtx, "/v1/work/renew", RenewRequest{Node: a.ID(), Job: w.Job}, nil)
 				if err != nil {
 					log.Warn("lease renewal failed", "err", err)
 					continue
@@ -353,7 +378,7 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	tr, wtrc, hash, err := a.materialize(w)
 	if err != nil {
 		stopRenewals()
-		a.complete(log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: err.Error()})
+		a.complete(doneCtx, log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: err.Error()})
 		return
 	}
 	rep, err := a.cfg.Analyze(runCtx, tr, a.cfg.Analysis)
@@ -369,12 +394,12 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			msg = fmt.Sprintf("analysis timed out after %v", a.cfg.JobTimeout)
 		}
-		a.complete(log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: msg})
+		a.complete(doneCtx, log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: msg})
 		return
 	}
 	raw, err := json.Marshal(report.FromCore(rep))
 	if err != nil {
-		a.complete(log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: "encode report: " + err.Error()})
+		a.complete(doneCtx, log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: "encode report: " + err.Error()})
 		return
 	}
 	req := CompleteRequest{
@@ -388,18 +413,18 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	if wtrc != nil {
 		req.TraceB64 = base64.StdEncoding.EncodeToString(wtrc)
 	}
-	a.complete(log, req)
+	a.complete(doneCtx, log, req)
 }
 
 // complete delivers one result and logs the coordinator's verdict.
-func (a *Analyzer) complete(log *slog.Logger, req CompleteRequest) {
+func (a *Analyzer) complete(ctx context.Context, log *slog.Logger, req CompleteRequest) {
 	if req.OK {
 		a.completed.Add(1)
 	} else {
 		a.failed.Add(1)
 	}
 	var view CompleteView
-	status, err := a.postJSON("/v1/work/complete", req, &view)
+	status, err := a.postJSON(ctx, "/v1/work/complete", req, &view)
 	switch {
 	case err != nil:
 		log.Error("completion delivery failed", "err", err)

@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -187,5 +189,98 @@ func TestAnalyzerAbandonsOnLeaseLost(t *testing.T) {
 	case req := <-fc.completes:
 		t.Fatalf("abandoned run still sent a completion: %+v", req)
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// idleCoordinator answers registration with the given pull hold and
+// hands out no work: each pull runs pull (which may block) and gets a
+// 204. It counts the pulls it sees.
+func idleCoordinator(t *testing.T, hold time.Duration, pull func(r *http.Request)) (string, *atomic.Int64) {
+	t.Helper()
+	var pulls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(RegisterView{
+			ID: "n-0001", Name: "fake",
+			HeartbeatMillis:        ToMillis(time.Second),
+			HeartbeatTimeoutMillis: ToMillis(time.Minute),
+			LeaseTTLMillis:         ToMillis(time.Minute),
+			PullHoldMillis:         ToMillis(hold),
+		})
+	})
+	mux.HandleFunc("POST /v1/nodes/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("POST /v1/work/pull", func(w http.ResponseWriter, r *http.Request) {
+		pulls.Add(1)
+		// Consuming the body lets the server notice a client hang-up.
+		io.Copy(io.Discard, r.Body)
+		pull(r)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL, &pulls
+}
+
+// TestAnalyzerCancelWhileParked: cancelling Run while its pull waits at
+// the coordinator ends the pull and returns within 100ms.
+func TestAnalyzerCancelWhileParked(t *testing.T) {
+	parked := make(chan struct{}, 1)
+	url, _ := idleCoordinator(t, 30*time.Second, func(r *http.Request) {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	})
+	a := NewAnalyzer(AnalyzerConfig{Coordinator: url, Name: "t"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- a.Run(ctx) }()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("pull never reached the coordinator")
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("Run returned %v after cancel, want within 100ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+}
+
+// TestAnalyzerIdlePullPacing: after a 204 the analyzer pulls again at
+// once only when the coordinator advertises a pull hold; against one
+// that does not (an older coordinator answering idle pulls at once) it
+// sleeps Poll between pulls rather than hot-looping.
+func TestAnalyzerIdlePullPacing(t *testing.T) {
+	const poll, window = 200 * time.Millisecond, 400 * time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		hold      time.Duration
+		min, max  int64
+		pullDelay time.Duration
+	}{
+		{"no-hold", 0, 1, 4, 0},
+		{"hold", time.Second, 10, 1 << 30, 5 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url, pulls := idleCoordinator(t, tc.hold, func(*http.Request) { time.Sleep(tc.pullDelay) })
+			runAnalyzer(t, AnalyzerConfig{Coordinator: url, Name: "t", Poll: poll})
+			time.Sleep(window)
+			if n := pulls.Load(); n < tc.min || n > tc.max {
+				t.Fatalf("%d pulls in %v with Poll %v, want %d..%d", n, window, poll, tc.min, tc.max)
+			}
+		})
 	}
 }

@@ -7,7 +7,8 @@
 //
 //	POST /v1/nodes                 register → node ID + fleet timings
 //	POST /v1/nodes/{id}/heartbeat  liveness; 404 once the node is lost
-//	POST /v1/work/pull             lease one job (204 when idle)
+//	POST /v1/work/pull             lease one job; an idle pull waits for
+//	                               work, 204 once the hold passes
 //	POST /v1/work/renew            extend a lease; 409 once it is gone
 //	POST /v1/work/complete         deliver a result (first result wins)
 //
@@ -51,6 +52,11 @@ type RegisterView struct {
 	// LeaseTTLMillis is the lease duration on pulled work; renew well
 	// before it elapses.
 	LeaseTTLMillis int64 `json:"lease_ttl_millis"`
+	// PullHoldMillis is how long the coordinator holds a pull that has
+	// nothing to lease before answering 204. Zero (a coordinator that
+	// answers idle pulls at once) tells the analyzer to sleep its Poll
+	// between idle pulls instead of re-pulling straight away.
+	PullHoldMillis int64 `json:"pull_hold_millis,omitempty"`
 }
 
 // NodeView is one known analyzer in GET /v1/nodes and wolfctl nodes.

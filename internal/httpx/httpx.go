@@ -18,11 +18,14 @@
 //     returned to the caller on the first attempt.
 //
 // The final response is always returned even when retries are
-// exhausted, so callers can render the server's error body.
+// exhausted, so callers can render the server's error body. A request
+// whose context ends is not retried: Do returns the context's error at
+// once, cutting short any backoff wait in progress.
 package httpx
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -47,7 +50,8 @@ type Client struct {
 	// retryable status codes. Enable only when a duplicated request is
 	// harmless (see the package comment).
 	RetryConnect bool
-	// Sleep is the wait hook (tests); default time.Sleep.
+	// Sleep is the wait hook (tests); by default the wait is a timer
+	// that the request's context can cut short.
 	Sleep func(time.Duration)
 }
 
@@ -65,12 +69,20 @@ func (c *Client) attempts() int {
 	return 4
 }
 
-func (c *Client) sleep(d time.Duration) {
+// wait sleeps d before a retry and reports whether ctx is still live.
+func (c *Client) wait(ctx context.Context, d time.Duration) bool {
 	if c.Sleep != nil {
 		c.Sleep(d)
-		return
+		return ctx.Err() == nil
 	}
-	time.Sleep(d)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // Retryable reports whether a status code is in the transient set wolfd
@@ -128,8 +140,14 @@ func parseRetryAfter(v string) (time.Duration, bool) {
 // Do executes the request, retrying per the policy above. Requests with
 // a body must be rewindable (req.GetBody set — http.NewRequest does this
 // automatically for bytes.Reader/bytes.Buffer/strings.Reader bodies).
+// Once req.Context() is done, Do makes no further attempt and returns
+// the context's error.
 func (c *Client) Do(req *http.Request) (*http.Response, error) {
+	ctx := req.Context()
 	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if attempt > 0 && req.GetBody != nil {
 			body, err := req.GetBody()
 			if err != nil {
@@ -139,13 +157,15 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
-			if !c.RetryConnect || attempt+1 >= c.attempts() {
+			if !c.RetryConnect || attempt+1 >= c.attempts() || ctx.Err() != nil {
 				return nil, err
 			}
 			if req.Body != nil && req.GetBody == nil {
 				return nil, err // cannot rewind; don't resend half a body
 			}
-			c.sleep(c.backoff(attempt, nil))
+			if !c.wait(ctx, c.backoff(attempt, nil)) {
+				return nil, ctx.Err()
+			}
 			continue
 		}
 		if !Retryable(resp.StatusCode) || attempt+1 >= c.attempts() {
@@ -154,7 +174,9 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 		wait := c.backoff(attempt, resp)
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		c.sleep(wait)
+		if !c.wait(ctx, wait) {
+			return nil, ctx.Err()
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package httpx
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -188,5 +190,66 @@ func TestDoRequiresRewindableBodyOnConnectRetry(t *testing.T) {
 	}
 	if _, err := c.Do(req); err == nil {
 		t.Fatal("want transport error")
+	}
+}
+
+// TestDoStopsOnEndedContext: a request whose context has already ended
+// is never sent, with or without RetryConnect.
+func TestDoStopsOnEndedContext(t *testing.T) {
+	ts, calls := countingServer(t, 0, http.StatusOK, "")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, rc := range []bool{false, true} {
+		c := &Client{RetryConnect: rc}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := c.Do(req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RetryConnect=%v: err = %v, want context.Canceled", rc, err)
+		}
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Fatalf("RetryConnect=%v: Do took %v on an ended context", rc, d)
+		}
+	}
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("calls = %d, want 0", got)
+	}
+}
+
+// TestBackoffEndsWithContext: cancelling the context cuts a backoff
+// wait short, both after a retryable status (here a long Retry-After)
+// and after a transport error, and no further attempt is made.
+func TestBackoffEndsWithContext(t *testing.T) {
+	busy, busyCalls := countingServer(t, 100, http.StatusServiceUnavailable, "10")
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	deadURL := dead.URL
+	dead.Close()
+
+	for _, tc := range []struct {
+		name string
+		url  string
+	}{{"status", busy.URL}, {"transport", deadURL}} {
+		c := &Client{RetryConnect: true, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, tc.url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timer := time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		_, err = c.Do(req)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s: Do took %v, want the backoff cut short by cancel", tc.name, d)
+		}
+	}
+	if got := busyCalls.Load(); got != 1 {
+		t.Fatalf("calls = %d, want 1 (no attempt after cancel)", got)
 	}
 }

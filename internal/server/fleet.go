@@ -25,6 +25,11 @@ package server
 //     jobs for fresh delivery (the delivery budget survives via the
 //     persisted attempt count) instead of failing them like the
 //     single-process path does.
+//   - A pull with nothing to lease waits at the coordinator for up to
+//     HeartbeatTimeout/2 and answers 204 if no work came. Once Shutdown
+//     begins no pull leases: parked pulls wake at once with 503, and a
+//     job the closing queue hands to one stays pending, neither leased
+//     nor failed.
 
 import (
 	"bytes"
@@ -87,6 +92,13 @@ type fleetState struct {
 	// reoffered marks jobs already re-offered for straggling, so one
 	// slow lease triggers at most one extra delivery.
 	reoffered map[string]bool
+	// wake is closed and replaced whenever parked pulls must re-check:
+	// pending grew, a node was lost, or leasing closed.
+	wake chan struct{}
+	// closed is set when Shutdown begins; no pull leases after it.
+	closed bool
+	// parked counts pulls now waiting for work.
+	parked int
 }
 
 func newFleetState(s *Server) *fleetState {
@@ -95,7 +107,40 @@ func newFleetState(s *Server) *fleetState {
 		nodes:     make(map[string]*fleetNode),
 		leases:    make(map[string][]*jobLease),
 		reoffered: make(map[string]bool),
+		wake:      make(chan struct{}),
 	}
+}
+
+// pullHold is how long a pull with nothing to lease waits at the
+// coordinator: half the heartbeat timeout, so an idle analyzer is
+// answered well inside the silence that would mark it lost.
+func (f *fleetState) pullHold() time.Duration { return f.s.cfg.HeartbeatTimeout / 2 }
+
+// wakeLocked wakes every parked pull. Caller holds f.mu.
+func (f *fleetState) wakeLocked() {
+	close(f.wake)
+	f.wake = make(chan struct{})
+}
+
+// offerLocked appends jobs to pending and wakes parked pulls to take
+// them. Caller holds f.mu.
+func (f *fleetState) offerLocked(jobs ...*Job) {
+	f.pending = append(f.pending, jobs...)
+	f.wakeLocked()
+}
+
+// close stops all leasing and wakes parked pulls so they answer 503.
+// Shutdown calls it before closing the queue.
+func (f *fleetState) close() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closeLocked()
+}
+
+// closeLocked is close for a caller that holds f.mu.
+func (f *fleetState) closeLocked() {
+	f.closed = true
+	f.wakeLocked()
 }
 
 // janitorTick is how often lease expiry and node liveness are checked:
@@ -147,6 +192,7 @@ func (f *fleetState) sweep(now time.Time) {
 			"last_seen", n.lastSeen, "timeout", f.s.cfg.HeartbeatTimeout)
 		f.s.event(obs.Event{Kind: evNodeLost, Msg: "missed heartbeats",
 			Attrs: map[string]string{"node": n.id, "name": n.name}})
+		f.wakeLocked() // a parked pull of the lost node answers 404 now
 		for jobID, ls := range f.leases {
 			kept := ls[:0]
 			revoked := false
@@ -207,7 +253,7 @@ func (f *fleetState) maybeReassignLocked(jobID, fromNode, cause string) {
 		return
 	}
 	j.unlease()
-	f.pending = append(f.pending, j)
+	f.offerLocked(j)
 	delete(f.reoffered, jobID)
 	f.s.metrics.JobsReassigned.Add(1)
 	f.s.persistJob(j)
@@ -231,22 +277,31 @@ func (f *fleetState) failExhaustedLocked(j *Job) {
 		map[string]string{"reason": string(FailReassign)})
 }
 
-// nextJobLocked pops the next deliverable job: reassigned/rehydrated
-// work first, then the admission queue. Jobs that reached a terminal
-// state while waiting (shed, drained, exhausted) are skipped. Caller
+// deliverableLocked reports whether a job taken off pending or the
+// queue may be leased: jobs that reached a terminal state while waiting
+// (shed, drained, exhausted) are skipped, and one whose delivery budget
+// is spent is failed. Caller holds f.mu.
+func (f *fleetState) deliverableLocked(j *Job) bool {
+	if j.terminal() {
+		return false
+	}
+	if j.Attempts() >= f.s.cfg.MaxDeliveries {
+		f.failExhaustedLocked(j)
+		return false
+	}
+	return true
+}
+
+// nextJobLocked pops the next deliverable job without waiting:
+// reassigned/rehydrated work first, then the admission queue. Caller
 // holds f.mu.
 func (f *fleetState) nextJobLocked() *Job {
 	for len(f.pending) > 0 {
 		j := f.pending[0]
 		f.pending = f.pending[1:]
-		if j.terminal() {
-			continue
+		if f.deliverableLocked(j) {
+			return j
 		}
-		if j.Attempts() >= f.s.cfg.MaxDeliveries {
-			f.failExhaustedLocked(j)
-			continue
-		}
-		return j
 	}
 	for {
 		select {
@@ -255,14 +310,9 @@ func (f *fleetState) nextJobLocked() *Job {
 				return nil // queue closed: draining
 			}
 			f.s.metrics.QueueDepth.Add(-1)
-			if j.terminal() {
-				continue
+			if f.deliverableLocked(j) {
+				return j
 			}
-			if j.Attempts() >= f.s.cfg.MaxDeliveries {
-				f.failExhaustedLocked(j)
-				continue
-			}
-			return j
 		default:
 			return nil
 		}
@@ -274,7 +324,7 @@ func (f *fleetState) nextJobLocked() *Job {
 func (f *fleetState) requeueRestored(jobs []*Job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pending = append(f.pending, jobs...)
+	f.offerLocked(jobs...)
 }
 
 // workPayload builds the grant for one job: the trace blob (from
@@ -428,6 +478,7 @@ func (s *Server) handleNodeRegister(w http.ResponseWriter, r *http.Request) {
 		HeartbeatMillis:        fleet.ToMillis(s.cfg.HeartbeatInterval),
 		HeartbeatTimeoutMillis: fleet.ToMillis(s.cfg.HeartbeatTimeout),
 		LeaseTTLMillis:         fleet.ToMillis(s.cfg.LeaseTTL),
+		PullHoldMillis:         fleet.ToMillis(f.pullHold()),
 	})
 }
 
@@ -464,36 +515,105 @@ func (s *Server) handleNodeHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkPull is POST /v1/work/pull: lease one job to the calling
-// node. 204 when there is nothing to do; 404 sends an unknown or lost
-// node back to registration.
+// node. A pull with nothing to lease parks until work arrives (from the
+// admission queue or pending), the client hangs up, or the hold
+// (pullHold) runs out; every wake re-checks the node and the drain
+// under f.mu before leasing. 204 means the hold passed with no work;
+// 404 sends an unknown or lost node back to registration; 503 means
+// the coordinator is shutting down.
 func (s *Server) handleWorkPull(w http.ResponseWriter, r *http.Request) {
 	f, ok := s.requireFleet(w)
 	if !ok {
 		return
 	}
 	var req fleet.PullRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad pull request: "+err.Error())
 		return
 	}
-	if s.draining() {
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	}
+	// Read to EOF: only then does net/http watch the connection, so a
+	// client that hangs up a parked pull ends its context.
+	io.Copy(io.Discard, body)
+	ctx := r.Context()
+	hold := time.NewTimer(f.pullHold())
+	defer hold.Stop()
+	var (
+		handed  *Job // received from the queue while parked
+		expired bool
+	)
 	f.mu.Lock()
-	n, known := f.nodes[req.Node]
+	for {
+		status, msg := f.refusePullLocked(ctx, req.Node)
+		if status != 0 {
+			if handed != nil {
+				// Not ours to lease: first in line for the next pull.
+				f.pending = append([]*Job{handed}, f.pending...)
+				f.wakeLocked()
+			}
+			f.mu.Unlock()
+			if status > 0 {
+				httpError(w, status, msg)
+			}
+			return
+		}
+		j := handed
+		handed = nil
+		if j == nil || !f.deliverableLocked(j) {
+			j = f.nextJobLocked()
+		}
+		if j != nil {
+			f.leaseLocked(w, j, req.Node) // unlocks f.mu
+			return
+		}
+		if expired {
+			f.mu.Unlock()
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		wake := f.wake
+		f.parked++
+		f.mu.Unlock()
+		select {
+		case handed = <-s.queue:
+			if handed != nil {
+				s.metrics.QueueDepth.Add(-1)
+			}
+		case <-wake:
+		case <-ctx.Done():
+		case <-hold.C:
+			expired = true
+		}
+		f.mu.Lock()
+		f.parked--
+	}
+}
+
+// refusePullLocked says why a pull may not lease now: 503 once
+// Shutdown has begun, -1 when the client has gone (nothing to answer),
+// 404 for an unknown or lost node. It returns 0 for a live node and
+// refreshes its liveness — a pull is as alive as a heartbeat. Caller
+// holds f.mu.
+func (f *fleetState) refusePullLocked(ctx context.Context, node string) (int, string) {
+	if f.closed {
+		return http.StatusServiceUnavailable, "server shutting down"
+	}
+	if ctx.Err() != nil {
+		return -1, ""
+	}
+	n, known := f.nodes[node]
 	if !known || n.lost {
-		f.mu.Unlock()
-		httpError(w, http.StatusNotFound, "unknown node: re-register")
-		return
+		return http.StatusNotFound, "unknown node: re-register"
 	}
-	n.lastSeen = time.Now() // a pull is as alive as a heartbeat
-	j := f.nextJobLocked()
-	if j == nil {
-		f.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
+	n.lastSeen = time.Now()
+	return 0, ""
+}
+
+// leaseLocked grants j to node and writes the grant. A job whose work
+// cannot be delivered is terminal-failed and the pull answers 204.
+// Caller holds f.mu; leaseLocked releases it.
+func (f *fleetState) leaseLocked(w http.ResponseWriter, j *Job, node string) {
+	s := f.s
 	payload, err := f.workPayload(j)
 	if err != nil {
 		// Undeliverable (e.g. blob deleted from the corpus): terminal-fail
@@ -507,18 +627,18 @@ func (s *Server) handleWorkPull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	expiry := time.Now().Add(s.cfg.LeaseTTL)
-	attempts := j.leaseTo(req.Node, expiry)
+	attempts := j.leaseTo(node, expiry)
 	if attempts == 1 {
 		s.metrics.QueueWait.Observe(time.Since(j.CreatedAt()))
 	}
-	f.leases[j.ID] = append(f.leases[j.ID], &jobLease{node: req.Node, expiry: expiry})
+	f.leases[j.ID] = append(f.leases[j.ID], &jobLease{node: node, expiry: expiry})
 	payload.Attempts = attempts
 	payload.LeaseTTLMillis = fleet.ToMillis(s.cfg.LeaseTTL)
 	f.mu.Unlock()
 	s.persistJob(j)
-	s.cfg.Logger.Info("job leased", "job", j.ID, "node", req.Node, "attempts", attempts)
+	s.cfg.Logger.Info("job leased", "job", j.ID, "node", node, "attempts", attempts)
 	s.jobEvent(evJobStarted, j, "leased to node",
-		map[string]string{"node": req.Node, "attempts": fmt.Sprint(attempts)})
+		map[string]string{"node": node, "attempts": fmt.Sprint(attempts)})
 	writeJSON(w, http.StatusOK, payload)
 }
 
@@ -563,7 +683,7 @@ func (s *Server) handleWorkRenew(w http.ResponseWriter, r *http.Request) {
 	s.metrics.LeaseRenewals.Add(1)
 	if l.renewals > s.cfg.MaxRenewals && !f.reoffered[req.Job] && len(f.leases[req.Job]) == 1 {
 		f.reoffered[req.Job] = true
-		f.pending = append(f.pending, j)
+		f.offerLocked(j)
 		s.metrics.JobsReassigned.Add(1)
 		s.cfg.Logger.Warn("straggler: job re-offered to a second node",
 			"job", j.ID, "node", req.Node, "renewals", l.renewals)

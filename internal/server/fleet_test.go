@@ -23,6 +23,7 @@ import (
 	"wolf/internal/fleet"
 	"wolf/internal/store"
 	"wolf/internal/trace"
+	"wolf/internal/workloads"
 )
 
 // fleetPost posts v as JSON and decodes the reply into out (when 2xx
@@ -589,5 +590,415 @@ func TestCompleteWithGarbledTrace(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no job event for the rejected trace")
+	}
+}
+
+// pullResult is the outcome of one background pull.
+type pullResult struct {
+	code int
+	work fleet.WorkView
+	err  error
+}
+
+// startPull sends one pull for node in the background. The returned
+// cancel hangs the client up; cleanup does so too, so no test leaves a
+// pull parked at a server it is closing.
+func startPull(t *testing.T, base, node string) (<-chan pullResult, context.CancelFunc) {
+	t.Helper()
+	body, err := json.Marshal(fleet.PullRequest{Node: node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/work/pull", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan pullResult, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			ch <- pullResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := pullResult{code: resp.StatusCode}
+		if r.code == http.StatusOK {
+			r.err = json.NewDecoder(resp.Body).Decode(&r.work)
+		}
+		ch <- r
+	}()
+	return ch, cancel
+}
+
+// awaitPull waits up to within for a background pull's outcome.
+func awaitPull(t *testing.T, ch <-chan pullResult, within time.Duration) pullResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			t.Fatalf("pull: %v", r.err)
+		}
+		return r
+	case <-time.After(within):
+		t.Fatalf("pull not answered within %v", within)
+		return pullResult{}
+	}
+}
+
+// parkedPulls reads how many pulls wait at the coordinator.
+func parkedPulls(s *Server) int {
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
+	return s.fleet.parked
+}
+
+// waitParked blocks until exactly n pulls wait at the coordinator.
+func waitParked(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for parkedPulls(s) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked pulls = %d, want %d", parkedPulls(s), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestParkedPullWakes: a pull with nothing to lease parks at the
+// coordinator, and each way work appears — an upload, a reassignment
+// by the lease sweep, a straggler re-offer, a job restored after a
+// restart — wakes it with a grant long before the hold (30 minutes
+// here) would answer 204.
+func TestParkedPullWakes(t *testing.T) {
+	// other takes the job first where the case needs a prior delivery.
+	grantToOther := func(t *testing.T, base string) (other, id string) {
+		other = registerNode(t, base, "other")
+		id = uploadFig4(t, base)
+		if w := pullWork(t, base, other); w.Job != id {
+			t.Fatalf("granted %s, want %s", w.Job, id)
+		}
+		return other, id
+	}
+	cases := []struct {
+		name string
+		// setup runs before the pull parks and returns the trigger,
+		// which makes work appear and names the job.
+		setup        func(t *testing.T, s *Server, base string) (trigger func() string)
+		wantAttempts int
+	}{
+		{"upload", func(t *testing.T, s *Server, base string) func() string {
+			return func() string { return uploadFig4(t, base) }
+		}, 1},
+		{"sweep-reassign", func(t *testing.T, s *Server, base string) func() string {
+			_, id := grantToOther(t, base)
+			return func() string {
+				s.fleet.sweep(time.Now().Add(2 * time.Minute)) // past the lease, not the heartbeat timeout
+				return id
+			}
+		}, 2},
+		{"straggler-reoffer", func(t *testing.T, s *Server, base string) func() string {
+			other, id := grantToOther(t, base)
+			return func() string {
+				for i := 0; i < 2; i++ { // the second renewal crosses MaxRenewals=1
+					if code := fleetPost(t, base+"/v1/work/renew", fleet.RenewRequest{Node: other, Job: id}, nil); code != http.StatusOK {
+						t.Fatalf("renew = %d", code)
+					}
+				}
+				return id
+			}
+		}, 2},
+		{"requeue-restored", func(t *testing.T, s *Server, base string) func() string {
+			return func() string {
+				j := s.jobs.restoreQueued(store.JobRecord{
+					ID: "j-000042", State: string(StateQueued), Source: "workload:Figure4",
+					Attempts: 1, Created: time.Now(),
+				})
+				s.fleet.requeueRestored([]*Job{j})
+				return j.ID
+			}
+		}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := startServer(t, Config{
+				QueueSize: 8, Role: RoleCoordinator,
+				LeaseTTL: time.Minute, HeartbeatTimeout: time.Hour,
+				MaxDeliveries: 3, MaxRenewals: 1,
+			})
+			node := registerNode(t, ts.URL, "parked")
+			trigger := tc.setup(t, s, ts.URL)
+			ch, _ := startPull(t, ts.URL, node)
+			waitParked(t, s, 1)
+			id := trigger()
+			r := awaitPull(t, ch, 5*time.Second)
+			if r.code != http.StatusOK || r.work.Job != id || r.work.Attempts != tc.wantAttempts {
+				t.Fatalf("parked pull = %d %+v, want a grant of %s attempt %d", r.code, r.work, id, tc.wantAttempts)
+			}
+			var v JobView
+			getJSON(t, ts.URL+"/v1/jobs/"+id, &v)
+			if v.State != string(StateRunning) || v.Node != node {
+				t.Fatalf("job = %s on %q, want running on %s", v.State, v.Node, node)
+			}
+		})
+	}
+}
+
+// TestParkedPullHoldExpires: with no work, a pull is answered 204 once
+// the hold (HeartbeatTimeout/2) passes, not at once.
+func TestParkedPullHoldExpires(t *testing.T) {
+	_, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: 400 * time.Millisecond,
+	})
+	var view fleet.RegisterView
+	fleetPost(t, ts.URL+"/v1/nodes", fleet.RegisterRequest{Name: "idle"}, &view)
+	if view.PullHoldMillis != 200 {
+		t.Fatalf("pull_hold_millis = %d, want 200", view.PullHoldMillis)
+	}
+	start := time.Now()
+	code := fleetPost(t, ts.URL+"/v1/work/pull", fleet.PullRequest{Node: view.ID}, nil)
+	if code != http.StatusNoContent {
+		t.Fatalf("idle pull = %d, want 204", code)
+	}
+	if d := time.Since(start); d < 150*time.Millisecond || d > 5*time.Second {
+		t.Fatalf("idle pull answered after %v, want about the 200ms hold", d)
+	}
+}
+
+// TestParkedPullClientCancel: a client that hangs up a parked pull
+// leases nothing; the next job goes to the next pull.
+func TestParkedPullClientCancel(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+	})
+	gone := registerNode(t, ts.URL, "gone")
+	next := registerNode(t, ts.URL, "next")
+	ch, cancel := startPull(t, ts.URL, gone)
+	waitParked(t, s, 1)
+	cancel()
+	if r := <-ch; r.err == nil {
+		t.Fatalf("cancelled pull answered %d", r.code)
+	}
+	waitParked(t, s, 0)
+
+	id := uploadFig4(t, ts.URL)
+	if w := pullWork(t, ts.URL, next); w.Job != id || w.Attempts != 1 {
+		t.Fatalf("grant = %+v, want job %s attempt 1", w, id)
+	}
+	var nodes struct {
+		Nodes []fleet.NodeView `json:"nodes"`
+	}
+	getJSON(t, ts.URL+"/v1/nodes", &nodes)
+	for _, n := range nodes.Nodes {
+		if n.ID == gone && n.Leased != 0 {
+			t.Fatalf("node %s holds %d leases after hanging up", gone, n.Leased)
+		}
+	}
+}
+
+// TestParkedPullNodeLost: a node declared lost while its pull is parked
+// is answered 404 at once, and leases nothing.
+func TestParkedPullNodeLost(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+	})
+	node := registerNode(t, ts.URL, "doomed")
+	ch, _ := startPull(t, ts.URL, node)
+	waitParked(t, s, 1)
+	s.fleet.sweep(time.Now().Add(2 * time.Hour))
+	if r := awaitPull(t, ch, 5*time.Second); r.code != http.StatusNotFound {
+		t.Fatalf("parked pull of a lost node = %d, want 404", r.code)
+	}
+	id := uploadFig4(t, ts.URL)
+	var v JobView
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &v)
+	if v.State != string(StateQueued) || v.Attempts != 0 {
+		t.Fatalf("job = %s attempts=%d, want queued and never delivered", v.State, v.Attempts)
+	}
+}
+
+// TestParkedGrantReassignedWhenNodeSilent: a parked pull that is
+// granted a job and whose node then goes silent is handled by the
+// ordinary heartbeat path — the node is lost and the job redelivered.
+func TestParkedGrantReassignedWhenNodeSilent(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: 200 * time.Millisecond,
+		MaxDeliveries: 3,
+	})
+	silent := registerNode(t, ts.URL, "silent")
+	ch, _ := startPull(t, ts.URL, silent)
+	waitParked(t, s, 1)
+	id := uploadFig4(t, ts.URL)
+	if r := awaitPull(t, ch, 5*time.Second); r.code != http.StatusOK || r.work.Job != id {
+		t.Fatalf("parked pull = %d %+v, want a grant of %s", r.code, r.work, id)
+	}
+	live := registerNode(t, ts.URL, "live")
+	if w := pullWork(t, ts.URL, live); w.Job != id || w.Attempts != 2 {
+		t.Fatalf("survivor grant = %+v, want job %s attempt 2", w, id)
+	}
+	if s.metrics.NodesLost.Load() != 1 {
+		t.Fatalf("nodes lost = %d, want 1", s.metrics.NodesLost.Load())
+	}
+}
+
+// TestShutdownWakesParkedPulls is the drain rule: Shutdown answers
+// every parked pull 503 at once, and a job the closing queue handed to
+// a parked pull is left pending — not leased, not failed.
+func TestShutdownWakesParkedPulls(t *testing.T) {
+	s := New(Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	a := registerNode(t, ts.URL, "a")
+	b := registerNode(t, ts.URL, "b")
+	chA, _ := startPull(t, ts.URL, a)
+	waitParked(t, s, 1)
+	chB, _ := startPull(t, ts.URL, b)
+	waitParked(t, s, 2)
+
+	// Holding f.mu, admit a job: one parked pull takes it off the queue
+	// and then waits for the lock. Shutdown begins before it gets it.
+	s.fleet.mu.Lock()
+	id := uploadFig4(t, ts.URL)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if len(s.queue) != 0 {
+		s.fleet.mu.Unlock()
+		t.Fatal("no parked pull took the job off the queue")
+	}
+	s.fleet.closeLocked()
+	s.fleet.mu.Unlock()
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []<-chan pullResult{chA, chB} {
+		if r := awaitPull(t, ch, time.Second); r.code != http.StatusServiceUnavailable {
+			t.Fatalf("parked pull after Shutdown = %d, want 503", r.code)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutdown and 503s took %v, want well under the 30m hold", d)
+	}
+	j, _ := s.jobs.get(id)
+	if j.terminal() || j.Attempts() != 0 {
+		t.Fatalf("job = %s attempts=%d, want non-terminal and never leased", j.State(), j.Attempts())
+	}
+	s.fleet.mu.Lock()
+	pending := len(s.fleet.pending)
+	leases := len(s.fleet.leases)
+	s.fleet.mu.Unlock()
+	if pending != 1 || leases != 0 {
+		t.Fatalf("pending=%d leases=%d, want the job pending and no lease", pending, leases)
+	}
+	// A pull arriving after Shutdown is refused too.
+	if code := fleetPost(t, ts.URL+"/v1/work/pull", fleet.PullRequest{Node: a}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("pull after Shutdown = %d, want 503", code)
+	}
+}
+
+// TestFleetPickupLatency: with AnalyzerConfig.Poll at its 500ms
+// default, a job uploaded to an idle fleet completes well under the
+// poll — the analyzer waits at the coordinator, not in a sleep.
+func TestFleetPickupLatency(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: 15 * time.Second, HeartbeatTimeout: 10 * time.Second,
+	})
+	a := fleet.NewAnalyzer(fleet.AnalyzerConfig{Coordinator: ts.URL, Name: "idle"})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); a.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	waitParked(t, s, 1)
+
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		id := uploadFig4(t, ts.URL)
+		for {
+			j, _ := s.jobs.get(id)
+			if j.terminal() {
+				if j.State() != StateDone {
+					t.Fatalf("job %s = %s, want done", id, j.State())
+				}
+				break
+			}
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("job %s not done after 5s", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if d := time.Since(start); d > 250*time.Millisecond {
+			t.Fatalf("upload %d took %v to complete, want well under the 500ms poll", i, d)
+		}
+		waitParked(t, s, 1) // idle again: the analyzer pulled at once
+	}
+}
+
+// BenchmarkFleetRoundTrip times one job through a coordinator and one
+// in-process analyzer at the default Poll: upload, lease, analysis,
+// completion, until the job is done. The analyzer waits at the
+// coordinator between jobs, so no idle sleep lands in the round trip.
+func BenchmarkFleetRoundTrip(b *testing.B) {
+	w, _ := workloads.ByName("Figure4")
+	seed, ok := workloads.FindTerminatingSeed(w.New, 300)
+	if !ok {
+		b.Fatal("no terminating Figure4 seed")
+	}
+	var body bytes.Buffer
+	if err := core.Record(w.New, seed, 0).WriteBinary(&body); err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{QueueSize: 8, Role: RoleCoordinator})
+	ts := httptest.NewServer(s.Handler())
+	a := fleet.NewAnalyzer(fleet.AnalyzerConfig{Coordinator: ts.URL, Name: "bench"})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); a.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+		ts.Close()
+		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer scancel()
+		s.Shutdown(sctx)
+	}()
+	for a.ID() == "" {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var accepted struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&accepted)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("upload = %d: %v", resp.StatusCode, err)
+		}
+		j, _ := s.jobs.get(accepted.ID)
+		for !j.terminal() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if j.State() != StateDone {
+			b.Fatalf("job %s = %s", j.ID, j.State())
+		}
 	}
 }

@@ -431,6 +431,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // re-submits cheaply, whereas finishing a deep queue can outlive any
 // reasonable drain budget. The context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
+	if s.fleet != nil {
+		s.fleet.close() // before the queue closes: no parked pull leases
+	}
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
