@@ -1,6 +1,6 @@
 // Command wolfd runs the WOLF analysis service: an HTTP API accepting
 // trace uploads (JSON or binary, gzip-aware) and serving structured
-// deadlock reports from a bounded queue and worker pool.
+// deadlock reports from a bounded queue and leased analyzers.
 //
 // Usage:
 //
@@ -19,21 +19,21 @@
 // defect records, and jobs survive restarts. Without it the server is
 // fully in-memory.
 //
-// Without -role wolfd is the classic single process. -role=coordinator
-// serves the same API but hands analysis to registered analyzer nodes
-// under time-bounded leases; -role=analyzer -coordinator=URL runs one
-// such node — it registers, heartbeats, pulls leased work, and
-// delivers results, retrying every coordinator call with exponential
-// backoff so either side can restart without losing work. A pull with
-// nothing to lease waits at the coordinator for up to half of
-// -heartbeat-timeout, so an idle analyzer picks up new work at once;
-// -poll is only its back-off after a failed pull or a 503.
+// Every analysis runs on an analyzer holding the job under a lease.
+// Without -role, wolfd runs -workers of them in process. -role=coordinator
+// serves the same API but hands analysis to registered analyzer nodes;
+// -role=analyzer -coordinator=URL runs one such node, retrying every
+// coordinator call with exponential backoff so either side can restart
+// without losing work. An idle node's pull waits at the coordinator for
+// up to half of -heartbeat-timeout; -poll is only its back-off after a
+// failed pull or a 503. -timeout and -watchdog-grace bound every
+// analysis, in process or on a node.
 //
 // Logs are structured (log/slog) and tagged with job IDs; -log-format
 // json emits one JSON object per line for log shippers. -debug-addr
 // serves net/http/pprof on a separate listener. SIGINT/SIGTERM triggers
-// a graceful shutdown: new uploads are refused, the in-flight analysis
-// finishes (or is watchdog-failed), and still-queued jobs are failed
+// a graceful shutdown: new uploads are refused, in-flight analyses
+// finish (or are watchdog-failed), and still-queued jobs are failed
 // fast (bounded by -drain).
 package main
 
@@ -56,36 +56,18 @@ import (
 	"wolf/internal/store"
 )
 
-// analyzerOpts carries the -role=analyzer flag subset into runAnalyzer.
-type analyzerOpts struct {
-	addr        string
-	coordinator string
-	name        string
-	poll        time.Duration
-	timeout     time.Duration
-	analysis    core.Config
-}
-
 // runAnalyzer is the -role=analyzer main: register with the
 // coordinator, pull and analyze leased work until SIGINT/SIGTERM, and
-// serve a small /healthz listener so fleet members probe uniformly.
-func runAnalyzer(log *slog.Logger, opts analyzerOpts) {
-	name := opts.name
-	if name == "" {
-		if hn, err := os.Hostname(); err == nil {
-			name = hn
-		}
+// serve a small /healthz listener on addr so fleet members probe
+// uniformly.
+func runAnalyzer(log *slog.Logger, addr string, cfg fleet.AnalyzerConfig) {
+	if cfg.Name == "" {
+		cfg.Name, _ = os.Hostname()
 	}
-	a := fleet.NewAnalyzer(fleet.AnalyzerConfig{
-		Coordinator: opts.coordinator,
-		Name:        name,
-		Poll:        opts.poll,
-		JobTimeout:  opts.timeout,
-		Analysis:    opts.analysis,
-		Logger:      log,
-	})
+	cfg.Logger = log
+	a := fleet.NewAnalyzer(cfg)
 
-	httpSrv := &http.Server{Addr: opts.addr, Handler: a.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: a.Handler()}
 	go func() {
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Error("analyzer health listener failed", "err", err)
@@ -94,8 +76,8 @@ func runAnalyzer(log *slog.Logger, opts analyzerOpts) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Info("wolfd analyzer starting", "addr", opts.addr,
-		"coordinator", opts.coordinator, "name", name)
+	log.Info("wolfd analyzer starting", "addr", addr,
+		"coordinator", cfg.Coordinator, "name", cfg.Name)
 	err := a.Run(ctx)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -110,11 +92,11 @@ func runAnalyzer(log *slog.Logger, opts analyzerOpts) {
 func main() {
 	var (
 		addr      = flag.String("addr", ":8077", "listen address")
-		workers   = flag.Int("workers", 4, "analysis worker pool size")
+		workers   = flag.Int("workers", 4, "number of in-process analyzers (single role)")
 		queue     = flag.Int("queue", 64, "bounded job queue size (full queue returns 429)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-job analysis timeout")
 		drain     = flag.Duration("drain", 60*time.Second, "graceful shutdown drain budget")
-		grace     = flag.Duration("watchdog-grace", 2*time.Second, "extra wait past -timeout before a worker abandons a stuck analysis")
+		grace     = flag.Duration("watchdog-grace", 2*time.Second, "extra wait past -timeout before an analyzer abandons a stuck analysis")
 		maxBody   = flag.Int64("max-body", 32, "maximum decompressed upload size in MiB")
 		maxStr    = flag.Int("max-streams", 64, "maximum concurrently open ingestion streams (full returns 429)")
 		strIdle   = flag.Duration("stream-idle", 2*time.Minute, "evict ingestion streams idle longer than this")
@@ -183,13 +165,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-role=analyzer requires -coordinator=URL")
 			os.Exit(2)
 		}
-		runAnalyzer(log, analyzerOpts{
-			addr:        *addr,
-			coordinator: *coordURL,
-			name:        *nodeName,
-			poll:        *poll,
-			timeout:     *timeout,
-			analysis:    core.Config{DataDependency: *data, Parallelism: *par},
+		runAnalyzer(log, *addr, fleet.AnalyzerConfig{
+			Coordinator:   *coordURL,
+			Name:          *nodeName,
+			Poll:          *poll,
+			JobTimeout:    *timeout,
+			WatchdogGrace: *grace,
+			Analysis:      core.Config{DataDependency: *data, Parallelism: *par},
 		})
 		return
 	default:
@@ -213,10 +195,6 @@ func main() {
 			"warm", warm, "open_seconds", fmt.Sprintf("%.3f", openSecs))
 	}
 
-	srvRole := server.RoleSingle
-	if *role == "coordinator" {
-		srvRole = server.RoleCoordinator
-	}
 	srv := server.New(server.Config{
 		Workers:            *workers,
 		QueueSize:          *queue,
@@ -233,7 +211,7 @@ func main() {
 		MaxCorpusBytes:     *maxCorpus,
 		TraceTTL:           *traceTTL,
 		GCInterval:         *gcEvery,
-		Role:               srvRole,
+		Role:               *role, // server.RoleSingle or RoleCoordinator
 		LeaseTTL:           *leaseTTL,
 		HeartbeatInterval:  *hbEvery,
 		HeartbeatTimeout:   *hbOut,

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,5 +283,124 @@ func TestAnalyzerIdlePullPacing(t *testing.T) {
 				t.Fatalf("%d pulls in %v with Poll %v, want %d..%d", n, window, poll, tc.min, tc.max)
 			}
 		})
+	}
+}
+
+// queueCoordinator grants the given jobs one per pull, then answers
+// 204, and records every completion and pull.
+type queueCoordinator struct {
+	url       string
+	completes chan CompleteRequest
+	pulls     atomic.Int64
+}
+
+func newQueueCoordinator(t *testing.T, works ...WorkView) *queueCoordinator {
+	t.Helper()
+	q := &queueCoordinator{completes: make(chan CompleteRequest, len(works))}
+	grants := make(chan WorkView, len(works))
+	for _, w := range works {
+		w.Attempts, w.LeaseTTLMillis = 1, ToMillis(time.Minute)
+		grants <- w
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(RegisterView{ID: "n-0001", Name: "fake",
+			HeartbeatMillis: ToMillis(time.Second), LeaseTTLMillis: ToMillis(time.Minute)})
+	})
+	mux.HandleFunc("POST /v1/nodes/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("POST /v1/work/pull", func(w http.ResponseWriter, r *http.Request) {
+		q.pulls.Add(1)
+		select {
+		case work := <-grants:
+			json.NewEncoder(w).Encode(work)
+		default:
+			w.WriteHeader(http.StatusNoContent)
+		}
+	})
+	mux.HandleFunc("POST /v1/work/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req CompleteRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		q.completes <- req
+		json.NewEncoder(w).Encode(CompleteView{Job: req.Job, Result: "accepted"})
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	q.url = ts.URL
+	return q
+}
+
+// next waits for the next completion.
+func (q *queueCoordinator) next(t *testing.T) CompleteRequest {
+	t.Helper()
+	select {
+	case req := <-q.completes:
+		return req
+	case <-time.After(15 * time.Second):
+		t.Fatal("no completion delivered")
+		return CompleteRequest{}
+	}
+}
+
+// TestAnalyzerSurvivesPanic: an analysis that panics is delivered as a
+// "panic" failure naming the panic, and the node goes on to complete
+// the next job.
+func TestAnalyzerSurvivesPanic(t *testing.T) {
+	b64, hash := fig4B64(t)
+	q := newQueueCoordinator(t,
+		WorkView{Job: "j-000001", Source: "upload", TraceB64: b64, TraceHash: hash},
+		WorkView{Job: "j-000002", Source: "upload", TraceB64: b64, TraceHash: hash})
+	var calls atomic.Int64
+	runAnalyzer(t, AnalyzerConfig{
+		Coordinator: q.url, Name: "t", Poll: 10 * time.Millisecond, JobTimeout: 15 * time.Second,
+		Analyze: func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+			if calls.Add(1) == 1 {
+				panic("synthetic analyzer bug")
+			}
+			return core.AnalyzeTraceCtx(ctx, tr, cfg)
+		},
+	})
+	if req := q.next(t); req.OK || req.Job != "j-000001" || req.Reason != ReasonPanic ||
+		!strings.Contains(req.Error, "synthetic analyzer bug") {
+		t.Fatalf("first completion = %+v, want a panic failure for j-000001", req)
+	}
+	if req := q.next(t); !req.OK || req.Job != "j-000002" || len(req.Report) == 0 {
+		t.Fatalf("second completion = %+v, want a report for j-000002", req)
+	}
+}
+
+// TestAnalyzerAbandonsHungAnalysis: an analysis that ignores its
+// cancelled context is abandoned after JobTimeout+WatchdogGrace, a
+// "watchdog" failure is delivered, and the node pulls again.
+func TestAnalyzerAbandonsHungAnalysis(t *testing.T) {
+	b64, hash := fig4B64(t)
+	q := newQueueCoordinator(t, WorkView{Job: "j-000001", Source: "upload", TraceB64: b64, TraceHash: hash})
+	hung := make(chan struct{})
+	t.Cleanup(func() { close(hung) }) // let the abandoned goroutine exit
+	const timeout, grace = 50 * time.Millisecond, 100 * time.Millisecond
+	start := time.Now()
+	runAnalyzer(t, AnalyzerConfig{
+		Coordinator: q.url, Name: "t", Poll: 10 * time.Millisecond,
+		JobTimeout: timeout, WatchdogGrace: grace,
+		Analyze: func(context.Context, *trace.Trace, core.Config) (*core.Report, error) {
+			<-hung // ignores its context
+			return nil, errors.New("released")
+		},
+	})
+	req := q.next(t)
+	if d := time.Since(start); d < timeout+grace {
+		t.Fatalf("watchdog fired after %v, before timeout+grace %v", d, timeout+grace)
+	}
+	if req.OK || req.Reason != ReasonWatchdog || !strings.Contains(req.Error, "watchdog") {
+		t.Fatalf("completion = %+v, want a watchdog failure", req)
+	}
+	pulls := q.pulls.Load()
+	deadline := time.Now().Add(5 * time.Second)
+	for q.pulls.Load() == pulls {
+		if time.Now().After(deadline) {
+			t.Fatal("node did not pull again after the watchdog failure")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -173,7 +173,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		v.Status = "draining"
 	}
 	v.Role = s.role()
-	if s.fleet != nil {
+	if s.coordinator() {
 		nodes, alive, leased, pending := s.fleet.counts()
 		v.Fleet = &FleetStatusView{
 			Nodes:      nodes,

@@ -179,25 +179,15 @@ func (s *Server) dropStream(ss *streamSession, reason string) bool {
 	return true
 }
 
-// streamJanitor evicts idle streams until Shutdown closes streamStop.
-func (s *Server) streamJanitor() {
-	defer s.wg.Done()
-	tick := min(max(s.cfg.StreamIdleTimeout/4, 50*time.Millisecond), 15*time.Second)
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.streamStop:
-			return
-		case now := <-t.C:
-			for _, ss := range s.streams.snapshot() {
-				ss.mu.Lock()
-				idle := now.Sub(ss.last) > s.cfg.StreamIdleTimeout
-				ss.mu.Unlock()
-				if idle {
-					s.dropStream(ss, "idle")
-				}
-			}
+// evictIdleStreams drops every stream idle for longer than
+// StreamIdleTimeout as of now.
+func (s *Server) evictIdleStreams(now time.Time) {
+	for _, ss := range s.streams.snapshot() {
+		ss.mu.Lock()
+		idle := now.Sub(ss.last) > s.cfg.StreamIdleTimeout
+		ss.mu.Unlock()
+		if idle {
+			s.dropStream(ss, "idle")
 		}
 	}
 }
@@ -404,7 +394,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		}})
 	// The finalized job inherits the stream's causal identity, so the
 	// whole ingest→analyze→report arc shares one trace ID.
-	j := s.jobs.add("stream:"+ss.ID, ss.trace, tr, nil)
+	j := s.jobs.add("stream:"+ss.ID, ss.trace, tr)
 	s.archiveTrace(r.Context(), j, tr)
 	s.admit(w, j)
 }
