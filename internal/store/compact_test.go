@@ -170,10 +170,9 @@ func TestJobRecordFleetFieldsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expiry := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	leased := JobRecord{
 		ID: "j-000001", State: "running", Source: "upload",
-		Node: "analyzer-1", Attempts: 2, LeaseExpiry: expiry,
+		Node: "analyzer-1", Attempts: 2,
 	}
 	plain := JobRecord{ID: "j-000002", State: "queued", Source: "upload"}
 	for _, rec := range []JobRecord{leased, plain} {
@@ -185,7 +184,7 @@ func TestJobRecordFleetFieldsRoundTrip(t *testing.T) {
 
 	for _, line := range logLines(t, dir) {
 		if strings.Contains(line, `"j-000002"`) {
-			for _, field := range []string{"node", "attempts", "lease_expiry"} {
+			for _, field := range []string{"node", "attempts"} {
 				if strings.Contains(line, field) {
 					t.Errorf("fleet field %q leaked into a non-fleet record: %s", field, line)
 				}
@@ -203,7 +202,29 @@ func TestJobRecordFleetFieldsRoundTrip(t *testing.T) {
 		t.Fatalf("jobs = %d, want 2", len(jobs))
 	}
 	got := jobs[0]
-	if got.Node != "analyzer-1" || got.Attempts != 2 || !got.LeaseExpiry.Equal(expiry) {
-		t.Fatalf("fleet fields after replay = %q/%d/%v", got.Node, got.Attempts, got.LeaseExpiry)
+	if got.Node != "analyzer-1" || got.Attempts != 2 {
+		t.Fatalf("fleet fields after replay = %q/%d", got.Node, got.Attempts)
+	}
+}
+
+// TestJobRecordOldLeaseExpiryReplays: journals written before job
+// records dropped lease_expiry still replay in full — the field is
+// ignored, not taken for a torn tail.
+func TestJobRecordOldLeaseExpiryReplays(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"id":"j-000001","state":"running","source":"upload","node":"n-0001","attempts":1,"lease_expiry":"2026-08-08T12:00:00Z"}
+{"id":"j-000002","state":"queued","source":"upload"}
+`
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	jobs := s.Jobs()
+	if len(jobs) != 2 || jobs[0].Node != "n-0001" || jobs[0].Attempts != 1 {
+		t.Fatalf("replayed jobs = %+v, want both records with j-000001's fleet fields", jobs)
 	}
 }

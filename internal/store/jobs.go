@@ -27,12 +27,12 @@ type JobRecord struct {
 	Started   time.Time `json:"started,omitzero"`
 	Finished  time.Time `json:"finished,omitzero"`
 	// Fleet fields (wolfd -role=coordinator): the analyzer node the job
-	// was last leased to, the lease expiry, and how many times the job
-	// has been delivered. Attempts survives restarts so the bounded
-	// redelivery budget cannot be reset by bouncing the coordinator.
-	Node        string    `json:"node,omitempty"`
-	Attempts    int       `json:"attempts,omitempty"`
-	LeaseExpiry time.Time `json:"lease_expiry,omitzero"`
+	// was last leased to and how many times the job has been delivered.
+	// Attempts survives restarts so the bounded redelivery budget cannot
+	// be reset by bouncing the coordinator. (Records from older journals
+	// may also carry lease_expiry; replay ignores it.)
+	Node     string `json:"node,omitempty"`
+	Attempts int    `json:"attempts,omitempty"`
 	// Report is the wire-format analysis report (report.JSONReport) of a
 	// done job, kept verbatim so it can be served after a restart.
 	Report json.RawMessage `json:"report,omitempty"`
