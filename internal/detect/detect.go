@@ -10,14 +10,16 @@
 //   - locksets are pairwise disjoint (no guard lock) and all threads are
 //     distinct (each thread contributes one edge).
 //
-// Cycles are canonicalized so each set of tuples is reported once: the
-// first tuple belongs to the lexicographically smallest thread in the
-// cycle.
+// One search finds them: a LockGraph grown tuple by tuple, which finds
+// each cycle once, when its last-arriving tuple is added. Cycles are
+// canonicalized so each set of tuples is reported once: the first
+// tuple belongs to the lexicographically smallest thread in the cycle.
 package detect
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,11 +95,6 @@ type Config struct {
 	// MaxLength bounds the number of threads per cycle;
 	// DefaultMaxLength when zero.
 	MaxLength int
-	// NoReduce disables the MagicFuzzer-style pre-pass that iteratively
-	// discards tuples provably outside every cycle (Cai and Chan, ICSE
-	// 2012). Reduction never changes the result; the switch exists for
-	// ablation benchmarks.
-	NoReduce bool
 }
 
 // Cycles finds every potential deadlock in tr.
@@ -110,46 +107,17 @@ func Cycles(tr *trace.Trace, cfg Config) []*Cycle {
 // ("detect.reduce", "detect.search") with tuple and cycle counts, so
 // the detection cost split is visible per run.
 func CyclesCtx(ctx context.Context, tr *trace.Trace, cfg Config) []*Cycle {
-	maxLen := cfg.MaxLength
-	if maxLen <= 0 {
-		maxLen = DefaultMaxLength
-	}
-	tuples := tr.Tuples
-	if !cfg.NoReduce {
-		_, sp := obs.Start(ctx, "detect.reduce")
-		sp.Add("tuples_in", int64(len(tuples)))
-		tuples = Reduce(tuples)
-		sp.Add("tuples_out", int64(len(tuples)))
-		sp.End()
-	}
-	_, sp := obs.Start(ctx, "detect.search")
+	_, sp := obs.Start(ctx, "detect.reduce")
+	sp.Add("tuples_in", int64(len(tr.Tuples)))
+	tuples := Reduce(tr.Tuples)
+	sp.Add("tuples_out", int64(len(tuples)))
+	sp.End()
+	_, sp = obs.Start(ctx, "detect.search")
 	defer sp.End()
 	sp.Add("tuples", int64(len(tuples)))
-	d := &detector{maxLen: maxLen}
-	// "Who holds ℓ" postings. When the search runs over the full tuple
-	// list (reduction disabled or nothing removed) the shared trace index
-	// already has them; otherwise build postings over the reduced set so
-	// the chain search never re-explores discarded tuples.
-	if len(tuples) == len(tr.Tuples) {
-		d.heldBy = tr.Index().HeldBy
-	} else {
-		byHeld := make(map[string][]*trace.Tuple)
-		for _, tp := range tuples {
-			for _, h := range tp.Held {
-				byHeld[h.Lock] = append(byHeld[h.Lock], tp)
-			}
-		}
-		d.heldBy = func(lock string) []*trace.Tuple { return byHeld[lock] }
-	}
-	for _, tp := range tuples {
-		if len(tp.Held) == 0 {
-			continue // cannot participate: holds nothing for others to wait on
-		}
-		d.chain = d.chain[:0]
-		d.extend(tp)
-	}
-	sp.Add("cycles", int64(len(d.found)))
-	return d.found
+	cycles := search(tuples, cfg.MaxLength)
+	sp.Add("cycles", int64(len(cycles)))
+	return cycles
 }
 
 // Reduce iteratively removes tuples that cannot belong to any cycle —
@@ -346,49 +314,81 @@ func (r *reducer) push(i int) {
 	}
 }
 
-type detector struct {
+// LockGraph is the lock graph over Dσ, grown one tuple at a time: the
+// one chain search behind both batch detection and wolfd's streaming
+// engine. It keeps "who holds ℓ" postings of the tuples added so far
+// and roots the search at each newly added tuple η, extending through
+// earlier tuples only. Every cycle has exactly one last-arriving
+// member, so each cycle is found exactly once — by the Add of the tuple
+// that closes it — and is reported rotated to minimum-thread-first.
+//
+// A LockGraph is not safe for concurrent use.
+type LockGraph struct {
 	maxLen int
-	heldBy func(lock string) []*trace.Tuple
-	chain  []*trace.Tuple
-	found  []*Cycle
+	// tuples holds the added tuples by arrival ordinal.
+	tuples []*trace.Tuple
+	// heldBy maps a lock to the ordinals of the tuples holding it, in
+	// arrival order.
+	heldBy map[string][]int32
+	// chain is the search stack: chain[0] is the newest tuple, and
+	// chain[i+1] holds the lock chain[i] is acquiring.
+	chain []int32
+	// found are the cycles the current Add closed; ords holds their
+	// ordinal sequences, in reported rotation, back to back.
+	found []*Cycle
+	ords  []int32
 }
 
-// extend grows the current chain with tp and explores continuations.
-// Invariant: chain[i+1] holds lock(chain[i]); chain[0] has the smallest
-// thread name (rotation canonicalization).
-func (d *detector) extend(tp *trace.Tuple) {
-	d.chain = append(d.chain, tp)
-	defer func() { d.chain = d.chain[:len(d.chain)-1] }()
-
-	first := d.chain[0]
-	// Close the cycle: the first tuple holds what the last one wants.
-	if len(d.chain) >= 2 && first.HoldsLock(tp.Lock) {
-		cyc := &Cycle{Tuples: append([]*trace.Tuple(nil), d.chain...)}
-		d.found = append(d.found, cyc)
-		// A longer cycle through the same prefix would reuse tp's thread
-		// differently; keep exploring other extensions but do not extend
-		// past a closing tuple with the same tuple again — continue below
-		// is still valid for longer cycles through different locks.
+// NewLockGraph returns an empty graph bounding cycles at maxLen
+// threads (DefaultMaxLength when maxLen <= 0).
+func NewLockGraph(maxLen int) *LockGraph {
+	if maxLen <= 0 {
+		maxLen = DefaultMaxLength
 	}
-	if len(d.chain) == d.maxLen {
-		return
-	}
-	for _, next := range d.heldBy(tp.Lock) {
-		if next.Thread <= first.Thread {
-			continue // canonical rotation: chain[0] is the min thread
-		}
-		if Conflicts(d.chain, next) {
-			continue
-		}
-		d.extend(next)
-	}
+	return &LockGraph{maxLen: maxLen, heldBy: make(map[string][]int32)}
 }
 
-// Conflicts reports whether next violates the distinct-thread or
-// guard-lock conditions against chain: the extension rule shared by
-// the batch chain search and the incremental stream engine.
-func Conflicts(chain []*trace.Tuple, next *trace.Tuple) bool {
-	for _, tp := range chain {
+// Add feeds the next tuple in trace order and returns the cycles it
+// closes (usually none). The returned slice is reused by the next Add.
+func (g *LockGraph) Add(tp *trace.Tuple) []*Cycle {
+	g.found, g.ords = g.found[:0], g.ords[:0]
+	if len(tp.Held) == 0 {
+		return nil // holds nothing: nobody can wait on it
+	}
+	ord := int32(len(g.tuples))
+	g.tuples = append(g.tuples, tp)
+	g.grow(ord)
+	// Publish tp's holdings only after the search: a tuple cannot be
+	// its own successor in a chain.
+	for _, h := range tp.Held {
+		g.heldBy[h.Lock] = append(g.heldBy[h.Lock], ord)
+	}
+	return g.found
+}
+
+// grow pushes tuple ord onto the chain, records the cycle if chain[0]
+// holds the lock ord is acquiring, and explores every extension.
+func (g *LockGraph) grow(ord int32) {
+	g.chain = append(g.chain, ord)
+	tp := g.tuples[ord]
+	if len(g.chain) >= 2 && g.tuples[g.chain[0]].HoldsLock(tp.Lock) {
+		g.close()
+	}
+	if len(g.chain) < g.maxLen {
+		for _, next := range g.heldBy[tp.Lock] {
+			if !g.conflicts(g.tuples[next]) {
+				g.grow(next)
+			}
+		}
+	}
+	g.chain = g.chain[:len(g.chain)-1]
+}
+
+// conflicts reports whether next violates the distinct-thread or
+// guard-lock condition against the chain.
+func (g *LockGraph) conflicts(next *trace.Tuple) bool {
+	for _, ord := range g.chain {
+		tp := g.tuples[ord]
 		if tp.Thread == next.Thread {
 			return true
 		}
@@ -403,35 +403,60 @@ func Conflicts(chain []*trace.Tuple, next *trace.Tuple) bool {
 	return false
 }
 
-// Defect groups the cycles that share a source-location signature.
-// Fixing the defect means changing those source locations; reproducing
-// any one of its cycles proves the defect (Section 4.3).
-type Defect struct {
-	// Signature is the canonical sorted site list.
-	Signature string
-	// Cycles are the lock-graph cycles with this signature.
-	Cycles []*Cycle
-}
-
-// String renders the defect's signature.
-func (df *Defect) String() string {
-	return fmt.Sprintf("defect[%s] (%d cycles)", df.Signature, len(df.Cycles))
-}
-
-// GroupDefects buckets cycles into defects by signature, preserving first
-// occurrence order.
-func GroupDefects(cycles []*Cycle) []*Defect {
-	bySig := make(map[string]*Defect)
-	var out []*Defect
-	for _, c := range cycles {
-		sig := c.Signature()
-		df := bySig[sig]
-		if df == nil {
-			df = &Defect{Signature: sig}
-			bySig[sig] = df
-			out = append(out, df)
+// close records the chain as a cycle, rotated so the lexicographically
+// smallest thread comes first. Threads in a cycle are distinct, so the
+// rotation is unique.
+func (g *LockGraph) close() {
+	n := len(g.chain)
+	minAt := 0
+	for i, ord := range g.chain {
+		if g.tuples[ord].Thread < g.tuples[g.chain[minAt]].Thread {
+			minAt = i
 		}
-		df.Cycles = append(df.Cycles, c)
 	}
-	return out
+	c := &Cycle{Tuples: make([]*trace.Tuple, n)}
+	for i := range c.Tuples {
+		ord := g.chain[(minAt+i)%n]
+		c.Tuples[i] = g.tuples[ord]
+		g.ords = append(g.ords, ord)
+	}
+	g.found = append(g.found, c)
+}
+
+// search finds every cycle among tuples (in trace order) by feeding
+// them to a LockGraph, then sorts the cycles by their arrival-ordinal
+// sequences. That is exactly the order of a depth-first search taking
+// roots in trace order and children in posting order, recording each
+// closing chain before extending it: every cycle's first tuple is its
+// minimum-thread root, and such a search lists chains in lexicographic
+// ordinal order, a prefix before its extensions.
+func search(tuples []*trace.Tuple, maxLen int) []*Cycle {
+	if len(tuples) < 2 {
+		return nil // a cycle needs two tuples
+	}
+	g := NewLockGraph(maxLen)
+	var found []*Cycle
+	var ords []int32
+	for _, tp := range tuples {
+		found = append(found, g.Add(tp)...)
+		ords = append(ords, g.ords...)
+	}
+	if len(found) < 2 {
+		return found
+	}
+	type keyed struct {
+		c   *Cycle
+		key []int32
+	}
+	ks := make([]keyed, len(found))
+	off := 0
+	for i, c := range found {
+		ks[i] = keyed{c, ords[off : off+len(c.Tuples)]}
+		off += len(c.Tuples)
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return slices.Compare(a.key, b.key) })
+	for i := range ks {
+		found[i] = ks[i].c
+	}
+	return found
 }

@@ -213,51 +213,6 @@ func TestNoDuplicateRotations(t *testing.T) {
 	}
 }
 
-// TestGroupDefects: cycles sharing source locations collapse into one
-// defect (paper Section 4.3).
-func TestGroupDefects(t *testing.T) {
-	var a, b *sim.Lock
-	opts := sim.Options{Setup: func(w *sim.World) {
-		a, b = w.NewLock("A"), w.NewLock("B")
-	}}
-	// Each worker performs the same inversion twice from the same source
-	// sites on the same lock objects → multiple cycles, one defect.
-	prog := func(th *sim.Thread) {
-		left := func(u *sim.Thread) {
-			for i := 0; i < 2; i++ {
-				u.Lock(a, "L1")
-				u.Lock(b, "L2")
-				u.Unlock(b, "L3")
-				u.Unlock(a, "L4")
-			}
-		}
-		right := func(u *sim.Thread) {
-			for i := 0; i < 2; i++ {
-				u.Lock(b, "R1")
-				u.Lock(a, "R2")
-				u.Unlock(a, "R3")
-				u.Unlock(b, "R4")
-			}
-		}
-		h1 := th.Go("l", left, "m1")
-		h2 := th.Go("r", right, "m2")
-		th.Join(h1, "m3")
-		th.Join(h2, "m4")
-	}
-	tr := record(t, prog, opts, sim.FirstEnabled{})
-	cycles := Cycles(tr, Config{})
-	if len(cycles) != 4 {
-		t.Fatalf("found %d cycles, want 4 (2 iterations × 2 iterations)", len(cycles))
-	}
-	defects := GroupDefects(cycles)
-	if len(defects) != 1 {
-		t.Fatalf("grouped into %d defects, want 1: %v", len(defects), defects)
-	}
-	if defects[0].Signature != "L2+R2" {
-		t.Fatalf("defect signature = %s, want L2+R2", defects[0].Signature)
-	}
-}
-
 // TestAvgStackDepth: SL counts held plus pending acquisitions.
 func TestAvgStackDepth(t *testing.T) {
 	tr := fig4Trace(t)

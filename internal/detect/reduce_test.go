@@ -112,7 +112,7 @@ func TestReduceNeverChangesCycles(t *testing.T) {
 		for schedSeed := int64(1); schedSeed <= 3; schedSeed++ {
 			tr := recordSeed(t, f, schedSeed)
 			with := sigsOf(Cycles(tr, Config{}))
-			without := sigsOf(Cycles(tr, Config{NoReduce: true}))
+			without := sigsOf(search(tr.Tuples, 0))
 			if len(with) != len(without) {
 				t.Fatalf("prog %d seed %d: %d cycles reduced vs %d unreduced",
 					progSeed, schedSeed, len(with), len(without))
@@ -248,7 +248,7 @@ func BenchmarkDetectReduction(b *testing.B) {
 	})
 	b.Run("Unreduced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Cycles(tr, Config{NoReduce: true})
+			search(tr.Tuples, 0)
 		}
 	})
 }

@@ -143,7 +143,10 @@ func TestFigure2FourCycles(t *testing.T) {
 	if len(cycles) != 4 {
 		t.Fatalf("cycles = %d, want 4: %v", len(cycles), cycles)
 	}
-	defects := detect.GroupDefects(cycles)
+	defects := make(map[string]bool)
+	for _, c := range cycles {
+		defects[c.Signature()] = true
+	}
 	if len(defects) != 3 {
 		t.Fatalf("defects = %d, want 3 (509+509, 509+522, 522+522)", len(defects))
 	}

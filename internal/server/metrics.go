@@ -40,10 +40,9 @@ const (
 // Prometheus text exposition format at GET /metrics so standard
 // scrapers work unchanged.
 //
-// Failures are counted once, under exactly one reason (error, timeout
-// or panic); wolfd_jobs_failed_total{reason=...} is the source of truth
-// and the unlabeled timeout/panic counters are kept as deprecated
-// aliases for existing dashboards.
+// Failures are counted once, under exactly one FailReason (error,
+// timeout, panic, watchdog, drained or reassign-exhausted), as the
+// series of wolfd_jobs_failed_total{reason=...}.
 type Metrics struct {
 	// JobsAccepted counts jobs admitted to the queue.
 	JobsAccepted atomic.Int64

@@ -80,7 +80,7 @@ func (s *Store) GC(policy GCPolicy, now time.Time) GCStats {
 			// the budget only loosens from here.
 			break
 		}
-		if err := os.Remove(s.tracePath(info.Hash, info.flat)); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(s.shardTracePath(info.Hash)); err != nil && !os.IsNotExist(err) {
 			continue
 		}
 		s.markDirtyLocked()

@@ -29,8 +29,8 @@ package store
 //   - A dirty marker (index.dirty): created before the first mutation
 //     after a snapshot, removed only after the next snapshot lands. A
 //     crash mid-anything leaves the marker behind, forcing a cold scan.
-//     This covers direct store mutations (PutTrace, GC, migration) that
-//     do not touch the journal.
+//     This covers direct store mutations (PutTrace, GC) that do not
+//     touch the journal.
 //
 // The payload itself carries a magic, a version and a trailing CRC-32C,
 // so a torn or corrupt snapshot (crash during its own atomicWrite never
@@ -128,6 +128,7 @@ func (s *Store) SaveIndex() error {
 //
 // Layout: magic, version byte, journal stamp varint; defect block
 // (uvarint count, then per record: flags byte, uvarint length, JSON);
+// the flags byte once marked pre-sharding records and is always 0;
 // shard table (256 x uvarint count, uvarint bytes); the 256 trace
 // sections of fixed-width entries; CRC-32C trailer.
 func (s *Store) encodeIndexLocked() []byte {
@@ -146,16 +147,12 @@ func (s *Store) encodeIndexLocked() []byte {
 		buf.Write(s.rawDefects)
 	} else {
 		putUvarint(uint64(len(s.defects)))
-		for fp, rec := range s.defects {
+		for _, rec := range s.defects {
 			data, err := json.Marshal(rec)
 			if err != nil {
 				continue
 			}
-			var flags byte
-			if s.flatDefects[fp] {
-				flags |= 1
-			}
-			buf.WriteByte(flags)
+			buf.WriteByte(0) // flags
 			putUvarint(uint64(len(data)))
 			buf.Write(data)
 		}
@@ -214,7 +211,6 @@ func (s *Store) loadIndex() bool {
 	if err := s.decodeIndex(data); err != nil {
 		s.traces.reset()
 		s.defects = make(map[string]*DefectRecord)
-		s.flatDefects = make(map[string]bool)
 		s.rawDefects, s.rawDefectN = nil, 0
 		return false
 	}
@@ -233,8 +229,7 @@ func (s *Store) ensureDefectsLocked() {
 	s.rawDefects, s.rawDefectN = nil, 0
 	r := bytes.NewReader(raw)
 	for r.Len() > 0 {
-		flags, err := r.ReadByte()
-		if err != nil {
+		if _, err := r.ReadByte(); err != nil { // flags, ignored
 			break
 		}
 		n, err := binary.ReadUvarint(r)
@@ -250,9 +245,6 @@ func (s *Store) ensureDefectsLocked() {
 			continue
 		}
 		s.defects[rec.Fingerprint] = rec
-		if flags&1 != 0 {
-			s.flatDefects[rec.Fingerprint] = true
-		}
 	}
 	s.rebuildPostingsLocked()
 }

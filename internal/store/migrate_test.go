@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +14,7 @@ import (
 // every blob and defect record moved up to the top of its kind
 // directory, shard directories removed, index snapshot deleted — the
 // exact on-disk shape an old -data-dir has.
-func flattenCorpus(t *testing.T, dir string) {
+func flattenCorpus(t testing.TB, dir string) {
 	t.Helper()
 	for _, kind := range []string{"traces", "defects"} {
 		root := filepath.Join(dir, kind)
@@ -94,91 +96,116 @@ func TestFlatCorpusReadThrough(t *testing.T) {
 	}
 }
 
-// TestLazyTraceMigration: opening a flat-layout blob moves it into its
-// shard, and the flat path empties out.
-func TestLazyTraceMigration(t *testing.T) {
-	dir := t.TempDir()
-	hash, _ := seedCorpus(t, dir)
-	flattenCorpus(t, dir)
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// topLevelFiles lists the non-directory entries directly under the
+// corpus's traces/ and defects/ directories.
+func topLevelFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	for _, kind := range []string{"traces", "defects"} {
+		entries, err := os.ReadDir(filepath.Join(dir, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.IsDir() {
+				out = append(out, filepath.Join(kind, e.Name()))
+			}
+		}
 	}
-	defer s.Close()
-	flat := filepath.Join(dir, "traces", hash+traceExt)
-	sharded := filepath.Join(dir, "traces", hash[:2], hash+traceExt)
-	if _, err := os.Stat(flat); err != nil {
-		t.Fatalf("precondition: blob not flat: %v", err)
-	}
-	if _, err := s.GetTrace(hash); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sharded); err != nil {
-		t.Errorf("blob not migrated to shard: %v", err)
-	}
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Error("flat blob still present after migration")
-	}
-	// Migrated blob still reads.
-	if _, err := s.GetTrace(hash); err != nil {
-		t.Errorf("migrated blob unreadable: %v", err)
-	}
+	return out
 }
 
-// TestLazyTraceMigrationOnDedup: re-putting a trace the flat corpus
-// already holds both dedups and migrates it.
-func TestLazyTraceMigrationOnDedup(t *testing.T) {
-	dir := t.TempDir()
-	hash, _ := seedCorpus(t, dir)
-	flattenCorpus(t, dir)
+// TestOpenMovesFlatLayout: Open moves every pre-sharding blob and
+// defect record into its shard, and the corpus reads back whole —
+// every blob, every record, every occurrence count. The interrupted
+// case starts from a move cut short (half the files already in their
+// shards, the index snapshot still in place), which Open finishes
+// without giving up the warm load.
+func TestOpenMovesFlatLayout(t *testing.T) {
+	for _, interrupted := range []bool{false, true} {
+		name := "flat"
+		if interrupted {
+			name = "interrupted"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var hashes []string
+			for _, wl := range []string{"Figure4", "Figure2", "Figure9"} {
+				tr, _ := recordedTrace(t, wl, 1)
+				hash, _, err := s.PutTrace(ctx, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := analyze(t, tr)
+				for i := 0; i < 2; i++ {
+					if _, err := s.Record(ctx, hash, rep, "workload:"+wl, time.Now()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hashes = append(hashes, hash)
+			}
+			want := make(map[string]int)
+			for _, rec := range s.Defects() {
+				want[rec.Fingerprint] = rec.Occurrences
+			}
+			if len(want) < 2 {
+				t.Fatalf("seed produced %d defects, want at least 2", len(want))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tr, _ := recordedTrace(t, "Figure4", 1)
-	h2, created, err := s.PutTrace(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created || h2 != hash {
-		t.Fatalf("dedup put: created=%v hash=%s want %s", created, h2, hash)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "traces", hash[:2], hash+traceExt)); err != nil {
-		t.Errorf("dedup hit did not migrate the blob: %v", err)
-	}
-}
+			if interrupted {
+				// Move every other file up by hand, keeping index.bin.
+				for _, kind := range []string{"traces", "defects"} {
+					shards, _ := filepath.Glob(filepath.Join(dir, kind, "??", "*"))
+					for i, f := range shards {
+						if i%2 == 0 {
+							if err := os.Rename(f, filepath.Join(dir, kind, filepath.Base(f))); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+			} else {
+				flattenCorpus(t, dir)
+			}
+			if len(topLevelFiles(t, dir)) == 0 {
+				t.Fatal("precondition: no file at a top-level path")
+			}
 
-// TestLazyDefectMigration: updating a flat-layout defect record writes
-// it at its sharded path and removes the flat file.
-func TestLazyDefectMigration(t *testing.T) {
-	dir := t.TempDir()
-	hash, _ := seedCorpus(t, dir)
-	flattenCorpus(t, dir)
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	recs := s.Defects()
-	fp := recs[0].Fingerprint
-	wantOcc := recs[0].Occurrences + 1
-	tr, _ := recordedTrace(t, "Figure4", 1)
-	if _, err := s.Record(context.Background(), hash, analyze(t, tr), "workload:Figure4", time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "defects", fp[:2], fp+".json")); err != nil {
-		t.Errorf("defect not migrated to shard: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "defects", fp+".json")); !os.IsNotExist(err) {
-		t.Error("flat defect record still present after update")
-	}
-	d, ok := s.Defect(fp)
-	if !ok || d.Occurrences != wantOcc {
-		t.Errorf("defect after migration: ok=%v occ=%d want %d", ok, d.Occurrences, wantOcc)
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if left := topLevelFiles(t, dir); len(left) != 0 {
+				t.Errorf("files still at top-level paths after Open: %v", left)
+			}
+			if warm, _ := s.OpenInfo(); warm != interrupted {
+				t.Errorf("warm open = %v, want %v", warm, interrupted)
+			}
+			for _, hash := range hashes {
+				if _, err := s.GetTrace(hash); err != nil {
+					t.Errorf("trace %s unreadable: %v", hash[:12], err)
+				}
+			}
+			recs := s.Defects()
+			if len(recs) != len(want) {
+				t.Fatalf("defects = %d, want %d", len(recs), len(want))
+			}
+			for _, rec := range recs {
+				if rec.Occurrences != want[rec.Fingerprint] {
+					t.Errorf("defect %s occurrences = %d, want %d",
+						rec.Fingerprint[:12], rec.Occurrences, want[rec.Fingerprint])
+				}
+			}
+		})
 	}
 }
 
@@ -216,15 +243,46 @@ func TestCrashDuringMigrationDuplicate(t *testing.T) {
 	}
 }
 
-// TestStaleSnapshotFlatHint: a snapshot can record a blob as flat when
-// the disk has since migrated it (or vice versa). Reads must fall back
-// to the other path instead of failing.
+// setSnapshotFlatBits sets the pre-sharding flag of every defect record
+// and trace entry in dir's index snapshot and re-seals its checksum:
+// the snapshot a build that migrated lazily wrote for a flat corpus.
+func setSnapshotFlatBits(t *testing.T, dir string, traces int) {
+	t.Helper()
+	path := filepath.Join(dir, "index.bin")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[:len(data)-4]
+	off := len(indexMagic) + 1
+	_, n := binary.Varint(payload[off:]) // journal stamp
+	off += n
+	records, n := binary.Uvarint(payload[off:])
+	off += n
+	for i := uint64(0); i < records; i++ {
+		payload[off] |= 1
+		size, n := binary.Uvarint(payload[off+1:])
+		off += 1 + n + int(size)
+	}
+	for i := 1; i <= traces; i++ {
+		payload[len(payload)-i*traceEntrySize+40] |= 1
+	}
+	binary.BigEndian.PutUint32(data[len(data)-4:], crc32.Checksum(payload, crcTable))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleSnapshotFlatHint: a snapshot can mark a blob as flat while
+// the disk holds it in its shard — every snapshot a lazily migrating
+// build wrote for a flat corpus does, once Open has moved the files.
+// The snapshot must still open warm, and reads must find the blob.
 func TestStaleSnapshotFlatHint(t *testing.T) {
 	dir := t.TempDir()
-	hash, _ := seedCorpus(t, dir)
+	hash, wantDefects := seedCorpus(t, dir)
 	flattenCorpus(t, dir)
 
-	// Cold open indexes the blob as flat; Close snapshots that.
+	// Cold open of the flat corpus; Close snapshots it.
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -232,16 +290,7 @@ func TestStaleSnapshotFlatHint(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Behind the snapshot's back, migrate the blob on disk.
-	flat := filepath.Join(dir, "traces", hash+traceExt)
-	sharded := filepath.Join(dir, "traces", hash[:2], hash+traceExt)
-	if err := os.MkdirAll(filepath.Dir(sharded), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(flat, sharded); err != nil {
-		t.Fatal(err)
-	}
+	setSnapshotFlatBits(t, dir, 1)
 
 	s2, err := Open(dir)
 	if err != nil {
@@ -254,5 +303,8 @@ func TestStaleSnapshotFlatHint(t *testing.T) {
 	}
 	if _, err := s2.GetTrace(hash); err != nil {
 		t.Errorf("stale flat hint broke the read: %v", err)
+	}
+	if got := len(s2.Defects()); got != wantDefects {
+		t.Errorf("defects = %d, want %d", got, wantDefects)
 	}
 }

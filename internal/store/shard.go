@@ -10,16 +10,15 @@ package store
 //	defects/ab/<fp>.json
 //
 // with 256 shards per kind. Corpora written before sharding keep their
-// files directly under traces/ and defects/; Open indexes both
-// locations transparently and files migrate to their shard lazily — a
-// trace when it is next opened (or its put dedups), a defect record
-// when it is next updated. Migration is a same-filesystem rename, so a
-// crash at any point leaves the file wholly at exactly one of the two
-// paths, and the scanner accepts either.
+// files directly under traces/ and defects/; Open moves each one into
+// its shard with a same-filesystem rename before it loads the index, so
+// a crash at any point leaves the file wholly at one of the two paths
+// and the next Open finishes the move. Everything past Open sees one
+// layout.
 
 import (
 	"encoding/json"
-	"io/fs"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,54 +31,59 @@ import (
 // hex characters.
 func shardOf(hash string) string { return hash[:2] }
 
-// flatTracePath is the pre-sharding location of a trace blob.
-func (s *Store) flatTracePath(hash string) string {
-	return filepath.Join(s.tracesDir(), hash+traceExt)
-}
-
-// shardTracePath is the sharded location of a trace blob.
+// shardTracePath is the location of a trace blob.
 func (s *Store) shardTracePath(hash string) string {
 	return filepath.Join(s.tracesDir(), shardOf(hash), hash+traceExt)
 }
 
-// tracePath resolves a blob's current location from its index entry.
-func (s *Store) tracePath(hash string, flat bool) string {
-	if flat {
-		return s.flatTracePath(hash)
-	}
-	return s.shardTracePath(hash)
-}
-
-// flatDefectPath is the pre-sharding location of a defect record.
-func (s *Store) flatDefectPath(fp string) string {
-	return filepath.Join(s.defectsDir(), fp+".json")
-}
-
-// shardDefectPath is the sharded location of a defect record.
+// shardDefectPath is the location of a defect record.
 func (s *Store) shardDefectPath(fp string) string {
 	return filepath.Join(s.defectsDir(), shardOf(fp), fp+".json")
 }
 
-// migrateTraceLocked moves a flat-layout blob into its shard. Purely an
-// optimization: every failure mode leaves the blob readable at one of
-// the two paths, so errors are swallowed and the entry just stays flat.
-// Caller holds s.mu.
-func (s *Store) migrateTraceLocked(hash string) {
-	info, ok := s.traces.get(hash)
-	if !ok || !info.flat {
-		return
+// shardFlatFiles moves every pre-sharding blob and defect record into
+// its shard. A file already present at its sharded path (a corpus
+// copied with tooling that resolved a partial move by duplicating)
+// keeps the sharded copy, and the top-level one is removed. A move that
+// fails fails Open: a file left behind would silently drop out of the
+// corpus. Each touched directory is fsynced once, after its moves.
+func (s *Store) shardFlatFiles() error {
+	for _, kind := range []struct{ dir, ext string }{
+		{s.tracesDir(), traceExt},
+		{s.defectsDir(), ".json"},
+	} {
+		entries, err := os.ReadDir(kind.dir)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		touched := make(map[string]bool)
+		for _, e := range entries {
+			hash, ok := strings.CutSuffix(e.Name(), kind.ext)
+			if e.IsDir() || !ok || !validHash(hash) {
+				continue
+			}
+			src := filepath.Join(kind.dir, e.Name())
+			dst := filepath.Join(kind.dir, shardOf(hash), e.Name())
+			if _, err := os.Lstat(dst); err == nil {
+				os.Remove(src) // if this fails, the next Open retries it
+				continue
+			}
+			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			if err := os.Rename(src, dst); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			touched[kind.dir] = true
+			touched[filepath.Dir(dst)] = true
+		}
+		for dir := range touched {
+			if err := syncDir(dir); err != nil {
+				return err
+			}
+		}
 	}
-	dst := s.shardTracePath(hash)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return
-	}
-	if err := os.Rename(s.flatTracePath(hash), dst); err != nil {
-		return
-	}
-	// The on-disk layout no longer matches the last index snapshot.
-	s.markDirtyLocked()
-	info.flat = false
-	s.traces.put(info)
+	return nil
 }
 
 // scanWorkers is the fan-out of a cold corpus scan.
@@ -95,15 +99,13 @@ func scanWorkers() int {
 }
 
 // forEachShard runs fn over every shard subdirectory name in dir on a
-// worker pool, returning the non-directory (flat legacy) entries for
-// the caller to handle inline. Stale ".tmp-*" files at the top level
-// are swept here; fn sweeps its own shard.
-func forEachShard(dir string, fn func(shard string)) ([]fs.DirEntry, error) {
+// worker pool. Stale ".tmp-*" files at the top level are swept here; fn
+// sweeps its own shard.
+func forEachShard(dir string, fn func(shard string)) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var flat []fs.DirEntry
 	shards := make(chan string, len(entries))
 	for _, e := range entries {
 		name := e.Name()
@@ -112,8 +114,6 @@ func forEachShard(dir string, fn func(shard string)) ([]fs.DirEntry, error) {
 			os.Remove(filepath.Join(dir, name))
 		case e.IsDir():
 			shards <- name
-		default:
-			flat = append(flat, e)
 		}
 	}
 	close(shards)
@@ -128,17 +128,14 @@ func forEachShard(dir string, fn func(shard string)) ([]fs.DirEntry, error) {
 		}()
 	}
 	wg.Wait()
-	return flat, nil
+	return nil
 }
 
 // scanTraces rebuilds the trace index from the filesystem: the cold
-// path of Open, fanned out over the shard directories. Flat legacy
-// entries are indexed too; a blob present at both paths (a corpus
-// copied with tooling that resolved a partial migration by duplicating)
-// keeps the sharded copy and sweeps the flat one.
+// path of Open, fanned out over the shard directories.
 func (s *Store) scanTraces() error {
 	var mu sync.Mutex
-	flat, err := forEachShard(s.tracesDir(), func(shard string) {
+	return forEachShard(s.tracesDir(), func(shard string) {
 		dir := filepath.Join(s.tracesDir(), shard)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -163,25 +160,6 @@ func (s *Store) scanTraces() error {
 			mu.Unlock()
 		}
 	})
-	if err != nil {
-		return err
-	}
-	for _, e := range flat {
-		hash, ok := strings.CutSuffix(e.Name(), traceExt)
-		if !ok || !validHash(hash) {
-			continue
-		}
-		if _, dup := s.traces.get(hash); dup {
-			os.Remove(s.flatTracePath(hash))
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.traces.put(TraceInfo{Hash: hash, Bytes: info.Size(), ModTime: info.ModTime(), flat: true})
-	}
-	return nil
 }
 
 // scanDefects rebuilds the defect index from the filesystem, in
@@ -202,7 +180,7 @@ func (s *Store) scanDefects() error {
 		s.defects[fp] = &rec
 		mu.Unlock()
 	}
-	flat, err := forEachShard(s.defectsDir(), func(shard string) {
+	return forEachShard(s.defectsDir(), func(shard string) {
 		dir := filepath.Join(s.defectsDir(), shard)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -221,24 +199,6 @@ func (s *Store) scanDefects() error {
 			readRecord(filepath.Join(dir, name), fp)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	for _, e := range flat {
-		fp, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !validHash(fp) {
-			continue
-		}
-		if _, dup := s.defects[fp]; dup {
-			os.Remove(s.flatDefectPath(fp))
-			continue
-		}
-		readRecord(s.flatDefectPath(fp), fp)
-		if _, ok := s.defects[fp]; ok {
-			s.flatDefects[fp] = true
-		}
-	}
-	return nil
 }
 
 // touchModTime is a seam for GC tests: it backdates a blob's both
@@ -250,7 +210,7 @@ func (s *Store) touchModTime(hash string, t time.Time) {
 	if !ok {
 		return
 	}
-	os.Chtimes(s.tracePath(hash, info.flat), t, t)
+	os.Chtimes(s.shardTracePath(hash), t, t)
 	info.ModTime = t
 	s.traces.put(info)
 }

@@ -18,8 +18,8 @@
 //	index.dirty              marker: mutations since the last snapshot
 //
 // Pre-sharding corpora with blobs directly under traces/ and defects/
-// keep working: Open indexes both layouts and files migrate to their
-// shard lazily on access.
+// keep working: Open moves every such file into its shard before it
+// loads the index (shard.go).
 //
 // Crash-safety invariants:
 //
@@ -85,9 +85,6 @@ type TraceInfo struct {
 	// ModTime is when the blob was stored (its file mtime) — the age GC
 	// policies act on.
 	ModTime time.Time `json:"mod_time"`
-
-	// flat marks a blob still at its pre-sharding path.
-	flat bool
 }
 
 // DefectRecord is the longitudinal view of one deadlock fingerprint:
@@ -145,12 +142,11 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu          sync.Mutex
-	traces      traceIndex
-	defects     map[string]*DefectRecord
-	flatDefects map[string]bool // fingerprints still at pre-sharding paths
-	postings    *postings
-	jobs        *jobLog
+	mu       sync.Mutex
+	traces   traceIndex
+	defects  map[string]*DefectRecord
+	postings *postings
+	jobs     *jobLog
 
 	// rawDefects holds the snapshot's still-encoded defect block after a
 	// warm Open; ensureDefectsLocked parses it on first defect access.
@@ -188,10 +184,9 @@ type Store struct {
 func Open(dir string) (*Store, error) {
 	start := time.Now()
 	s := &Store{
-		dir:         dir,
-		defects:     make(map[string]*DefectRecord),
-		flatDefects: make(map[string]bool),
-		inflight:    make(map[string]chan struct{}),
+		dir:      dir,
+		defects:  make(map[string]*DefectRecord),
+		inflight: make(map[string]chan struct{}),
 	}
 	for _, sub := range []string{s.tracesDir(), s.defectsDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -206,6 +201,9 @@ func Open(dir string) (*Store, error) {
 				os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
+	}
+	if err := s.shardFlatFiles(); err != nil {
+		return nil, err
 	}
 	// The snapshot must be validated before the job log is opened:
 	// opening can truncate a torn tail or compact the journal, moving
@@ -323,7 +321,6 @@ func (s *Store) PutTrace(ctx context.Context, tr *trace.Trace) (hash string, cre
 	for {
 		s.mu.Lock()
 		if _, ok := s.traces.get(hash); ok {
-			s.migrateTraceLocked(hash)
 			s.mu.Unlock()
 			s.traceDedups.Add(1)
 			sp.Add("dedup", 1)
@@ -378,26 +375,15 @@ func (s *Store) GetTrace(hash string) (*trace.Trace, error) {
 }
 
 // OpenTrace opens the raw blob of a stored trace for streaming, with
-// its size. Opening a pre-sharding blob migrates it to its shard first
-// (a rename; the open observes the post-migration path).
+// its size.
 func (s *Store) OpenTrace(hash string) (io.ReadCloser, int64, error) {
 	s.mu.Lock()
 	info, ok := s.traces.get(hash)
-	if ok && info.flat {
-		s.migrateTraceLocked(hash)
-		info, _ = s.traces.get(hash)
-	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	f, err := os.Open(s.tracePath(hash, info.flat))
-	if errors.Is(err, fs.ErrNotExist) {
-		// The index hint can be stale (e.g. a snapshot written mid-
-		// migration); the blob is wholly at exactly one path, so try the
-		// other before giving up.
-		f, err = os.Open(s.tracePath(hash, !info.flat))
-	}
+	f, err := os.Open(s.shardTracePath(hash))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, 0, ErrNotFound
@@ -413,11 +399,10 @@ func (s *Store) OpenTrace(hash string) (io.ReadCloser, int64, error) {
 func (s *Store) DeleteTrace(hash string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.traces.get(hash)
-	if !ok {
+	if _, ok := s.traces.get(hash); !ok {
 		return ErrNotFound
 	}
-	if err := os.Remove(s.tracePath(hash, info.flat)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := os.Remove(s.shardTracePath(hash)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.markDirtyLocked()
@@ -569,11 +554,8 @@ func (s *Store) RecordSummaries(ctx context.Context, traceHash string, sums []Cy
 	return updated, nil
 }
 
-// writeDefect persists one record atomically at its sharded path. A
-// record still at a pre-sharding path migrates here: the sharded copy
-// is durably in place before the flat one is removed, so a crash
-// between the two leaves at worst a duplicate that the next cold scan
-// resolves in favor of the shard. Caller holds s.mu.
+// writeDefect persists one record atomically at its sharded path.
+// Caller holds s.mu.
 func (s *Store) writeDefect(rec *DefectRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -583,14 +565,7 @@ func (s *Store) writeDefect(rec *DefectRecord) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(path, append(data, '\n')); err != nil {
-		return err
-	}
-	if s.flatDefects[rec.Fingerprint] {
-		os.Remove(s.flatDefectPath(rec.Fingerprint))
-		delete(s.flatDefects, rec.Fingerprint)
-	}
-	return nil
+	return atomicWrite(path, append(data, '\n'))
 }
 
 // Defects lists the defect records, most occurrences first (fingerprint

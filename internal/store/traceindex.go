@@ -23,7 +23,9 @@ import (
 const traceShards = 256
 
 // traceEntrySize is the fixed encoded size of one trace entry: 32-byte
-// raw hash, 8-byte blob size, 1 flags byte, 8-byte mod-time nanos.
+// raw hash, 8-byte blob size, 1 flags byte, 8-byte mod-time nanos. The
+// flags byte once marked pre-sharding blobs; it is written as 0 and
+// ignored on read, so older snapshots still load.
 const traceEntrySize = 32 + 8 + 1 + 8
 
 type traceIndex struct {
@@ -75,7 +77,6 @@ func (ts *traceShard) materialize() {
 		ts.m[hash] = TraceInfo{
 			Hash:    hash,
 			Bytes:   int64(binary.BigEndian.Uint64(raw[32:40])),
-			flat:    raw[40]&1 != 0,
 			ModTime: time.Unix(0, int64(binary.BigEndian.Uint64(raw[41:49]))),
 		}
 	}
@@ -88,9 +89,6 @@ func encodeEntry(dst []byte, rawHash []byte, info TraceInfo) []byte {
 	var tmp [traceEntrySize]byte
 	copy(tmp[:32], rawHash)
 	binary.BigEndian.PutUint64(tmp[32:40], uint64(info.Bytes))
-	if info.flat {
-		tmp[40] = 1
-	}
 	binary.BigEndian.PutUint64(tmp[41:49], uint64(info.ModTime.UnixNano()))
 	return append(dst, tmp[:]...)
 }

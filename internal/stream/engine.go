@@ -36,37 +36,27 @@ type Candidate struct {
 	PruneRule string `json:"prune_rule,omitempty"`
 }
 
-// Engine is the incremental half of the Extended Dynamic Cycle
-// Detector: it maintains the lock graph ("who holds ℓ" postings) and
-// per-thread lockset state online, and emits each cycle exactly once —
-// when the tuple that closes it arrives.
-//
-// Equivalence with the batch detector: detect.Cycles roots its chain
-// search at the cycle's minimum-thread tuple and therefore finds each
-// cyclic sequence once. The engine instead roots at the newest tuple η:
-// since stream order is trace order, every cycle has a unique
-// last-arriving member, and rooting there also finds each cyclic
-// sequence exactly once — the same set, discovered online. Candidates
-// are rotated back to the batch-canonical form before emission, so
-// fingerprints, signatures, and chain order are byte-identical to the
-// batch path.
+// Engine is wolfd's streaming front end to the Extended Dynamic Cycle
+// Detector: it feeds each decoded tuple to a detect.LockGraph, the same
+// chain search batch detection runs, and turns every cycle the tuple
+// closes into a Candidate the moment it closes. It adds event
+// counting, Candidate materialization and the online (S,J) Pruner.
+// Because the search is the batch one, candidates carry the batch
+// path's canonical rotation, fingerprints and signatures.
 //
 // Engine is not safe for concurrent use; the server serializes chunk
 // appends per stream.
 type Engine struct {
+	graph  *detect.LockGraph
 	clocks []vclock.Vector
-	heldBy map[string][]*trace.Tuple
 	events int
 	total  int
-
-	chain []*trace.Tuple
-	found []*detect.Cycle
 }
 
 // NewEngine returns an empty incremental detector bounding cycles at
 // detect.DefaultMaxLength threads, like batch detection.
 func NewEngine() *Engine {
-	return &Engine{heldBy: make(map[string][]*trace.Tuple)}
+	return &Engine{graph: detect.NewLockGraph(detect.DefaultMaxLength)}
 }
 
 // SetClocks arms the online Pruner with the trace's (S,J) vector-clock
@@ -85,68 +75,14 @@ func (e *Engine) Total() int { return e.total }
 // it closes (usually none). The returned slice is freshly allocated.
 func (e *Engine) Add(tp *trace.Tuple) []Candidate {
 	e.events++
-	if tp == nil || len(tp.Held) == 0 {
-		// Holds nothing: nobody can wait on it, so it can neither extend
-		// nor close a chain (batch detection skips these roots too).
+	if tp == nil {
 		return nil
 	}
-	e.found = e.found[:0]
-	e.chain = e.chain[:0]
-	e.extend(tp)
 	var out []Candidate
-	for _, cyc := range e.found {
+	for _, cyc := range e.graph.Add(tp) {
 		out = append(out, e.emit(cyc))
 	}
-	// Publish tp's holdings only after the search: a tuple cannot be
-	// its own predecessor in a chain.
-	for _, h := range tp.Held {
-		e.heldBy[h.Lock] = append(e.heldBy[h.Lock], tp)
-	}
 	return out
-}
-
-// extend grows the chain rooted at the newest tuple. Invariant:
-// chain[i+1] holds lock(chain[i]); closing requires chain[0] to hold
-// the last tuple's wanted lock. Mirrors detector.extend except the
-// root is the arrival-maximal tuple instead of the thread-minimal one.
-func (e *Engine) extend(tp *trace.Tuple) {
-	e.chain = append(e.chain, tp)
-	defer func() { e.chain = e.chain[:len(e.chain)-1] }()
-
-	first := e.chain[0]
-	if len(e.chain) >= 2 && first.HoldsLock(tp.Lock) {
-		e.found = append(e.found, &detect.Cycle{
-			Tuples: canonical(append([]*trace.Tuple(nil), e.chain...)),
-		})
-	}
-	if len(e.chain) == detect.DefaultMaxLength {
-		return
-	}
-	for _, next := range e.heldBy[tp.Lock] {
-		if detect.Conflicts(e.chain, next) {
-			continue
-		}
-		e.extend(next)
-	}
-}
-
-// canonical rotates the chain so the lexicographically smallest thread
-// comes first — the batch detector's canonical form. Threads in a
-// cycle are distinct, so the rotation is unique.
-func canonical(chain []*trace.Tuple) []*trace.Tuple {
-	minAt := 0
-	for i, tp := range chain {
-		if tp.Thread < chain[minAt].Thread {
-			minAt = i
-		}
-	}
-	if minAt == 0 {
-		return chain
-	}
-	rotated := make([]*trace.Tuple, 0, len(chain))
-	rotated = append(rotated, chain[minAt:]...)
-	rotated = append(rotated, chain[:minAt]...)
-	return rotated
 }
 
 // emit materializes a Candidate, running the online Pruner when clocks

@@ -11,8 +11,6 @@ import "sync"
 //
 //   - thread and lock name interning to dense integer IDs, so phases can
 //     use slices instead of string-keyed maps;
-//   - held-lock postings (which tuples hold ℓ), the "who can I wait on"
-//     lookup the cycle search needs;
 //   - per-thread per-lock acquisition postings in program order, which
 //     turn the Generator's type-C candidate scan from "walk the whole
 //     D'σ prefix for every context lock" into "walk exactly the
@@ -29,9 +27,6 @@ type Index struct {
 	threads   []string
 	lockIDs   map[string]int
 	locks     []string
-	// held[lockID] lists the tuples holding that lock in their lockset
-	// L_t, in Dσ order.
-	held [][]*Tuple
 	// acquires[threadID][lockID] lists the thread's tuples acquiring
 	// that lock, in program order (Tuple.Pos increasing).
 	acquires []map[int][]*Tuple
@@ -59,8 +54,7 @@ func buildIndex(tr *Trace) *Index {
 		acq := idx.acquires[t]
 		acq[l] = append(acq[l], tp)
 		for _, h := range tp.Held {
-			hl := idx.internLock(h.Lock)
-			idx.held[hl] = append(idx.held[hl], tp)
+			idx.internLock(h.Lock)
 		}
 	}
 	for _, de := range tr.Data {
@@ -90,7 +84,6 @@ func (idx *Index) internLock(name string) int {
 	id := len(idx.locks)
 	idx.lockIDs[name] = id
 	idx.locks = append(idx.locks, name)
-	idx.held = append(idx.held, nil)
 	return id
 }
 
@@ -118,20 +111,6 @@ func (idx *Index) ThreadName(id int) string { return idx.threads[id] }
 
 // LockName returns the name of the lock with the given dense ID.
 func (idx *Index) LockName(id int) string { return idx.locks[id] }
-
-// HeldBy returns the tuples whose lockset contains lock, in Dσ order —
-// the candidate set for "some thread holds ℓ" questions in the cycle
-// search.
-func (idx *Index) HeldBy(lock string) []*Tuple {
-	id, ok := idx.lockIDs[lock]
-	if !ok {
-		return nil
-	}
-	return idx.held[id]
-}
-
-// HeldByID is HeldBy keyed by dense lock ID.
-func (idx *Index) HeldByID(lockID int) []*Tuple { return idx.held[lockID] }
 
 // AcquiresOf returns thread's tuples acquiring lock, in program order
 // (Tuple.Pos increasing). Callers slicing D'σ prefixes stop at the
