@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"wolf/internal/fingerprint"
 )
 
 // benchCorpusSize is 1000 by default; WOLF_STORE_BENCH_LARGE=1 selects
@@ -217,5 +219,75 @@ func BenchmarkPutTraceDedup(b *testing.B) {
 		if _, created, err := s.PutTrace(ctx, tr); err != nil || created {
 			b.Fatalf("dedup put: created=%v err=%v", created, err)
 		}
+	}
+}
+
+// BenchmarkRecordSummaries prices folding one job's verdict into the
+// corpus as the corpus ages. Every call rewrites each defect record it
+// touches in full — indented JSON, a file fsync and a directory fsync —
+// and a record's Traces list gains a hash for every new trace that
+// exhibits it, so the rewrite grows with the corpus. The job here
+// touches 3 defects whose records already list traces= hashes,
+// including the job's own, so record size stays fixed across
+// iterations. record_bytes is the size of one rewritten record.
+func BenchmarkRecordSummaries(b *testing.B) {
+	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	for _, n := range []int{1, 100, 1000} {
+		b.Run(fmt.Sprintf("traces=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			traces := make([]string, n)
+			for i := range traces {
+				traces[i] = fakeHash(i)
+			}
+			sums := make([]CycleSummary, 3)
+			var size int
+			for i := range sums {
+				sums[i] = CycleSummary{
+					Fingerprint: fakeHash(3_000_000 + i),
+					Signature:   fmt.Sprintf("bank.go:%d+bank.go:%d", 60+i, 75+i),
+					Edges: []fingerprint.Edge{
+						{Thread: "main/teller", Lock: fmt.Sprintf("account.%d", i+1), Site: "bank.go:60", Stack: []string{"bank.go:59"}},
+						{Thread: "main/auditor", Lock: fmt.Sprintf("account.%d", i), Site: "bank.go:75", Stack: []string{"bank.go:74"}},
+					},
+				}
+				rec := DefectRecord{
+					Fingerprint: sums[i].Fingerprint,
+					Signature:   sums[i].Signature,
+					Edges:       sums[i].Edges,
+					Class:       ClassCandidate,
+					Occurrences: n,
+					FirstSeen:   t0,
+					LastSeen:    t0,
+					Traces:      traces,
+					Workloads:   []string{"wolfsync"},
+				}
+				data, err := json.MarshalIndent(&rec, "", "  ")
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = len(data) + 1
+				fp := rec.Fingerprint
+				path := filepath.Join(dir, "defects", fp[:2], fp+".json")
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.RecordSummaries(ctx, traces[0], sums, "wolfsync", t0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(size), "record_bytes")
+		})
 	}
 }

@@ -13,10 +13,11 @@ const shardCount = 64
 
 // event is one recorded acquisition, a node in a shard's Treiber
 // stack. The tuple is fully built by the recording goroutine, so the
-// drainer never touches goroutine-local state.
+// drainer never touches goroutine-local state; it lives inside the
+// node, so recording it is one allocation.
 type event struct {
 	next *event
-	tup  *trace.Tuple
+	tup  trace.Tuple
 }
 
 // bufShard is one push head, padded to its own cache line so CAS
@@ -93,7 +94,7 @@ func (b *buffer) drain() []*trace.Tuple {
 		}
 		b.size.Add(-n)
 		for e := rev; e != nil; e = e.next {
-			out = append(out, e.tup)
+			out = append(out, &e.tup)
 		}
 	}
 	return out

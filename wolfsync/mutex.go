@@ -29,7 +29,8 @@ func (n *lockName) get(prefix string) string {
 func (n *lockName) set(name string) { n.p.Store(&name) }
 
 // Mutex is a drop-in replacement for sync.Mutex that records every
-// acquisition with the active Recorder. The zero value is an unlocked,
+// acquisition with the active Recorder. With no Recorder active it is
+// a sync.Mutex plus one atomic load. The zero value is an unlocked,
 // anonymous mutex; NewMutex gives it a stable name.
 //
 // Acquisitions are recorded at request time — before blocking on the
@@ -58,7 +59,9 @@ func (m *Mutex) Name() string { return m.name.get("m") }
 // Lock acquires the mutex, recording the acquisition against the
 // caller's source line.
 func (m *Mutex) Lock() {
-	noteAcquire(m.name.get("m"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("m"), callSite())
+	}
 	m.mu.Lock()
 }
 
@@ -66,7 +69,9 @@ func (m *Mutex) Lock() {
 // immediate caller is not the interesting frame, and for programs that
 // must match a sim workload's site strings exactly.
 func (m *Mutex) LockAt(site string) {
-	noteAcquire(m.name.get("m"), site)
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("m"), site)
+	}
 	m.mu.Lock()
 }
 
@@ -77,14 +82,18 @@ func (m *Mutex) TryLock() bool {
 	if !m.mu.TryLock() {
 		return false
 	}
-	noteAcquire(m.name.get("m"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("m"), callSite())
+	}
 	return true
 }
 
 // Unlock releases the mutex and pops the caller's most recent matching
 // held entry.
 func (m *Mutex) Unlock() {
-	noteRelease(m.name.get("m"))
+	if r := active.Load(); r != nil {
+		noteRelease(r, m.name.get("m"))
+	}
 	m.mu.Unlock()
 }
 
@@ -114,13 +123,17 @@ func (m *RWMutex) Name() string { return m.name.get("rw") }
 
 // Lock acquires the write lock.
 func (m *RWMutex) Lock() {
-	noteAcquire(m.name.get("rw"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), callSite())
+	}
 	m.mu.Lock()
 }
 
 // LockAt is Lock with an explicit site label.
 func (m *RWMutex) LockAt(site string) {
-	noteAcquire(m.name.get("rw"), site)
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), site)
+	}
 	m.mu.Lock()
 }
 
@@ -130,13 +143,17 @@ func (m *RWMutex) TryLock() bool {
 	if !m.mu.TryLock() {
 		return false
 	}
-	noteAcquire(m.name.get("rw"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), callSite())
+	}
 	return true
 }
 
 // Unlock releases the write lock.
 func (m *RWMutex) Unlock() {
-	noteRelease(m.name.get("rw"))
+	if r := active.Load(); r != nil {
+		noteRelease(r, m.name.get("rw"))
+	}
 	m.mu.Unlock()
 }
 
@@ -144,13 +161,17 @@ func (m *RWMutex) Unlock() {
 // same lock name (see the type comment for why that is the sound
 // mapping).
 func (m *RWMutex) RLock() {
-	noteAcquire(m.name.get("rw"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), callSite())
+	}
 	m.mu.RLock()
 }
 
 // RLockAt is RLock with an explicit site label.
 func (m *RWMutex) RLockAt(site string) {
-	noteAcquire(m.name.get("rw"), site)
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), site)
+	}
 	m.mu.RLock()
 }
 
@@ -160,12 +181,16 @@ func (m *RWMutex) TryRLock() bool {
 	if !m.mu.TryRLock() {
 		return false
 	}
-	noteAcquire(m.name.get("rw"), callSite())
+	if r := active.Load(); r != nil {
+		noteAcquire(r, m.name.get("rw"), callSite())
+	}
 	return true
 }
 
 // RUnlock releases the read lock.
 func (m *RWMutex) RUnlock() {
-	noteRelease(m.name.get("rw"))
+	if r := active.Load(); r != nil {
+		noteRelease(r, m.name.get("rw"))
+	}
 	m.mu.RUnlock()
 }

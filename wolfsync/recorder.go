@@ -197,7 +197,6 @@ func Start(opts ...Option) (*Recorder, error) {
 	g := curG()
 	if strings.HasPrefix(g.name, "g.") {
 		g.name = "main"
-		g.epoch = 0
 	}
 	if r.sink != nil && o.quiesce > 0 {
 		r.loopDone = make(chan struct{})
@@ -386,60 +385,64 @@ func (r *Recorder) Stats() Stats {
 	return s
 }
 
-// noteAcquire records an acquisition request by the calling goroutine:
-// called by Mutex.Lock before blocking on the real mutex (and by
-// TryLock after a successful try — which never blocks, so the
+// noteAcquire records an acquisition request by the calling goroutine
+// in session r: called by Mutex.Lock before blocking on the real mutex
+// (and by TryLock after a successful try — which never blocks, so the
 // distinction is unobservable). Re-acquisition of a lock already held
 // by this goroutine emits no tuple, matching sim's reentrancy rule.
-func noteAcquire(lock, site string) {
+func noteAcquire(r *Recorder, lock, site string) {
 	g := curG()
-	r := active.Load()
-	reentrant := g.holdsLock(lock)
-	e := heldEntry{lock: lock, site: site, reentrant: reentrant}
-	if r != nil && !reentrant {
-		g.ensure(r)
-		g.seq++
-		g.occ[site]++
-		e.idx = sim.Index{Thread: g.name, Seq: g.seq}
-		e.key = trace.Key{Thread: g.name, Site: site, Occ: g.occ[site]}
-		tau := vclock.Bottom
-		if r.opts.wallTau {
-			tau = wallTau()
-		}
-		tup := &trace.Tuple{
-			Thread:   g.name,
-			ThreadID: g.tid,
-			Lock:     lock,
-			Site:     site,
-			Idx:      e.idx,
-			Key:      e.key,
-			Tau:      tau,
-			Held:     g.snapshotHeld(),
-			Pos:      g.pos,
-		}
-		if r.buf.push(g.shard(), &event{tup: tup}, r.opts.maxBuffered) {
-			g.pos++
-			r.recorded.Add(1)
-		} else {
-			r.dropped.Add(1)
-		}
+	g.ensure(r)
+	if g.holdsLock(lock) {
+		g.held = append(g.held, heldEntry{lock: lock, site: site, reentrant: true})
+		return
+	}
+	g.seq++
+	g.occ[site]++
+	e := heldEntry{
+		lock: lock,
+		site: site,
+		idx:  sim.Index{Thread: g.name, Seq: g.seq},
+		key:  trace.Key{Thread: g.name, Site: site, Occ: g.occ[site]},
+	}
+	tau := vclock.Bottom
+	if r.opts.wallTau {
+		tau = wallTau()
+	}
+	ev := &event{tup: trace.Tuple{
+		Thread:   g.name,
+		ThreadID: g.tid,
+		Lock:     lock,
+		Site:     site,
+		Idx:      e.idx,
+		Key:      e.key,
+		Tau:      tau,
+		Held:     g.snapshotHeld(),
+		Pos:      g.pos,
+	}}
+	if r.buf.push(g.shard(), ev, r.opts.maxBuffered) {
+		g.pos++
+		r.recorded.Add(1)
+	} else {
+		r.dropped.Add(1)
 	}
 	g.held = append(g.held, e)
 }
 
-// noteRelease pops the most recent matching held entry — sim's unlock
-// rule. A release with no matching entry (cross-goroutine unlock, or a
-// lock acquired before instrumentation) is counted as an anomaly and
-// otherwise ignored: sync.Mutex permits it, so the recorder must too.
-func noteRelease(lock string) {
+// noteRelease pops the most recent matching held entry of session r —
+// sim's unlock rule. A release with no matching entry (cross-goroutine
+// unlock, or a lock acquired before the session) is counted as an
+// anomaly and otherwise ignored: sync.Mutex permits it, so the
+// recorder must too. Entries from an earlier epoch never match.
+func noteRelease(r *Recorder, lock string) {
 	g := curG()
-	for i := len(g.held) - 1; i >= 0; i-- {
-		if g.held[i].lock == lock {
-			g.held = append(g.held[:i], g.held[i+1:]...)
-			return
+	if g.epoch == r.epoch {
+		for i := len(g.held) - 1; i >= 0; i-- {
+			if g.held[i].lock == lock {
+				g.held = append(g.held[:i], g.held[i+1:]...)
+				return
+			}
 		}
 	}
-	if r := active.Load(); r != nil {
-		r.anomalies.Add(1)
-	}
+	r.anomalies.Add(1)
 }

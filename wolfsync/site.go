@@ -12,10 +12,11 @@ import (
 // table and leak build layout into fingerprints). Resolution through
 // runtime.CallersFrames is paid once per program counter: resolved
 // sites are interned in a process-wide cache, so the steady-state cost
-// of a recorded acquisition is one lock-free map lookup. Interning
-// also means every tuple recorded from the same source line shares one
-// string, which is what keeps held-set stacks cheap and lets the WTRC
-// string table collapse them to a single entry.
+// is one runtime.Callers (about 0.3 µs, half a recorded Lock+Unlock)
+// plus one lock-free map lookup. Interning also means every tuple
+// recorded from the same source line shares one string, which is what
+// keeps held-set stacks cheap and lets the WTRC string table collapse
+// them to a single entry.
 var siteCache sync.Map // map[uintptr]string
 
 // siteFor resolves and interns one call-site program counter.
