@@ -113,10 +113,10 @@ type strategy struct {
 	// thread the replayer is holding back (a real scheduler cannot
 	// preempt into a thread the tool keeps blocked either).
 	inner sim.Strategy
-	// occ mirrors the trace recorder's per-thread per-site occurrence
-	// counters so pending acquisitions map to the same stable keys the
+	// keys counts each cycle thread's keys with the recorder's tuple
+	// builder, so pending acquisitions map to the same stable keys the
 	// Gs vertices carry.
-	occ map[string]map[string]int
+	keys trace.Threads
 	// forced counts force-releases (diagnostics: nonzero means Gs could
 	// not be followed exactly).
 	forced int
@@ -174,8 +174,7 @@ func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 	var allowed, paused []*sim.Thread
 	for _, t := range enabled {
 		if op := t.Pending(); s.inCycle[t.Name()] && isSteerable(op) && !(isAcquire(op) && t.Holds(op.Lock)) {
-			key := trace.NextKey(s.occ, t.Name(), op.Site)
-			if s.g.Blocked(key) {
+			if s.g.Blocked(s.keys.Get(t.Name()).NextKey(op.Site)) {
 				s.pauseMark(t, op.Site, ts, true)
 				paused = append(paused, t)
 				continue
@@ -217,11 +216,11 @@ func (s *strategy) OnEvent(ev sim.Event) {
 		if ev.Reentrant {
 			return
 		}
-		s.g.Executed(trace.CountKey(s.occ, name, ev.Op.Site))
+		s.g.Executed(s.keys.Get(name).CountKey(ev.Op.Site))
 	case sim.OpLoad, sim.OpStore:
 		// Data vertices exist only in graphs built with type-V edges;
 		// Executed is a no-op otherwise.
-		s.g.Executed(trace.CountKey(s.occ, name, ev.Op.Site))
+		s.g.Executed(s.keys.Get(name).CountKey(ev.Op.Site))
 	case sim.OpExit, sim.OpPanic:
 		s.g.RemoveThread(name)
 	}
@@ -323,7 +322,7 @@ func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, 
 		g:       g.Clone(),
 		inCycle: make(map[string]bool, len(cycle.Tuples)),
 		rng:     sim.NewRand(seed),
-		occ:     make(map[string]map[string]int),
+		keys:    make(trace.Threads),
 		tl:      o.Timeline,
 		tlPid:   o.Pid,
 		paused:  make(map[string]bool),

@@ -158,6 +158,9 @@ func BenchmarkDecodeJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeBinary decodes the large trace two ways: ReadBinary,
+// which feeds the decoder 4 KiB reads, and Decoder.Write in the stream
+// door's 1 KiB chunks.
 func BenchmarkDecodeBinary(b *testing.B) {
 	tr := largeTrace(b)
 	var buf bytes.Buffer
@@ -165,12 +168,29 @@ func BenchmarkDecodeBinary(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("chunk1KiB", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for b.Loop() {
+			d := NewDecoder(0)
+			for off := 0; off < len(data); off += 1 << 10 {
+				if err := d.Write(data[off:min(off+1<<10, len(data))]); err != nil {
+					b.Fatal(err)
+				}
+				d.Events()
+			}
+			if _, err := d.Finalize(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

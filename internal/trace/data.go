@@ -46,13 +46,14 @@ func (d *DataEvent) String() string {
 // recordData handles OpLoad/OpStore events inside the Recorder.
 func (r *Recorder) recordData(ev sim.Event) {
 	name := ev.Thread.Name()
+	b := r.threads.Get(name)
 	de := &DataEvent{
 		Thread:   name,
 		Var:      ev.Op.Var.Name(),
 		Store:    ev.Op.Kind == sim.OpStore,
 		Site:     ev.Op.Site,
-		Key:      CountKey(r.occ, name, ev.Op.Site),
-		PosAfter: len(r.byThread[name]),
+		Key:      b.CountKey(ev.Op.Site),
+		PosAfter: b.Pos(),
 		Idx:      ev.Index,
 	}
 	if de.Store {

@@ -230,8 +230,7 @@ type Recorder struct {
 
 	tuples       []*Tuple
 	byThread     map[string][]*Tuple
-	stacks       map[string][]HeldLock
-	occ          map[string]map[string]int
+	threads      Threads
 	data         []*DataEvent
 	dataByThread map[string][]*DataEvent
 	lastStore    map[string]Key
@@ -244,36 +243,18 @@ func NewRecorder(tr *vclock.Tracker) *Recorder {
 	return &Recorder{
 		Timestamps:   tr,
 		byThread:     make(map[string][]*Tuple),
-		stacks:       make(map[string][]HeldLock),
-		occ:          make(map[string]map[string]int),
+		threads:      make(Threads),
 		dataByThread: make(map[string][]*DataEvent),
 		lastStore:    make(map[string]Key),
 	}
 }
 
-// NextKey returns the stable key the next non-reentrant acquisition at
-// site by thread would receive. CountKey advances the counter; the
-// replay strategy mirrors this bookkeeping.
-func NextKey(occ map[string]map[string]int, thread, site string) Key {
-	return Key{Thread: thread, Site: site, Occ: occ[thread][site] + 1}
-}
-
-// CountKey advances the per-thread per-site occurrence counter and
-// returns the key just consumed.
-func CountKey(occ map[string]map[string]int, thread, site string) Key {
-	m := occ[thread]
-	if m == nil {
-		m = make(map[string]int)
-		occ[thread] = m
-	}
-	m[site]++
-	return Key{Thread: thread, Site: site, Occ: m[site]}
-}
-
-// OnEvent records lock acquisitions and maintains per-thread lock stacks.
-// A monitor Wait fully releases the lock (popped like an unlock); the
-// runtime's wait-resume reacquisition is recorded as a fresh acquisition,
-// since it can block and participate in deadlocks like any other.
+// OnEvent records lock acquisitions and releases through the thread's
+// builder. Sim decides reentrancy, since its monitors carry their depth
+// across a Wait, so only first acquisitions and final releases reach
+// the builder. A monitor Wait fully releases the lock; the runtime's
+// wait-resume reacquisition is recorded as a fresh acquisition, since it
+// can block and participate in deadlocks like any other.
 func (r *Recorder) OnEvent(ev sim.Event) {
 	r.steps++
 	switch ev.Op.Kind {
@@ -282,46 +263,20 @@ func (r *Recorder) OnEvent(ev sim.Event) {
 			return
 		}
 		name := ev.Thread.Name()
-		stack := r.stacks[name]
 		tau := vclock.Bottom
 		if r.Timestamps != nil {
 			tau = r.Timestamps.Tau(ev.Thread.ID())
 		}
-		key := CountKey(r.occ, name, ev.Op.Site)
-		tp := &Tuple{
-			Thread:   name,
-			ThreadID: ev.Thread.ID(),
-			Lock:     ev.Op.Lock.Name(),
-			Site:     ev.Op.Site,
-			Idx:      ev.Index,
-			Key:      key,
-			Tau:      tau,
-			Held:     append([]HeldLock(nil), stack...),
-			Pos:      len(r.byThread[name]),
+		tp := new(Tuple)
+		if r.threads.Get(name).Acquire(tp, ev.Op.Lock.Name(), ev.Op.Site, ev.Thread.ID(), ev.Index, tau) {
+			r.tuples = append(r.tuples, tp)
+			r.byThread[name] = append(r.byThread[name], tp)
 		}
-		r.tuples = append(r.tuples, tp)
-		r.byThread[name] = append(r.byThread[name], tp)
-		r.stacks[name] = append(stack, HeldLock{
-			Lock: ev.Op.Lock.Name(),
-			Idx:  ev.Index,
-			Key:  key,
-			Site: ev.Op.Site,
-		})
 	case sim.OpLoad, sim.OpStore:
 		r.recordData(ev)
 	case sim.OpUnlock, sim.OpWait:
-		if ev.Reentrant {
-			return
-		}
-		name := ev.Thread.Name()
-		stack := r.stacks[name]
-		// Java monitors release in any order relative to the stack;
-		// remove the most recent matching entry.
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Lock == ev.Op.Lock.Name() {
-				r.stacks[name] = append(stack[:i:i], stack[i+1:]...)
-				return
-			}
+		if !ev.Reentrant {
+			r.threads.Get(ev.Thread.Name()).Release(ev.Op.Lock.Name())
 		}
 	}
 }

@@ -148,6 +148,11 @@ type Recorder struct {
 	tuples  []*trace.Tuple
 	shipped int // len(tuples) covered by the last successful ship
 
+	// names holds the thread names bound in this session; for a name
+	// claimed more than once it holds the last ~k suffix handed out.
+	namesMu sync.Mutex
+	names   map[string]int
+
 	sink *streamSink
 
 	stop     chan struct{}
@@ -158,8 +163,9 @@ type Recorder struct {
 // recorder. With no sink options, sinks come from the WOLFSYNC_OUT /
 // WOLFSYNC_URL / WOLFSYNC_TRACEPARENT environment (both may be set;
 // neither is also fine — call WriteTo yourself). The calling goroutine
-// becomes thread "main" unless it already carries a name. Only one
-// session may be active at a time (ErrActive otherwise).
+// becomes thread "main" unless it already carries a name, and binds
+// that name before any other goroutine can. Only one session may be
+// active at a time (ErrActive otherwise).
 func Start(opts ...Option) (*Recorder, error) {
 	o := options{
 		quiesce:     2 * time.Second,
@@ -180,10 +186,19 @@ func Start(opts ...Option) (*Recorder, error) {
 	if o.maxBuffered <= 0 {
 		return nil, fmt.Errorf("wolfsync: max buffered events must be positive")
 	}
+	// The session root: name the calling goroutine "main" so creation
+	// chains match sim's root thread. A goroutine that already carries
+	// a real name (a nested Start from a labelled worker) keeps it.
+	g := curG()
+	root := g.name
+	if strings.HasPrefix(root, "g.") {
+		root = "main"
+	}
 	r := &Recorder{
 		epoch: epochSeq.Add(1),
 		opts:  o,
 		stop:  make(chan struct{}),
+		names: map[string]int{root: 1},
 	}
 	if o.streamURL != "" {
 		r.sink = newStreamSink(o)
@@ -191,13 +206,8 @@ func Start(opts ...Option) (*Recorder, error) {
 	if !active.CompareAndSwap(nil, r) {
 		return nil, ErrActive
 	}
-	// The session root: name the calling goroutine "main" so creation
-	// chains match sim's root thread. A goroutine that already carries
-	// a real name (a nested Start from a labelled worker) keeps it.
-	g := curG()
-	if strings.HasPrefix(g.name, "g.") {
-		g.name = "main"
-	}
+	g.name = root
+	g.join(r, root)
 	if r.sink != nil && o.quiesce > 0 {
 		r.loopDone = make(chan struct{})
 		go r.loop()
@@ -268,11 +278,16 @@ func (r *Recorder) Stop() error {
 }
 
 // ship sends one snapshot to wolfd, if there is anything new to send.
-// Failures are counted and the tuples kept for the next attempt; the
-// instrumented program is never blocked (ship runs on the background
-// loop or inside Stop, never on an instrumented goroutine).
+// Failures, a snapshot that does not assemble included, are counted and
+// the tuples kept for the next attempt; the instrumented program is
+// never blocked (ship runs on the background loop or inside Stop, never
+// on an instrumented goroutine).
 func (r *Recorder) ship() error {
-	tr, n := r.snapshotN()
+	tr, n, err := r.snapshotN()
+	if err != nil {
+		r.sink.shipErrs.Add(1)
+		return err
+	}
 	r.mu.Lock()
 	already := r.shipped
 	r.mu.Unlock()
@@ -296,9 +311,12 @@ func (r *Recorder) drainLocked() {
 	r.tuples = append(r.tuples, r.buf.drain()...)
 }
 
-// snapshotN assembles the current trace and reports how many tuples it
-// covers.
-func (r *Recorder) snapshotN() (*trace.Trace, int) {
+// snapshotN assembles the trace recorded so far and reports how many
+// tuples it covers. Safe at any time, on any goroutine, concurrently
+// with recording. A snapshot that does not assemble is an error, never
+// an empty trace: the recorder keeps positions dense per bound thread
+// name, so it means the recorder broke its own invariant.
+func (r *Recorder) snapshotN() (*trace.Trace, int, error) {
 	r.mu.Lock()
 	r.drainLocked()
 	tups := make([]*trace.Tuple, len(r.tuples))
@@ -306,27 +324,21 @@ func (r *Recorder) snapshotN() (*trace.Trace, int) {
 	r.mu.Unlock()
 	tr, err := trace.Assemble(tups, nil, nil, len(tups), 0)
 	if err != nil {
-		// Assemble only fails on malformed positions; the recorder
-		// constructs them densely by design. Fall back to an empty
-		// trace rather than panicking inside an instrumented program.
-		tr, _ = trace.Assemble(nil, nil, nil, 0, 0)
+		return nil, 0, fmt.Errorf("wolfsync: assemble snapshot: %w", err)
 	}
-	return tr, len(tups)
-}
-
-// snapshot returns the trace recorded so far. Safe at any time, on any
-// goroutine, concurrently with recording.
-func (r *Recorder) snapshot() *trace.Trace {
-	tr, _ := r.snapshotN()
-	return tr
+	return tr, len(tups), nil
 }
 
 // WriteTo serializes the trace recorded so far as binary WTRC,
 // implementing io.WriterTo. Safe at any time, concurrently with
 // recording.
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	tr, _, err := r.snapshotN()
+	if err != nil {
+		return 0, err
+	}
 	cw := &countingWriter{w: w}
-	err := r.snapshot().WriteBinary(cw)
+	err = tr.WriteBinary(cw)
 	return cw.n, err
 }
 
@@ -385,48 +397,50 @@ func (r *Recorder) Stats() Stats {
 	return s
 }
 
+// bind grants a goroutine joining the session, or relabelling itself
+// in it, the thread name want: want itself if no goroutine of the
+// session has it, else the first free want~k with k counting from 2
+// (see Label).
+func (r *Recorder) bind(want string) string {
+	r.namesMu.Lock()
+	defer r.namesMu.Unlock()
+	name := want
+	for k := r.names[want]; r.names[name] > 0; {
+		k++
+		name = fmt.Sprintf("%s~%d", want, k)
+		r.names[want] = k
+	}
+	r.names[name] = 1
+	return name
+}
+
 // noteAcquire records an acquisition request by the calling goroutine
 // in session r: called by Mutex.Lock before blocking on the real mutex
 // (and by TryLock after a successful try — which never blocks, so the
-// distinction is unobservable). Re-acquisition of a lock already held
-// by this goroutine emits no tuple, matching sim's reentrancy rule.
+// distinction is unobservable). The goroutine's tuple builder fills the
+// buffer node's tuple in place, so a recorded acquisition is one
+// allocation. Re-acquisition of a lock already held by this goroutine
+// emits no tuple, matching sim's reentrancy rule. A goroutine's
+// visible operations are its acquisitions, so its execution index
+// counts the keys it has consumed.
 func noteAcquire(r *Recorder, lock, site string) {
 	g := curG()
 	g.ensure(r)
-	if g.holdsLock(lock) {
-		g.held = append(g.held, heldEntry{lock: lock, site: site, reentrant: true})
-		return
-	}
-	g.seq++
-	g.occ[site]++
-	e := heldEntry{
-		lock: lock,
-		site: site,
-		idx:  sim.Index{Thread: g.name, Seq: g.seq},
-		key:  trace.Key{Thread: g.name, Site: site, Occ: g.occ[site]},
-	}
 	tau := vclock.Bottom
 	if r.opts.wallTau {
 		tau = wallTau()
 	}
-	ev := &event{tup: trace.Tuple{
-		Thread:   g.name,
-		ThreadID: g.tid,
-		Lock:     lock,
-		Site:     site,
-		Idx:      e.idx,
-		Key:      e.key,
-		Tau:      tau,
-		Held:     g.snapshotHeld(),
-		Pos:      g.pos,
-	}}
+	ev := new(event)
+	idx := sim.Index{Thread: g.tt.Name(), Seq: g.tt.Keys() + 1}
+	if !g.tt.Acquire(&ev.tup, lock, site, g.tid, idx, tau) {
+		return
+	}
 	if r.buf.push(g.shard(), ev, r.opts.maxBuffered) {
-		g.pos++
 		r.recorded.Add(1)
 	} else {
+		g.tt.Drop()
 		r.dropped.Add(1)
 	}
-	g.held = append(g.held, e)
 }
 
 // noteRelease pops the most recent matching held entry of session r —
@@ -436,13 +450,7 @@ func noteAcquire(r *Recorder, lock, site string) {
 // recorder must too. Entries from an earlier epoch never match.
 func noteRelease(r *Recorder, lock string) {
 	g := curG()
-	if g.epoch == r.epoch {
-		for i := len(g.held) - 1; i >= 0; i-- {
-			if g.held[i].lock == lock {
-				g.held = append(g.held[:i], g.held[i+1:]...)
-				return
-			}
-		}
+	if g.epoch != r.epoch || !g.tt.Release(lock) {
+		r.anomalies.Add(1)
 	}
-	r.anomalies.Add(1)
 }

@@ -31,6 +31,11 @@
 // Goroutines the recorder has never seen (spawned with plain go, or by
 // a library such as net/http) are admitted with generated "g.N" names;
 // use Label from inside such a goroutine to give it a meaningful one.
+// A session binds each thread name once: a later claimant of a bound
+// name records as name~2, name~3, ... (see Label). Each goroutine
+// builds its tuples with a trace.ThreadTuples, the builder the sim
+// recorder uses too, so held sets, keys and positions mean the same in
+// both.
 //
 // Acquisitions are recorded at request time, before blocking on the
 // underlying mutex. A run that completes yields the same trace either
@@ -68,36 +73,24 @@ var goroutines sync.Map // map[uint64]*gstate
 // anonSeq numbers goroutines that record before anyone names them.
 var anonSeq atomic.Int64
 
-// heldEntry is one level of the goroutine's lock stack.
-type heldEntry struct {
-	lock string
-	site string
-	idx  sim.Index
-	key  trace.Key
-	// reentrant marks a re-acquisition of a lock already on the stack
-	// (nested RLock, and defensively a self-deadlocking double Lock):
-	// no tuple is emitted and the entry is skipped in held-set
-	// snapshots, mirroring how sim and the paper treat reentrancy.
-	reentrant bool
-}
-
 // gstate is the recorder's per-goroutine state. Every field is written
 // only by the owning goroutine (creation-chain counters included —
 // a goroutine names only its own children), so no locking is needed;
 // the registry map itself is the only shared structure.
 type gstate struct {
-	gid  uint64
+	gid uint64
+	// name is the name the goroutine claims; a session may bind it
+	// under a disambiguated one (see Label).
 	name string
 
-	// epoch ties the counters and lock stack below to one recording
-	// session; a new session resets them lazily on the goroutine's
-	// next recorded acquisition (ensure).
+	// epoch ties tid and the tuple builder to one recording session; a
+	// new session rebinds them lazily on the goroutine's next recorded
+	// acquisition (ensure).
 	epoch uint64
 	tid   sim.ThreadID
-	seq   int            // 1-based operation counter (Idx.Seq)
-	pos   int            // dense per-thread tuple position
-	occ   map[string]int // per-site occurrence counter (Key.Occ)
-	held  []heldEntry
+	// tt holds the goroutine's lock stack, keys and positions in the
+	// session, under the name the session bound.
+	tt trace.ThreadTuples
 
 	children map[string]int // per-name child ordinals for Go
 }
@@ -120,50 +113,22 @@ func curG() *gstate {
 // partial drains.
 func (g *gstate) shard() uint32 { return uint32(g.gid % shardCount) }
 
-// holdsLock reports whether lock is already on the goroutine's stack.
-func (g *gstate) holdsLock(lock string) bool {
-	for i := range g.held {
-		if g.held[i].lock == lock {
-			return true
-		}
-	}
-	return false
-}
-
-// ensure binds the goroutine's state to recorder r's session. Only
+// ensure binds the goroutine to recorder r's session. Only
 // acquisitions made while the session is active are on its lock
 // stacks, so the first recorded acquisition in a new epoch drops the
 // entries left from before Start or from an earlier session.
 func (g *gstate) ensure(r *Recorder) {
-	if g.epoch == r.epoch {
-		return
+	if g.epoch != r.epoch {
+		g.join(r, r.bind(g.name))
 	}
+}
+
+// join makes the goroutine a fresh thread of session r under name, a
+// name r has bound to it.
+func (g *gstate) join(r *Recorder, name string) {
 	g.epoch = r.epoch
-	g.held = g.held[:0]
-	g.newIdentity(r)
-}
-
-// newIdentity starts a fresh thread identity in r's session: a new
-// thread ID and counters restarting from zero, since positions and
-// keys are dense per thread name.
-func (g *gstate) newIdentity(r *Recorder) {
 	g.tid = sim.ThreadID(r.tids.Add(1) - 1)
-	g.seq, g.pos = 0, 0
-	g.occ = make(map[string]int)
-}
-
-// snapshotHeld copies the current non-reentrant lock stack in
-// acquisition order — the L_t of the tuple about to be recorded.
-func (g *gstate) snapshotHeld() []trace.HeldLock {
-	var out []trace.HeldLock
-	for i := range g.held {
-		e := &g.held[i]
-		if e.reentrant {
-			continue
-		}
-		out = append(out, trace.HeldLock{Lock: e.lock, Idx: e.idx, Key: e.key, Site: e.site})
-	}
-	return out
+	g.tt.Reset(name)
 }
 
 // Go spawns fn on a new goroutine with a stable creation-chain name:
@@ -195,6 +160,13 @@ func Go(name string, fn func()) {
 // name, so a mid-session Label produces two thread identities; label
 // early. Locks held across the Label stay on the lock stack under the
 // keys they were recorded with.
+//
+// A session binds each thread name once, because one name's tuples
+// are one thread's. A goroutine that claims a name the session has
+// already bound — by Label, by its Go chain name, or as a "main" left
+// from an earlier session — records as name~2, the next one as
+// name~3, and so on, skipping names already bound. Start's caller
+// binds its name, normally "main", before any other goroutine can.
 func Label(name string) {
 	if name == "" {
 		return
@@ -205,6 +177,7 @@ func Label(name string) {
 	}
 	g.name = name
 	if r := active.Load(); r != nil && g.epoch == r.epoch {
-		g.newIdentity(r)
+		g.tid = sim.ThreadID(r.tids.Add(1) - 1)
+		g.tt.Rename(r.bind(name))
 	}
 }
