@@ -430,11 +430,21 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	a.complete(context.WithoutCancel(ctx), log, req)
 }
 
-// analyze materializes and analyzes one job in its own goroutine and
-// returns the completion to deliver. A panic fails the job, not the
-// node; an analysis that ignores its cancelled context is abandoned
-// after JobTimeout+WatchdogGrace (its goroutine exits whenever it
-// returns: the channel is buffered).
+// Analyze runs one work item as a leased job runs, under JobTimeout and
+// the item's trace ID, and returns the completion to deliver (Node and
+// Job unset). wolfd's synchronous POST /v1/analyze runs on it.
+func (a *Analyzer) Analyze(ctx context.Context, w WorkView) CompleteRequest {
+	ctx, cancel := context.WithTimeout(ctx, a.cfg.JobTimeout)
+	defer cancel()
+	log := a.cfg.Logger.With("job", w.Job, "source", w.Source, "trace", w.TraceID)
+	return a.analyze(obs.WithTrace(ctx, w.TraceID, ""), log, w)
+}
+
+// analyze materializes and analyzes one work item in its own goroutine
+// and returns the completion to deliver; ctx carries JobTimeout. A panic
+// fails the item, not the caller; an analysis that ignores its
+// cancelled context is abandoned after JobTimeout+WatchdogGrace (its
+// goroutine exits whenever it returns: the channel is buffered).
 func (a *Analyzer) analyze(ctx context.Context, log *slog.Logger, w WorkView) CompleteRequest {
 	done := make(chan CompleteRequest, 1)
 	go func() {

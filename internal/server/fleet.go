@@ -29,8 +29,7 @@ package server
 //     budget survives via the persisted attempt count).
 //   - A pull with nothing to lease waits for up to HeartbeatTimeout/2
 //     and answers 204 if no work came. Once Shutdown begins no pull
-//     leases: parked pulls wake at once with 503, and a job the closing
-//     queue hands to one is shelved by the drain policy.
+//     leases: parked pulls wake at once with 503.
 //   - A completion claims the job under the fleet mutex, so the first
 //     result wins, and records it — corpus writes included — after
 //     releasing the mutex.
@@ -44,6 +43,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,24 +86,32 @@ type jobLease struct {
 	renewals int
 }
 
-// fleetState is the server's node and lease bookkeeping. One mutex
-// guards all of it; completions record their results outside it.
+// fleetState is the server's job queue and its node and lease
+// bookkeeping. One mutex guards all of it; completions record their
+// results outside it.
 type fleetState struct {
 	s *Server
 
-	mu      sync.Mutex
-	seq     int
-	nodes   map[string]*fleetNode
-	pending []*Job // reassigned/rehydrated jobs, served before the queue
-	leases  map[string][]*jobLease
+	mu    sync.Mutex
+	seq   int
+	nodes map[string]*fleetNode
+	// queue is every job waiting for a lease, in delivery order:
+	// admissions join the tail, reassigned, re-offered and restored jobs
+	// the head.
+	queue  []*Job
+	leases map[string][]*jobLease
 	// reoffered marks jobs already re-offered for straggling, so one
 	// slow lease triggers at most one extra delivery.
 	reoffered map[string]bool
 	// wake is closed and replaced whenever parked pulls must re-check:
-	// pending grew, a node was lost, or leasing closed.
+	// the queue grew, a node was lost, or leasing closed.
 	wake chan struct{}
-	// closed is set when Shutdown begins; no pull leases after it.
+	// closed is set when Shutdown begins; no job is admitted and no pull
+	// leases after it.
 	closed bool
+	// started is set when the single role's analyzers start: with the
+	// first admitted job, so bringing wolfd up stays cheap.
+	started bool
 	// parked counts pulls now waiting for work.
 	parked int
 }
@@ -129,15 +137,46 @@ func (f *fleetState) wakeLocked() {
 	f.wake = make(chan struct{})
 }
 
-// offerLocked appends jobs to pending and wakes parked pulls to take
-// them. Caller holds f.mu.
-func (f *fleetState) offerLocked(jobs ...*Job) {
-	f.pending = append(f.pending, jobs...)
+// queuedLocked publishes the queue depth and wakes parked pulls after
+// the queue grew. Caller holds f.mu.
+func (f *fleetState) queuedLocked() {
+	f.s.metrics.QueueDepth.Store(int64(len(f.queue)))
 	f.wakeLocked()
 }
 
-// close stops all leasing and wakes parked pulls so they answer 503.
-// Shutdown calls it before closing the queue.
+// admit queues a freshly admitted job at the tail. It refuses when
+// Shutdown has begun (closed) and when QueueSize jobs already wait
+// (!ok); re-offers count against the bound but are never refused. The
+// single role's analyzers start with the first admitted job.
+func (f *fleetState) admit(j *Job) (ok, closed bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return false, true
+	}
+	if !f.started && !f.s.coordinator() {
+		f.started = true
+		f.s.startAnalyzers()
+	}
+	if len(f.queue) >= f.s.cfg.QueueSize {
+		f.s.metrics.JobsRejected.Add(1)
+		return false, false
+	}
+	f.queue = append(f.queue, j)
+	f.s.metrics.JobsAccepted.Add(1)
+	f.queuedLocked()
+	return true, false
+}
+
+// requeueLocked puts jobs back at the head of the queue: they were
+// delivered before, or queued before a restart. Caller holds f.mu.
+func (f *fleetState) requeueLocked(jobs ...*Job) {
+	f.queue = slices.Insert(f.queue, 0, jobs...)
+	f.queuedLocked()
+}
+
+// close stops admission and leasing, ends the server's janitors, and
+// wakes parked pulls so they answer 503. Shutdown calls it first.
 func (f *fleetState) close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -146,8 +185,11 @@ func (f *fleetState) close() {
 
 // closeLocked is close for a caller that holds f.mu.
 func (f *fleetState) closeLocked() {
-	f.closed = true
-	f.wakeLocked()
+	if !f.closed {
+		f.closed = true
+		close(f.s.stop)
+		f.wakeLocked()
+	}
 }
 
 // janitorTick is how often the janitor sweeps lease expiry and node
@@ -222,7 +264,7 @@ func (f *fleetState) maybeReassignLocked(jobID, fromNode, cause string) {
 		return
 	}
 	j.unlease()
-	f.offerLocked(j)
+	f.requeueLocked(j)
 	delete(f.reoffered, jobID)
 	f.s.metrics.JobsReassigned.Add(1)
 	f.s.persistJob(j)
@@ -251,9 +293,8 @@ func (f *fleetState) failLocked(j *Job, reason FailReason, msg, event string) {
 	f.s.jobEvent(evJobFailed, j, event, map[string]string{"reason": string(reason)})
 }
 
-// deliverableLocked reports whether a job taken off pending or the
-// queue may be leased: jobs decided while waiting (shed, drained,
-// exhausted, or claimed by a result) are skipped, and one whose
+// deliverableLocked reports whether a job taken off the queue may be
+// leased: a job decided while waiting is skipped, and one whose
 // delivery budget is spent is failed. Caller holds f.mu.
 func (f *fleetState) deliverableLocked(j *Job) bool {
 	if j.decided() {
@@ -266,39 +307,27 @@ func (f *fleetState) deliverableLocked(j *Job) bool {
 	return true
 }
 
-// nextJobLocked pops the next deliverable job without waiting:
-// reassigned/rehydrated work first, then the admission queue. Caller
+// nextJobLocked pops the next deliverable job without waiting. Caller
 // holds f.mu.
 func (f *fleetState) nextJobLocked() *Job {
-	for len(f.pending) > 0 {
-		j := f.pending[0]
-		f.pending = f.pending[1:]
+	defer func() { f.s.metrics.QueueDepth.Store(int64(len(f.queue))) }()
+	for len(f.queue) > 0 {
+		j := f.queue[0]
+		f.queue[0] = nil
+		f.queue = f.queue[1:]
 		if f.deliverableLocked(j) {
 			return j
 		}
 	}
-	for {
-		select {
-		case j := <-f.s.queue:
-			if j == nil {
-				return nil // queue closed: draining
-			}
-			f.s.metrics.QueueDepth.Add(-1)
-			if f.deliverableLocked(j) {
-				return j
-			}
-		default:
-			return nil
-		}
-	}
+	return nil
 }
 
-// requeueRestored pushes journal-rehydrated jobs into the pending list
-// at startup (before any analyzer can pull).
+// requeueRestored queues journal-rehydrated jobs at startup (before any
+// analyzer can pull).
 func (f *fleetState) requeueRestored(jobs []*Job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.offerLocked(jobs...)
+	f.requeueLocked(jobs...)
 }
 
 // workPayload builds the grant for one job: the trace (in memory, or
@@ -372,7 +401,7 @@ func (f *fleetState) nodeViews() []fleet.NodeView {
 }
 
 // counts returns (known, alive, leased jobs, pending) for status
-// surfaces.
+// surfaces; pending counts queued jobs delivered before.
 func (f *fleetState) counts() (nodes, alive, leased, pending int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -383,7 +412,11 @@ func (f *fleetState) counts() (nodes, alive, leased, pending int) {
 		}
 	}
 	leased = len(f.leases)
-	pending = len(f.pending)
+	for _, j := range f.queue {
+		if j.Attempts() > 0 {
+			pending++
+		}
+	}
 	return
 }
 
@@ -448,40 +481,22 @@ func (f *fleetState) heartbeat(node string) (int, string) {
 }
 
 // pull leases one job to the calling node. A pull with nothing to lease
-// parks until work arrives (from the admission queue or pending), ctx
-// ends, or the hold (pullHold) runs out; every wake re-checks the node
-// and the drain under f.mu before leasing. 204 means the hold passed
-// with no work; 404 sends an unknown or lost node back to
-// registration; 503 means the server is shutting down; -1 means the
-// caller has gone.
+// parks until the queue grows, ctx ends, or the hold (pullHold) runs
+// out; every wake re-checks the node and the drain under f.mu before
+// leasing. 204 means the hold passed with no work; 404 sends an unknown
+// or lost node back to registration; 503 means the server is shutting
+// down; -1 means the caller has gone.
 func (f *fleetState) pull(ctx context.Context, req fleet.PullRequest) (fleet.WorkView, int, string) {
 	hold := time.NewTimer(f.pullHold())
 	defer hold.Stop()
-	var (
-		handed  *Job // received from the queue while parked
-		expired bool
-	)
+	expired := false
 	f.mu.Lock()
 	for {
-		status, msg := f.refusePullLocked(ctx, req.Node)
-		if status != 0 {
-			switch {
-			case handed == nil:
-			case f.closed && !f.s.coordinator():
-				f.drainLocked(handed)
-			default: // not ours to lease: first in line for the next pull
-				f.pending = append([]*Job{handed}, f.pending...)
-				f.wakeLocked()
-			}
+		if status, msg := f.refusePullLocked(ctx, req.Node); status != 0 {
 			f.mu.Unlock()
 			return fleet.WorkView{}, status, msg
 		}
-		j := handed
-		handed = nil
-		if j == nil || !f.deliverableLocked(j) {
-			j = f.nextJobLocked()
-		}
-		if j != nil {
+		if j := f.nextJobLocked(); j != nil {
 			return f.leaseLocked(j, req.Node) // unlocks f.mu
 		}
 		if expired {
@@ -492,10 +507,6 @@ func (f *fleetState) pull(ctx context.Context, req fleet.PullRequest) (fleet.Wor
 		f.parked++
 		f.mu.Unlock()
 		select {
-		case handed = <-f.s.queue:
-			if handed != nil {
-				f.s.metrics.QueueDepth.Add(-1)
-			}
 		case <-wake:
 		case <-ctx.Done():
 		case <-hold.C:
@@ -526,28 +537,19 @@ func (f *fleetState) refusePullLocked(ctx context.Context, node string) (int, st
 	return 0, ""
 }
 
-// drainQueued fails every job still waiting for an analyzer, pending or
-// in the closed admission queue, as drained (single role).
+// drainQueued fails every job still waiting for an analyzer as drained
+// (single role).
 func (f *fleetState) drainQueued() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, j := range f.pending {
-		f.drainLocked(j)
+	for _, j := range f.queue {
+		if !j.decided() {
+			f.failLocked(j, FailDrained, "server draining: job was queued but never started", "drained")
+			f.s.cfg.Logger.Info("job drained", "job", j.ID, "source", j.Source(), "trace", j.TraceID())
+		}
 	}
-	f.pending = nil
-	for j := range f.s.queue {
-		f.s.metrics.QueueDepth.Add(-1)
-		f.drainLocked(j)
-	}
-}
-
-// drainLocked fails one undecided queued job as drained. Caller holds
-// f.mu.
-func (f *fleetState) drainLocked(j *Job) {
-	if !j.decided() {
-		f.failLocked(j, FailDrained, "server draining: job was queued but never started", "drained")
-		f.s.cfg.Logger.Info("job drained", "job", j.ID, "source", j.Source(), "trace", j.TraceID())
-	}
+	f.queue = nil
+	f.s.metrics.QueueDepth.Store(0)
 }
 
 // leaseLocked grants j to node. A job whose work cannot be delivered is
@@ -618,7 +620,7 @@ func (f *fleetState) renew(_ context.Context, req fleet.RenewRequest) (fleet.Ren
 	s.metrics.LeaseRenewals.Add(1)
 	if s.coordinator() && l.renewals > s.cfg.MaxRenewals && !f.reoffered[req.Job] && len(f.leases[req.Job]) == 1 {
 		f.reoffered[req.Job] = true
-		f.offerLocked(j)
+		f.requeueLocked(j)
 		s.metrics.JobsReassigned.Add(1)
 		s.cfg.Logger.Warn("straggler: job re-offered to a second node",
 			"job", j.ID, "node", req.Node, "renewals", l.renewals)
@@ -665,6 +667,10 @@ func (f *fleetState) complete(ctx context.Context, req fleet.CompleteRequest) (f
 	}
 	delete(f.leases, j.ID)
 	delete(f.reoffered, j.ID)
+	if i := slices.Index(f.queue, j); i >= 0 { // the result beat its re-offer
+		f.queue = slices.Delete(f.queue, i, i+1)
+		f.s.metrics.QueueDepth.Store(int64(len(f.queue)))
+	}
 	f.mu.Unlock()
 	switch {
 	case !req.OK:
@@ -805,20 +811,27 @@ func (c *localCoordinator) Complete(ctx context.Context, req fleet.CompleteReque
 func (s *Server) startAnalyzers() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		ctx, stop := context.WithCancel(context.Background())
-		a := fleet.NewAnalyzerFor(&localCoordinator{f: s.fleet, stop: stop}, fleet.AnalyzerConfig{
-			Name:          fmt.Sprintf("local-%d", i+1),
-			JobTimeout:    s.cfg.JobTimeout,
-			WatchdogGrace: s.cfg.WatchdogGrace,
-			Analysis:      s.cfg.Analysis,
-			Analyze:       s.cfg.Analyze,
-			SeedTries:     s.cfg.SeedTries,
-			Logger:        slog.New(slog.DiscardHandler),
-		})
+		a := fleet.NewAnalyzerFor(&localCoordinator{f: s.fleet, stop: stop},
+			s.analyzerConfig(fmt.Sprintf("local-%d", i+1), slog.New(slog.DiscardHandler)))
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			a.Run(ctx)
 		}()
+	}
+}
+
+// analyzerConfig is the in-process analyzers' configuration: the
+// server's timeout, watchdog grace, pipeline and seed search.
+func (s *Server) analyzerConfig(name string, log *slog.Logger) fleet.AnalyzerConfig {
+	return fleet.AnalyzerConfig{
+		Name:          name,
+		JobTimeout:    s.cfg.JobTimeout,
+		WatchdogGrace: s.cfg.WatchdogGrace,
+		Analysis:      s.cfg.Analysis,
+		Analyze:       s.cfg.Analyze,
+		SeedTries:     s.cfg.SeedTries,
+		Logger:        log,
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -1017,8 +1018,8 @@ func TestParkedGrantReassignedWhenNodeSilent(t *testing.T) {
 }
 
 // TestShutdownWakesParkedPulls is the drain rule: Shutdown answers
-// every parked pull 503 at once, and a job the closing queue handed to
-// a parked pull is left pending — not leased, not failed.
+// every parked pull 503 at once, and on a coordinator a job still
+// queued when Shutdown begins stays queued — not leased, not failed.
 func TestShutdownWakesParkedPulls(t *testing.T) {
 	s := New(Config{
 		QueueSize: 8, Role: RoleCoordinator,
@@ -1033,18 +1034,13 @@ func TestShutdownWakesParkedPulls(t *testing.T) {
 	chB, _ := startPull(t, ts.URL, b)
 	waitParked(t, s, 2)
 
-	// Holding f.mu, admit a job: one parked pull takes it off the queue
-	// and then waits for the lock. Shutdown begins before it gets it.
+	// Queue a job and begin Shutdown in one critical section, as if an
+	// admission raced the drain: the woken pulls reach f.mu only after
+	// the queue has closed.
+	j := s.jobs.add("upload", "", fig4Trace(t))
 	s.fleet.mu.Lock()
-	id := uploadFig4(t, ts.URL)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if len(s.queue) != 0 {
-		s.fleet.mu.Unlock()
-		t.Fatal("no parked pull took the job off the queue")
-	}
+	s.fleet.queue = append(s.fleet.queue, j)
+	s.fleet.queuedLocked()
 	s.fleet.closeLocked()
 	s.fleet.mu.Unlock()
 
@@ -1062,21 +1058,92 @@ func TestShutdownWakesParkedPulls(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("shutdown and 503s took %v, want well under the 30m hold", d)
 	}
-	j, _ := s.jobs.get(id)
-	if j.terminal() || j.Attempts() != 0 {
-		t.Fatalf("job = %s attempts=%d, want non-terminal and never leased", j.State(), j.Attempts())
+	if j.State() != StateQueued || j.Attempts() != 0 {
+		t.Fatalf("job = %s attempts=%d, want queued and never leased", j.State(), j.Attempts())
 	}
 	s.fleet.mu.Lock()
-	pending := len(s.fleet.pending)
+	queued := len(s.fleet.queue)
 	leases := len(s.fleet.leases)
 	s.fleet.mu.Unlock()
-	if pending != 1 || leases != 0 {
-		t.Fatalf("pending=%d leases=%d, want the job pending and no lease", pending, leases)
+	if queued != 1 || leases != 0 {
+		t.Fatalf("queued=%d leases=%d, want the job queued and no lease", queued, leases)
 	}
 	// A pull arriving after Shutdown is refused too.
 	if code := fleetPost(t, ts.URL+"/v1/work/pull", fleet.PullRequest{Node: a}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("pull after Shutdown = %d, want 503", code)
 	}
+}
+
+// TestQueueReofferFirst: a job whose lease was revoked returns to the
+// head of the delivery order, ahead of a job admitted before the
+// revocation.
+func TestQueueReofferFirst(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+	})
+	lost := registerNode(t, ts.URL, "lost")
+	first := uploadFig4(t, ts.URL)
+	if w := pullWork(t, ts.URL, lost); w.Job != first {
+		t.Fatalf("granted %s, want %s", w.Job, first)
+	}
+	second := uploadFig4(t, ts.URL)
+	s.fleet.sweep(time.Now().Add(2 * time.Hour)) // "lost" is lost; first is reassigned
+	live := registerNode(t, ts.URL, "live")
+	if w := pullWork(t, ts.URL, live); w.Job != first || w.Attempts != 2 {
+		t.Fatalf("grant = %s attempt %d, want the reassigned %s attempt 2", w.Job, w.Attempts, first)
+	}
+	if w := pullWork(t, ts.URL, live); w.Job != second || w.Attempts != 1 {
+		t.Fatalf("grant = %s attempt %d, want %s attempt 1", w.Job, w.Attempts, second)
+	}
+}
+
+// TestQueueDepthCountsReoffers: a reassigned job waits in the one job
+// queue, so it counts in the queue depth and against QueueSize, and
+// /v1/status reports it as pending redelivery.
+func TestQueueDepthCountsReoffers(t *testing.T) {
+	s, ts := startServer(t, Config{
+		QueueSize: 1, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour,
+	})
+	node := registerNode(t, ts.URL, "lost")
+	id := uploadFig4(t, ts.URL)
+	if w := pullWork(t, ts.URL, node); w.Job != id {
+		t.Fatalf("granted %s, want %s", w.Job, id)
+	}
+	s.fleet.sweep(time.Now().Add(2 * time.Hour)) // the node is lost; the job is reassigned
+
+	var body bytes.Buffer
+	if err := fig4Trace(t).Write(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp := postTraceResp(t, ts.URL+"/v1/traces", body.Bytes())
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("upload with a re-offer filling the queue = %d, want 429", resp.StatusCode)
+	}
+	var health struct {
+		QueueDepth int64 `json:"queue_depth"`
+	}
+	getJSON(t, ts.URL+"/healthz", &health)
+	var status StatusView
+	getJSON(t, ts.URL+"/v1/status", &status)
+	if health.QueueDepth != 1 || status.Queue.Depth != 1 || status.Fleet == nil || status.Fleet.Pending != 1 {
+		t.Fatalf("queue_depth=%d queue.depth=%d fleet=%+v, want 1, 1 and pending 1",
+			health.QueueDepth, status.Queue.Depth, status.Fleet)
+	}
+
+	// The lost node's late result wins and takes the re-offer out of
+	// the queue, so the slot is free again.
+	if code := fleetPost(t, ts.URL+"/v1/work/complete", okComplete(node, id), nil); code != http.StatusOK {
+		t.Fatalf("late complete = %d", code)
+	}
+	getJSON(t, ts.URL+"/v1/status", &status)
+	if status.Queue.Depth != 0 || status.Fleet.Pending != 0 {
+		t.Fatalf("after the result: queue.depth=%d pending=%d, want 0 and 0", status.Queue.Depth, status.Fleet.Pending)
+	}
+	uploadFig4(t, ts.URL)
 }
 
 // TestShutdownStopsLocalAnalyzers: in the single role, Shutdown stops

@@ -134,8 +134,9 @@ type LatencyView struct {
 }
 
 // FleetStatusView summarizes the coordinator's fleet: known/alive
-// nodes, jobs currently out under lease, and jobs waiting for
-// redelivery.
+// nodes, jobs currently out under lease, and pending: queued jobs with
+// a prior delivery (reassigned or re-offered), which queue.depth also
+// counts.
 type FleetStatusView struct {
 	Nodes      int   `json:"nodes"`
 	Alive      int   `json:"alive"`
@@ -324,7 +325,7 @@ func (s *Server) followEvents(w http.ResponseWriter, r *http.Request, f eventFil
 		select {
 		case <-r.Context().Done():
 			return
-		case <-s.streamStop:
+		case <-s.stop:
 			return
 		case <-tick.C:
 			if !emit() {

@@ -50,6 +50,7 @@ import (
 
 	"wolf/internal/core"
 	"wolf/internal/fingerprint"
+	"wolf/internal/fleet"
 	"wolf/internal/obs"
 	"wolf/internal/report"
 	"wolf/internal/store"
@@ -83,8 +84,9 @@ type Config struct {
 	// Workers is the number of in-process analyzers in the single role
 	// (default 4); it also bounds concurrent synchronous analyses.
 	Workers int
-	// QueueSize bounds the job queue; a full queue rejects uploads with
-	// 429 (default 64).
+	// QueueSize bounds the jobs waiting for a lease, a coordinator's
+	// re-offers included; a full queue rejects uploads with 429 (default
+	// 64). Re-offers themselves are never refused.
 	QueueSize int
 	// JobTimeout cancels an analysis that runs longer (default 30s).
 	JobTimeout time.Duration
@@ -186,7 +188,7 @@ func (c *Config) fill() {
 	}
 }
 
-// Server is a wolfd instance: job store, bounded queue, lease table,
+// Server is a wolfd instance: job store, bounded job queue and lease table,
 // in-process analyzers and HTTP handler. Create with New, serve
 // Handler(), stop with Shutdown.
 type Server struct {
@@ -198,24 +200,22 @@ type Server struct {
 	// to Workers; acquiring is non-blocking, so saturation
 	// sheds load with 429 instead of stacking goroutines.
 	syncSem chan struct{}
-	// streams is the open ingestion-stream registry; streamStop ends
-	// the idle-eviction janitor and any /v1/debug/events SSE tails.
-	streams    *streamStore
-	streamStop chan struct{}
+	// syncRunner runs the synchronous analyses with the timeout, panic
+	// recovery and watchdog of every leased job; it never pulls.
+	syncRunner *fleet.Analyzer
+	// streams is the open ingestion-stream registry.
+	streams *streamStore
+	// stop is closed when Shutdown begins: it ends the janitors and any
+	// /v1/debug/events SSE tails.
+	stop chan struct{}
 	// flight is the daemon-wide flight recorder: a bounded lock-free
 	// ring of recent lifecycle events across all jobs and streams.
 	flight  *obs.FlightRecorder
 	started time.Time
-	// fleet is the node and lease bookkeeping every analysis runs under.
+	// fleet is the job queue and the node and lease bookkeeping every
+	// analysis runs under.
 	fleet *fleetState
-
-	mu     sync.Mutex
-	queue  chan *Job
-	closed bool
-	// running is set when the single role's analyzers start: with the
-	// first admitted job, so bringing wolfd up stays cheap.
-	running bool
-	wg      sync.WaitGroup
+	wg    sync.WaitGroup
 }
 
 // New builds a server. With a corpus attached, the job registry is
@@ -226,18 +226,18 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		cfg:        cfg,
-		metrics:    newMetrics(),
-		jobs:       newJobStore(cfg.Role == RoleCoordinator),
-		queue:      make(chan *Job, cfg.QueueSize),
-		syncSem:    make(chan struct{}, cfg.Workers),
-		streams:    newStreamStore(),
-		streamStop: make(chan struct{}),
-		flight:     obs.NewFlightRecorder(cfg.FlightRecorderSize),
-		started:    time.Now(),
+		cfg:     cfg,
+		metrics: newMetrics(),
+		jobs:    newJobStore(cfg.Role == RoleCoordinator),
+		syncSem: make(chan struct{}, cfg.Workers),
+		streams: newStreamStore(),
+		stop:    make(chan struct{}),
+		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
+		started: time.Now(),
 	}
 	s.metrics.AnalysisParallelism.Store(int64(cfg.Analysis.EffectiveParallelism()))
 	s.fleet = newFleetState(s)
+	s.syncRunner = fleet.NewAnalyzerFor(nil, s.analyzerConfig("sync", cfg.Logger))
 	if cfg.Store != nil {
 		var requeued []*Job
 		for _, rec := range cfg.Store.Jobs() {
@@ -318,7 +318,7 @@ func (s *Server) every(d time.Duration, fn func(now time.Time)) {
 		defer tick.Stop()
 		for {
 			select {
-			case <-s.streamStop:
+			case <-s.stop:
 				return
 			case now := <-tick.C:
 				fn(now)
@@ -424,19 +424,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // finishing a deep queue can outlive any reasonable drain budget. The
 // context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.fleet.close() // before the queue closes: no parked pull leases
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-		close(s.streamStop)
-	}
-	s.mu.Unlock()
+	s.fleet.close()
 	if !s.coordinator() {
 		s.fleet.drainQueued()
 	}
-	// Open streams cannot finish once the queue is closed; release
-	// their slots now so the drained process accounts for them.
+	// Open streams cannot finish once admission is closed; release their
+	// slots now so the drained process accounts for them.
 	for _, ss := range s.streams.snapshot() {
 		s.dropStream(ss, "shutdown")
 	}
@@ -453,34 +446,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// enqueue admits a job to the bounded queue. It reports false when the
-// queue is full or the server is shutting down.
-func (s *Server) enqueue(j *Job) (ok, closed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false, true
-	}
-	if !s.running && !s.coordinator() {
-		s.running = true
-		s.startAnalyzers()
-	}
-	select {
-	case s.queue <- j:
-		s.metrics.JobsAccepted.Add(1)
-		s.metrics.QueueDepth.Add(1)
-		return true, false
-	default:
-		s.metrics.JobsRejected.Add(1)
-		return false, false
-	}
-}
-
 // draining reports whether Shutdown has begun.
 func (s *Server) draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // readTrace decodes an uploaded trace body — either format, gzip-aware
@@ -592,7 +565,7 @@ func (s *Server) handleWorkloadJob(w http.ResponseWriter, r *http.Request) {
 // a fast analyzer's terminal record always lands after it.
 func (s *Server) admit(w http.ResponseWriter, j *Job) {
 	s.persistJob(j)
-	ok, closed := s.enqueue(j)
+	ok, closed := s.fleet.admit(j)
 	switch {
 	case closed:
 		j.fail("server shutting down")
@@ -614,11 +587,12 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 
 // handleAnalyzeSync is POST /v1/analyze: run the pipeline inline on the
 // request and return the report directly. The analysis runs under the
-// request context, so a client disconnect cancels it; the per-job
-// timeout still applies. Concurrency is bounded by Workers — when every
-// slot is busy the request is shed with 429 rather than queued on the
-// request path, where stacked analyses would starve the analyzers of
-// CPU.
+// request context, so a client disconnect cancels it, and on the
+// analyzers' runner, so the per-job timeout (504), panic recovery and
+// watchdog (500) apply; other failures are 400. Concurrency is bounded
+// by Workers — when every slot is busy the request is shed with 429
+// rather than queued on the request path, where stacked analyses would
+// starve the analyzers of CPU.
 func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.syncSem <- struct{}{}:
@@ -635,21 +609,21 @@ func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-	ctx = obs.WithTrace(ctx, traceID, "")
 	start := time.Now()
-	rep, err := s.cfg.Analyze(ctx, tr, s.cfg.Analysis)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.Fail(FailTimeout)
-			httpError(w, http.StatusGatewayTimeout, fmt.Sprintf("analysis timed out after %v", s.cfg.JobTimeout))
-		} else {
-			s.metrics.Fail(FailError)
-			httpError(w, http.StatusBadRequest, err.Error())
+	res := s.syncRunner.Analyze(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
+	if !res.OK {
+		reason, status := FailReason(res.Reason), http.StatusInternalServerError
+		switch reason {
+		case FailTimeout:
+			status = http.StatusGatewayTimeout
+		case FailError:
+			status = http.StatusBadRequest
 		}
+		s.metrics.Fail(reason)
+		httpError(w, status, res.Error)
 		return
 	}
+	rep := res.Analysis
 	if s.cfg.Store != nil {
 		if hash, _, perr := s.cfg.Store.PutTrace(r.Context(), tr); perr == nil {
 			s.recordDefects(r.Context(), nil, hash, store.Summarize(rep))

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1093,6 +1094,69 @@ func TestSyncAnalyzeShedding(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release sync analyze = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSyncAnalyzePanic: a panicking synchronous analysis answers 500
+// with the panic surfaced and counted, like a queued job's, and the
+// next request is served.
+func TestSyncAnalyzePanic(t *testing.T) {
+	var calls atomic.Int32
+	boom := func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+		if calls.Add(1) == 1 {
+			panic("synthetic analyzer bug")
+		}
+		return core.AnalyzeTraceCtx(ctx, tr, cfg)
+	}
+	s, ts := startServer(t, Config{Workers: 1, QueueSize: 4, Analyze: boom})
+	var buf bytes.Buffer
+	if err := fig4Trace(t).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	code, out := postTrace(t, ts.URL+"/v1/analyze", buf.Bytes(), nil)
+	if msg, _ := out["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "synthetic analyzer bug") {
+		t.Fatalf("panicking sync analyze = %d %v, want 500 with the panic", code, out)
+	}
+	if s.Metrics().JobsPanicked.Load() != 1 {
+		t.Fatal("sync panic not counted")
+	}
+	if code, _ := postTrace(t, ts.URL+"/v1/analyze", buf.Bytes(), nil); code != http.StatusOK {
+		t.Fatalf("sync analyze after a panic = %d, want 200", code)
+	}
+}
+
+// TestSyncAnalyzeWatchdog: a synchronous analysis that ignores its
+// cancelled context is abandoned after JobTimeout+WatchdogGrace with a
+// counted 500, and its slot is free for the next request.
+func TestSyncAnalyzeWatchdog(t *testing.T) {
+	hung := make(chan struct{})
+	t.Cleanup(func() { close(hung) }) // let the abandoned goroutine exit
+	var calls atomic.Int32
+	stuck := func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+		if calls.Add(1) == 1 {
+			<-hung // ignores ctx entirely: the watchdog's target
+			return nil, fmt.Errorf("released")
+		}
+		return core.AnalyzeTraceCtx(ctx, tr, cfg)
+	}
+	s, ts := startServer(t, Config{
+		Workers: 1, QueueSize: 4, Analyze: stuck,
+		JobTimeout: 50 * time.Millisecond, WatchdogGrace: 50 * time.Millisecond,
+	})
+	var buf bytes.Buffer
+	if err := fig4Trace(t).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	code, out := postTrace(t, ts.URL+"/v1/analyze", buf.Bytes(), nil)
+	if msg, _ := out["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "watchdog") {
+		t.Fatalf("stuck sync analyze = %d %v, want 500 from the watchdog", code, out)
+	}
+	if s.Metrics().JobsWatchdogged.Load() != 1 || s.Metrics().JobsTimedOut.Load() != 0 {
+		t.Fatalf("watchdogged=%d timed out=%d, want 1 and 0",
+			s.Metrics().JobsWatchdogged.Load(), s.Metrics().JobsTimedOut.Load())
+	}
+	if code, _ := postTrace(t, ts.URL+"/v1/analyze", buf.Bytes(), nil); code != http.StatusOK {
+		t.Fatalf("sync analyze beside an abandoned one = %d, want 200", code)
 	}
 }
 
