@@ -175,3 +175,17 @@ func BenchmarkShortRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAbortedRun measures a run that ends in a deadlock, the shape
+// of most replay and fuzzer attempts: two threads take two locks in
+// opposite orders under a round-robin schedule that interleaves their
+// first acquisitions, and Run then unwinds both parked threads.
+func BenchmarkAbortedRun(b *testing.B) {
+	prog, opts := lockOrder(func(*Thread) {})
+	b.ReportAllocs()
+	for b.Loop() {
+		if out := Run(prog, &RoundRobin{}, opts); out.Kind != Deadlocked {
+			b.Fatalf("outcome = %v", out)
+		}
+	}
+}

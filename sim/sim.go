@@ -8,14 +8,18 @@
 // operations the analysis observes — Lock, Unlock, Start (Go), Join and
 // Yield — and hands the scheduling decision to a pluggable Strategy.
 //
-// Execution model. Every simulated thread runs on its own goroutine but
-// only one thread executes at a time. Before each visible operation the
-// thread parks and publishes the pending operation; the World applies the
-// operation's effect centrally once a Strategy picks the thread. This
-// "announce before execute" protocol is what lets a replayer pause a
-// thread immediately before a lock acquisition, and makes runtime deadlock
-// detection exact: when no thread is enabled and some are blocked on locks
-// or joins, the run has deadlocked.
+// Execution model. Every simulated thread runs on a pooled coroutine
+// (an iter.Pull runner) and only one thread executes at a time. Before
+// each visible operation the thread parks, publishes the pending
+// operation and switches straight back to the World; the World applies
+// the operation's effect centrally once a Strategy picks the thread, then
+// switches to it. This "announce before execute" protocol is what lets a
+// replayer pause a thread immediately before a lock acquisition, and
+// makes runtime deadlock detection exact: when no thread is enabled and
+// some are blocked on locks or joins, the run has deadlocked. Runners
+// outlive runs: an exited thread's runner returns to a bounded free list,
+// and a run that ends early unwinds its parked threads, deferred calls
+// included, before Run returns.
 //
 // Identity. Threads, locks and operations have stable identities that are
 // reproducible across schedules as long as per-thread control flow is

@@ -37,7 +37,8 @@ type Thread struct {
 	name   string
 	parent *Thread
 
-	resume  chan struct{}
+	prog    Program
+	r       *runner // nil once the thread is done
 	pending Op
 	state   threadState
 
@@ -101,14 +102,14 @@ func (t *Thread) nextIndex() Index {
 	return Index{Thread: t.name, Seq: t.seq}
 }
 
-// announce parks the thread on op and returns once the world has executed
-// the operation's effect. If the world aborted the run while the thread
-// was parked, announce unwinds the thread goroutine via worldStopped.
+// announce parks the thread on op, switches to the world, and returns
+// once the world has executed the operation's effect. If the world
+// aborted the run while the thread was parked, announce unwinds the
+// thread body via worldStopped.
 func (t *Thread) announce(op Op) {
 	t.pending = op
 	t.state = stateParked
-	t.w.ctl <- t
-	<-t.resume
+	t.r.yield(struct{}{})
 	if t.w.stopped {
 		panic(worldStopped{})
 	}
@@ -236,6 +237,14 @@ func (t *Thread) NewLock(name string) *Lock {
 	return t.w.newLock(fmt.Sprintf("%s@%s.%d", name, t.name, n))
 }
 
+// done marks the thread terminated and returns its runner, parked at
+// its idle point, to the free list.
+func (t *Thread) done() {
+	t.state = stateDone
+	t.r.release()
+	t.r = nil
+}
+
 // checkRunning guards against calling thread operations from outside the
 // thread's own program (for example from a Listener or Strategy).
 func (t *Thread) checkRunning(op string) {
@@ -244,30 +253,25 @@ func (t *Thread) checkRunning(op string) {
 	}
 }
 
-// run is the thread goroutine body.
-func (t *Thread) run(prog Program) {
+// run executes the thread body on its runner, entered when the world
+// executes OpBegin. It returns with the thread parked on OpExit or
+// OpPanic, or, when the world aborted the run, once the body has
+// unwound.
+func (t *Thread) run() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(worldStopped); ok {
-				return // world aborted the run; unwind quietly
-			}
+		// Once the world has stopped, any panic is the unwind, including
+		// one from an operation a deferred call attempts on the thread.
+		if r := recover(); r != nil && !t.w.stopped {
 			t.pending = Op{Kind: OpPanic, panicVal: r}
 			t.state = stateParked
-			t.w.ctl <- t
-			return
 		}
 	}()
-	<-t.resume // wait for OpBegin to be executed
-	if t.w.stopped {
-		panic(worldStopped{})
-	}
 	t.state = stateRunning
-	prog(t)
+	t.prog(t)
 	t.pending = Op{Kind: OpExit}
 	t.state = stateParked
-	t.w.ctl <- t
 }
 
 // worldStopped is panicked into parked threads when the world aborts a
-// run early (step limit or program error) to unwind their goroutines.
+// run early (step limit or program error) to unwind their bodies.
 type worldStopped struct{}

@@ -41,7 +41,6 @@ type World struct {
 	vars   []*Var
 	byVar  map[string]*Var
 
-	ctl     chan *Thread
 	step    int
 	stopped bool
 	outcome *Outcome
@@ -68,7 +67,6 @@ func Run(prog Program, s Strategy, opts Options) *Outcome {
 		strategy:  s,
 		byLock:    make(map[string]*Lock),
 		byVar:     make(map[string]*Var),
-		ctl:       make(chan *Thread),
 	}
 	if w.maxSteps <= 0 {
 		w.maxSteps = DefaultMaxSteps
@@ -122,14 +120,15 @@ func (w *World) ThreadByName(name string) *Thread {
 // Step returns the number of operations executed so far.
 func (w *World) Step() int { return w.step }
 
-// newThread registers a thread parked on OpBegin and spawns its goroutine.
+// newThread registers a thread parked on OpBegin and assigns it an idle
+// runner, which enters the body when OpBegin executes.
 func (w *World) newThread(name string, parent *Thread, prog Program) *Thread {
 	t := &Thread{
 		w:      w,
 		id:     ThreadID(len(w.threads)),
 		name:   name,
 		parent: parent,
-		resume: make(chan struct{}),
+		prog:   prog,
 		// The root thread is immediately schedulable; children stay on
 		// OpNone until their parent's OpStart executes.
 		pending: Op{Kind: OpNone},
@@ -140,7 +139,7 @@ func (w *World) newThread(name string, parent *Thread, prog Program) *Thread {
 	}
 	w.threads = append(w.threads, t)
 	w.active = append(w.active, t)
-	go t.run(prog)
+	t.r = getRunner(t)
 	return t
 }
 
@@ -185,7 +184,7 @@ func (w *World) canExecute(t *Thread) bool {
 }
 
 // run drives the schedule until termination, deadlock, error or the step
-// limit, then unwinds any surviving thread goroutines.
+// limit, then unwinds any surviving threads.
 func (w *World) run() *Outcome {
 	defer w.unwind()
 	for {
@@ -221,8 +220,8 @@ func (w *World) run() *Outcome {
 	}
 }
 
-// execute applies t's pending operation, notifies listeners, and resumes
-// t until its next announcement. A non-nil return aborts the run.
+// execute applies t's pending operation, notifies listeners, and switches
+// to t until its next announcement. A non-nil return aborts the run.
 func (w *World) execute(t *Thread) *Outcome {
 	op := t.pending
 	ev := Event{Op: op, Thread: t, Step: w.step}
@@ -295,7 +294,7 @@ func (w *World) execute(t *Thread) *Outcome {
 		}
 		l.waitSet = nil
 	case OpExit:
-		t.state = stateDone
+		t.done()
 		t.pending = Op{}
 		if len(t.held) > 0 {
 			return &Outcome{
@@ -305,7 +304,7 @@ func (w *World) execute(t *Thread) *Outcome {
 			}
 		}
 	case OpPanic:
-		t.state = stateDone
+		t.done()
 		t.pending = Op{}
 		return &Outcome{
 			Kind:  ProgramError,
@@ -319,14 +318,10 @@ func (w *World) execute(t *Thread) *Outcome {
 		ln.OnEvent(ev)
 	}
 	if op.Kind == OpExit || op.Kind == OpPanic {
-		return nil // the thread goroutine has already returned
+		return nil // the thread body has already returned
 	}
 	t.pending = Op{}
-	t.resume <- struct{}{}
-	next := <-w.ctl
-	if next != t {
-		panic("sim: internal error: unexpected thread announced")
-	}
+	t.r.next()
 	return nil
 }
 
@@ -368,14 +363,22 @@ func (w *World) finish(out *Outcome) *Outcome {
 	return out
 }
 
-// unwind releases any still-parked thread goroutines by panicking
-// worldStopped into them.
+// unwind ends every thread that has not terminated. It switches once to
+// each started, still-parked thread, whose announce panics worldStopped,
+// so the body's deferred calls have run and every runner is back on the
+// free list before Run returns.
 func (w *World) unwind() {
 	w.stopped = true
 	for _, t := range w.threads {
-		if t.state == stateParked {
-			t.state = stateDone
-			close(t.resume)
+		if t.state != stateParked {
+			continue
 		}
+		switch t.pending.Kind {
+		case OpNone, OpBegin, OpExit, OpPanic:
+			// The body has not started or has already returned.
+		default:
+			t.r.next()
+		}
+		t.done()
 	}
 }
