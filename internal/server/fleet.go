@@ -1,38 +1,18 @@
 package server
 
 // Scheduling: every analysis runs on a fleet.Analyzer holding the job
-// under a time-bounded lease. The protocol operations are fleetState
-// methods over the internal/fleet wire structs: the single role's
-// in-process analyzers call them through localCoordinator, a
-// coordinator's remote nodes through HTTP handlers that only decode,
-// call and encode. The roles' other differences are small policies
-// (DESIGN.md §14): drain, restart, and — in the single role — leases
-// that end only by completion, so the first four rules below are a
-// coordinator's.
-//
-// Failure rules, in one place:
-//
-//   - A node that misses heartbeats past HeartbeatTimeout is marked
-//     lost; every lease it holds is revoked and the jobs reassigned.
-//   - A lease that expires unrenewed is revoked the same way.
-//   - Reassignment is bounded: a job delivered MaxDeliveries times
-//     without a result is terminal-failed with reason
-//     "reassign-exhausted" — a poison job cannot ping-pong forever.
-//   - A lease renewed more than MaxRenewals times marks its holder a
-//     straggler: the job is re-offered to a second node while the
-//     first keeps running, and the first result to arrive wins. Late
-//     results — including one from an expired lease — are accepted
-//     whenever the job is still non-terminal, and reported as
-//     duplicates otherwise.
-//   - On a coordinator restart, journal rehydration re-queues
-//     leased-but-unfinished jobs for fresh delivery (the delivery
-//     budget survives via the persisted attempt count).
-//   - A pull with nothing to lease waits for up to HeartbeatTimeout/2
-//     and answers 204 if no work came. Once Shutdown begins no pull
-//     leases: parked pulls wake at once with 503.
-//   - A completion claims the job under the fleet mutex, so the first
-//     result wins, and records it — corpus writes included — after
-//     releasing the mutex.
+// under a time-bounded lease in the lease table (lease.go, where the
+// failure rules live). This file is the server's side of the protocol:
+// operations over the internal/fleet wire structs that call the table
+// and apply what it returns — status codes, logs, events, journal
+// records, counters and the grant's payload — and the finishing of a
+// result. The single role's in-process analyzers call them through
+// localCoordinator, a coordinator's remote nodes through HTTP handlers
+// that only decode, call and encode. The roles' other differences are
+// small policies (DESIGN.md §14): drain, restart, and leases that end
+// only by completion in the single role. A completion claims the job in
+// the table, so the first result wins, and records it — corpus writes
+// included — outside the table's mutex.
 
 import (
 	"bytes"
@@ -43,11 +23,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"wolf/internal/core"
@@ -67,273 +44,75 @@ const (
 	RoleCoordinator = "coordinator"
 )
 
-// fleetNode is one registered analyzer.
-type fleetNode struct {
-	id         string
-	name       string
-	registered time.Time
-	lastSeen   time.Time
-	lost       bool
-	completed  int64
-	failed     int64
-}
-
-// jobLease is one live grant of a job to a node. A job normally has
-// one; a straggler re-offer adds a second.
-type jobLease struct {
-	node     string
-	expiry   time.Time
-	renewals int
-}
-
-// fleetState is the server's job queue and its node and lease
-// bookkeeping. One mutex guards all of it; completions record their
-// results outside it.
-type fleetState struct {
-	s *Server
-
-	mu    sync.Mutex
-	seq   int
-	nodes map[string]*fleetNode
-	// queue is every job waiting for a lease, in delivery order:
-	// admissions join the tail, reassigned, re-offered and restored jobs
-	// the head.
-	queue  []*Job
-	leases map[string][]*jobLease
-	// reoffered marks jobs already re-offered for straggling, so one
-	// slow lease triggers at most one extra delivery.
-	reoffered map[string]bool
-	// wake is closed and replaced whenever parked pulls must re-check:
-	// the queue grew, a node was lost, or leasing closed.
-	wake chan struct{}
-	// closed is set when Shutdown begins; no job is admitted and no pull
-	// leases after it.
-	closed bool
-	// started is set when the single role's analyzers start: with the
-	// first admitted job, so bringing wolfd up stays cheap.
-	started bool
-	// parked counts pulls now waiting for work.
-	parked int
-}
-
-func newFleetState(s *Server) *fleetState {
-	return &fleetState{
-		s:         s,
-		nodes:     make(map[string]*fleetNode),
-		leases:    make(map[string][]*jobLease),
-		reoffered: make(map[string]bool),
-		wake:      make(chan struct{}),
+// answer maps a lease-table verdict to its wire status and message; -1
+// means the caller has gone.
+func answer(v verdict) (int, string) {
+	switch v {
+	case granted:
+		return http.StatusOK, ""
+	case refusedClosed:
+		return http.StatusServiceUnavailable, string(v)
+	case refusedNode:
+		return http.StatusNotFound, string(v)
+	case refusedGone:
+		return -1, ""
+	case refusedIdle:
+		return http.StatusNoContent, ""
 	}
+	return http.StatusConflict, string(v) // the lease is lost
 }
 
 // pullHold is how long a pull with nothing to lease waits at the
 // coordinator: half the heartbeat timeout, so an idle analyzer is
 // answered well inside the silence that would mark it lost.
-func (f *fleetState) pullHold() time.Duration { return f.s.cfg.HeartbeatTimeout / 2 }
+func (s *Server) pullHold() time.Duration { return s.cfg.HeartbeatTimeout / 2 }
 
-// wakeLocked wakes every parked pull. Caller holds f.mu.
-func (f *fleetState) wakeLocked() {
-	close(f.wake)
-	f.wake = make(chan struct{})
-}
-
-// queuedLocked publishes the queue depth and wakes parked pulls after
-// the queue grew. Caller holds f.mu.
-func (f *fleetState) queuedLocked() {
-	f.s.metrics.QueueDepth.Store(int64(len(f.queue)))
-	f.wakeLocked()
-}
-
-// admit queues a freshly admitted job at the tail. It refuses when
-// Shutdown has begun (closed) and when QueueSize jobs already wait
-// (!ok); re-offers count against the bound but are never refused. The
-// single role's analyzers start with the first admitted job.
-func (f *fleetState) admit(j *Job) (ok, closed bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return false, true
-	}
-	if !f.started && !f.s.coordinator() {
-		f.started = true
-		f.s.startAnalyzers()
-	}
-	if len(f.queue) >= f.s.cfg.QueueSize {
-		f.s.metrics.JobsRejected.Add(1)
-		return false, false
-	}
-	f.queue = append(f.queue, j)
-	f.s.metrics.JobsAccepted.Add(1)
-	f.queuedLocked()
-	return true, false
-}
-
-// requeueLocked puts jobs back at the head of the queue: they were
-// delivered before, or queued before a restart. Caller holds f.mu.
-func (f *fleetState) requeueLocked(jobs ...*Job) {
-	f.queue = slices.Insert(f.queue, 0, jobs...)
-	f.queuedLocked()
-}
-
-// close stops admission and leasing, ends the server's janitors, and
-// wakes parked pulls so they answer 503. Shutdown calls it first.
-func (f *fleetState) close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closeLocked()
-}
-
-// closeLocked is close for a caller that holds f.mu.
-func (f *fleetState) closeLocked() {
-	if !f.closed {
-		f.closed = true
-		close(f.s.stop)
-		f.wakeLocked()
-	}
-}
-
-// janitorTick is how often the janitor sweeps lease expiry and node
-// liveness: a quarter of the shortest deadline, clamped to [5ms, 1s].
-func (f *fleetState) janitorTick() time.Duration {
-	return min(max(min(f.s.cfg.LeaseTTL, f.s.cfg.HeartbeatTimeout)/4, 5*time.Millisecond), time.Second)
-}
-
-// sweep expires nodes and leases as of now; the janitor runs it every
-// janitorTick, and tests drive time through it explicitly.
-func (f *fleetState) sweep(now time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, n := range f.nodes {
-		if n.lost || now.Sub(n.lastSeen) <= f.s.cfg.HeartbeatTimeout {
-			continue
-		}
-		n.lost = true
-		f.s.metrics.NodesLost.Add(1)
-		f.s.metrics.NodesAlive.Add(-1)
-		f.s.cfg.Logger.Warn("node lost: missed heartbeats", "node", n.id, "name", n.name,
-			"last_seen", n.lastSeen, "timeout", f.s.cfg.HeartbeatTimeout)
-		f.s.event(obs.Event{Kind: evNodeLost, Msg: "missed heartbeats",
+// sweep expires nodes and leases as of now; the janitor runs it, and
+// tests drive time through it explicitly.
+func (s *Server) sweep(now time.Time) {
+	lost, reassigned, failed := s.table.sweep(now)
+	for _, n := range lost {
+		s.metrics.NodesLost.Add(1)
+		s.cfg.Logger.Warn("node lost: missed heartbeats", "node", n.id, "name", n.name,
+			"last_seen", n.lastSeen, "timeout", s.cfg.HeartbeatTimeout)
+		s.event(obs.Event{Kind: evNodeLost, Msg: "missed heartbeats",
 			Attrs: map[string]string{"node": n.id, "name": n.name}})
-		f.wakeLocked() // a parked pull of the lost node answers 404 now
 	}
-	// Revoke the leases of lost nodes and the expired ones.
-	for jobID, ls := range f.leases {
-		kept := ls[:0]
-		var from, cause string
-		for _, l := range ls {
-			switch {
-			case f.nodes[l.node].lost:
-				from, cause = l.node, "node lost"
-			case now.After(l.expiry):
-				from, cause = l.node, "lease expired"
-			default:
-				kept = append(kept, l)
-			}
-		}
-		if len(kept) != len(ls) {
-			f.setLeases(jobID, kept)
-			f.maybeReassignLocked(jobID, from, cause)
-		}
+	for _, ra := range reassigned {
+		j := ra.job
+		s.metrics.JobsReassigned.Add(1)
+		s.persistJob(j)
+		s.cfg.Logger.Warn("job reassigned", "job", j.ID, "from", ra.from, "cause", ra.cause,
+			"attempts", j.Attempts())
+		s.jobEvent(evJobReassigned, j, ra.cause, map[string]string{"from": ra.from})
+	}
+	s.failExhausted(failed)
+}
+
+// failExhausted terminal-fails jobs the table claimed because their
+// redelivery budget is spent.
+func (s *Server) failExhausted(jobs []*Job) {
+	for _, j := range jobs {
+		s.failJob(j, FailReassign, fmt.Sprintf("delivered %d times without completion (reassign budget exhausted)",
+			j.Attempts()), "reassign budget exhausted")
+		s.cfg.Logger.Error("job failed: reassign budget exhausted", "job", j.ID,
+			"attempts", j.Attempts())
 	}
 }
 
-// setLeases replaces a job's lease set, dropping the map entry when it
-// empties. Caller holds f.mu.
-func (f *fleetState) setLeases(jobID string, ls []*jobLease) {
-	if len(ls) == 0 {
-		delete(f.leases, jobID)
-		return
-	}
-	f.leases[jobID] = ls
-}
-
-// maybeReassignLocked requeues a job whose lease was revoked — unless
-// another node still holds one (straggler re-offer), the job already
-// finished (late first-result win), or the delivery budget is spent.
-// Caller holds f.mu.
-func (f *fleetState) maybeReassignLocked(jobID, fromNode, cause string) {
-	if len(f.leases[jobID]) > 0 {
-		return // a second holder is still working on it
-	}
-	j, ok := f.s.jobs.get(jobID)
-	if !ok || j.decided() {
-		return
-	}
-	if j.Attempts() >= f.s.cfg.MaxDeliveries {
-		f.failExhaustedLocked(j)
-		return
-	}
-	j.unlease()
-	f.requeueLocked(j)
-	delete(f.reoffered, jobID)
-	f.s.metrics.JobsReassigned.Add(1)
-	f.s.persistJob(j)
-	f.s.cfg.Logger.Warn("job reassigned", "job", j.ID, "from", fromNode, "cause", cause,
-		"attempts", j.Attempts())
-	f.s.jobEvent(evJobReassigned, j, cause, map[string]string{"from": fromNode})
-}
-
-// failExhaustedLocked terminal-fails a job whose redelivery budget is
-// spent. Caller holds f.mu.
-func (f *fleetState) failExhaustedLocked(j *Job) {
-	delete(f.leases, j.ID)
-	delete(f.reoffered, j.ID)
-	f.failLocked(j, FailReassign, fmt.Sprintf("delivered %d times without completion (reassign budget exhausted)",
-		j.Attempts()), "reassign budget exhausted")
-	f.s.cfg.Logger.Error("job failed: reassign budget exhausted", "job", j.ID,
-		"attempts", j.Attempts())
-}
-
-// failLocked terminal-fails j under reason, journals it and publishes
-// job.failed with event as its message. Caller holds f.mu.
-func (f *fleetState) failLocked(j *Job, reason FailReason, msg, event string) {
+// failJob terminal-fails a job the table claimed under reason, journals
+// it and publishes job.failed with event as its message.
+func (s *Server) failJob(j *Job, reason FailReason, msg, event string) {
 	j.fail(msg)
-	f.s.metrics.Fail(reason)
-	f.s.persistJob(j)
-	f.s.jobEvent(evJobFailed, j, event, map[string]string{"reason": string(reason)})
-}
-
-// deliverableLocked reports whether a job taken off the queue may be
-// leased: a job decided while waiting is skipped, and one whose
-// delivery budget is spent is failed. Caller holds f.mu.
-func (f *fleetState) deliverableLocked(j *Job) bool {
-	if j.decided() {
-		return false
-	}
-	if j.Attempts() >= f.s.cfg.MaxDeliveries {
-		f.failExhaustedLocked(j)
-		return false
-	}
-	return true
-}
-
-// nextJobLocked pops the next deliverable job without waiting. Caller
-// holds f.mu.
-func (f *fleetState) nextJobLocked() *Job {
-	defer func() { f.s.metrics.QueueDepth.Store(int64(len(f.queue))) }()
-	for len(f.queue) > 0 {
-		j := f.queue[0]
-		f.queue[0] = nil
-		f.queue = f.queue[1:]
-		if f.deliverableLocked(j) {
-			return j
-		}
-	}
-	return nil
-}
-
-// requeueRestored queues journal-rehydrated jobs at startup (before any
-// analyzer can pull).
-func (f *fleetState) requeueRestored(jobs []*Job) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.requeueLocked(jobs...)
+	s.metrics.Fail(reason)
+	s.persistJob(j)
+	s.jobEvent(evJobFailed, j, event, map[string]string{"reason": string(reason)})
 }
 
 // workPayload builds the grant for one job: the trace (in memory, or
 // the corpus blob after a restart) or the workload the analyzer records
 // itself.
-func (f *fleetState) workPayload(j *Job) (fleet.WorkView, error) {
+func (s *Server) workPayload(j *Job) (fleet.WorkView, error) {
 	w := fleet.WorkView{
 		Job:       j.ID,
 		Source:    j.Source(),
@@ -344,8 +123,8 @@ func (f *fleetState) workPayload(j *Job) (fleet.WorkView, error) {
 	if w.Trace != nil {
 		return w, nil
 	}
-	if w.TraceHash != "" && f.s.cfg.Store != nil {
-		rc, _, err := f.s.cfg.Store.OpenTrace(w.TraceHash)
+	if w.TraceHash != "" && s.cfg.Store != nil {
+		rc, _, err := s.cfg.Store.OpenTrace(w.TraceHash)
 		if err == nil {
 			data, rerr := io.ReadAll(rc)
 			rc.Close()
@@ -359,226 +138,85 @@ func (f *fleetState) workPayload(j *Job) (fleet.WorkView, error) {
 	if name, ok := strings.CutPrefix(w.Source, "workload:"); ok {
 		w.Workload = name
 		w.Seed = j.WorkloadSeed()
-		w.SeedTries = f.s.cfg.SeedTries
+		w.SeedTries = s.cfg.SeedTries
 		w.Recorded = j.setTrace
 		return w, nil
 	}
 	return w, fmt.Errorf("job %s has no deliverable work: trace not in memory or corpus", j.ID)
 }
 
-// nodeViews snapshots the registry for GET /v1/nodes, stable order.
-func (f *fleetState) nodeViews() []fleet.NodeView {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	leased := make(map[string]int)
-	for _, ls := range f.leases {
-		for _, l := range ls {
-			leased[l.node]++
-		}
-	}
-	out := make([]fleet.NodeView, 0, len(f.nodes))
-	for _, n := range f.nodes {
-		state := "alive"
-		if n.lost {
-			state = "lost"
-		}
-		nv := fleet.NodeView{
-			ID:         n.id,
-			Name:       n.name,
-			State:      state,
-			Leased:     leased[n.id],
-			Completed:  n.completed,
-			Failed:     n.failed,
-			Registered: n.registered.UTC().Format(time.RFC3339Nano),
-		}
-		if !n.lastSeen.IsZero() {
-			nv.LastHeartbeat = n.lastSeen.UTC().Format(time.RFC3339Nano)
-		}
-		out = append(out, nv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// counts returns (known, alive, leased jobs, pending) for status
-// surfaces; pending counts queued jobs delivered before.
-func (f *fleetState) counts() (nodes, alive, leased, pending int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	nodes = len(f.nodes)
-	for _, n := range f.nodes {
-		if !n.lost {
-			alive++
-		}
-	}
-	leased = len(f.leases)
-	for _, j := range f.queue {
-		if j.Attempts() > 0 {
-			pending++
-		}
-	}
-	return
-}
-
-// writePrometheus renders the per-node leased gauge (only when nodes
-// exist — an empty family would fail the exposition linter).
-func (f *fleetState) writePrometheus(w io.Writer) {
-	views := f.nodeViews()
-	if len(views) == 0 {
-		return
-	}
-	name := "wolfd_node_leased"
-	fmt.Fprintf(w, "# HELP %s Jobs currently leased, per analyzer node.\n# TYPE %s gauge\n", name, name)
-	for _, nv := range views {
-		fmt.Fprintf(w, "%s{%s,%s} %d\n", name, obs.Label("node", nv.ID), obs.Label("name", nv.Name), nv.Leased)
-	}
-}
-
 // register admits an analyzer and hands it the fleet timings. Only a
 // coordinator announces its nodes.
-func (f *fleetState) register(_ context.Context, req fleet.RegisterRequest) (fleet.RegisterView, int, string) {
+func (s *Server) register(_ context.Context, req fleet.RegisterRequest) (fleet.RegisterView, int, string) {
 	if req.Name == "" {
 		req.Name = "analyzer"
 	}
-	f.mu.Lock()
-	f.seq++
-	n := &fleetNode{
-		id:         fmt.Sprintf("n-%04d", f.seq),
-		name:       req.Name,
-		registered: time.Now(),
-		lastSeen:   time.Now(),
-	}
-	f.nodes[n.id] = n
-	f.mu.Unlock()
-	s := f.s
+	id := s.table.register(req.Name)
 	s.metrics.NodesRegistered.Add(1)
-	s.metrics.NodesAlive.Add(1)
 	if s.coordinator() {
-		s.cfg.Logger.Info("node joined", "node", n.id, "name", n.name)
+		s.cfg.Logger.Info("node joined", "node", id, "name", req.Name)
 		s.event(obs.Event{Kind: evNodeJoin, Msg: "node registered",
-			Attrs: map[string]string{"node": n.id, "name": n.name}})
+			Attrs: map[string]string{"node": id, "name": req.Name}})
 	}
 	return fleet.RegisterView{
-		ID:                     n.id,
-		Name:                   n.name,
+		ID:                     id,
+		Name:                   req.Name,
 		HeartbeatMillis:        fleet.ToMillis(s.cfg.HeartbeatInterval),
 		HeartbeatTimeoutMillis: fleet.ToMillis(s.cfg.HeartbeatTimeout),
 		LeaseTTLMillis:         fleet.ToMillis(s.cfg.LeaseTTL),
-		PullHoldMillis:         fleet.ToMillis(f.pullHold()),
+		PullHoldMillis:         fleet.ToMillis(s.pullHold()),
 	}, http.StatusOK, ""
 }
 
-// heartbeat refreshes a node's liveness. 404 for an unknown or lost
-// node tells the analyzer to re-register.
-func (f *fleetState) heartbeat(node string) (int, string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n, known := f.nodes[node]; known && !n.lost {
-		n.lastSeen = time.Now()
-		return http.StatusOK, ""
-	}
-	return http.StatusNotFound, "unknown node: re-register"
-}
-
 // pull leases one job to the calling node. A pull with nothing to lease
-// parks until the queue grows, ctx ends, or the hold (pullHold) runs
-// out; every wake re-checks the node and the drain under f.mu before
-// leasing. 204 means the hold passed with no work; 404 sends an unknown
-// or lost node back to registration; 503 means the server is shutting
-// down; -1 means the caller has gone.
-func (f *fleetState) pull(ctx context.Context, req fleet.PullRequest) (fleet.WorkView, int, string) {
-	hold := time.NewTimer(f.pullHold())
+// parks until the table wakes it, ctx ends, or the hold (pullHold) runs
+// out, and then pulls again. 204 means the hold passed with no work;
+// 404 sends an unknown or lost node back to registration; 503 means
+// the server is shutting down; -1 means the caller has gone.
+func (s *Server) pull(ctx context.Context, req fleet.PullRequest) (fleet.WorkView, int, string) {
+	hold := time.NewTimer(s.pullHold())
 	defer hold.Stop()
+	var w *pullWaiter
 	expired := false
-	f.mu.Lock()
 	for {
-		if status, msg := f.refusePullLocked(ctx, req.Node); status != 0 {
-			f.mu.Unlock()
+		j, attempts, wait, v := s.table.pull(req.Node, w, ctx.Err() != nil, expired)
+		if j != nil {
+			return s.grant(j, req.Node, attempts)
+		}
+		if w = wait; w == nil {
+			status, msg := answer(v)
 			return fleet.WorkView{}, status, msg
 		}
-		if j := f.nextJobLocked(); j != nil {
-			return f.leaseLocked(j, req.Node) // unlocks f.mu
-		}
-		if expired {
-			f.mu.Unlock()
-			return fleet.WorkView{}, http.StatusNoContent, ""
-		}
-		wake := f.wake
-		f.parked++
-		f.mu.Unlock()
 		select {
-		case <-wake:
+		case <-w.wake:
 		case <-ctx.Done():
 		case <-hold.C:
 			expired = true
 		}
-		f.mu.Lock()
-		f.parked--
 	}
 }
 
-// refusePullLocked says why a pull may not lease now: 503 once
-// Shutdown has begun, -1 when the caller has gone (nothing to answer),
-// 404 for an unknown or lost node. It returns 0 for a live node and
-// refreshes its liveness — a pull is as alive as a heartbeat. Caller
-// holds f.mu.
-func (f *fleetState) refusePullLocked(ctx context.Context, node string) (int, string) {
-	if f.closed {
-		return http.StatusServiceUnavailable, "server shutting down"
-	}
-	if ctx.Err() != nil {
-		return -1, ""
-	}
-	n, known := f.nodes[node]
-	if !known || n.lost {
-		return http.StatusNotFound, "unknown node: re-register"
-	}
-	n.lastSeen = time.Now()
-	return 0, ""
-}
-
-// drainQueued fails every job still waiting for an analyzer as drained
-// (single role).
-func (f *fleetState) drainQueued() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, j := range f.queue {
-		if !j.decided() {
-			f.failLocked(j, FailDrained, "server draining: job was queued but never started", "drained")
-			f.s.cfg.Logger.Info("job drained", "job", j.ID, "source", j.Source(), "trace", j.TraceID())
-		}
-	}
-	f.queue = nil
-	f.s.metrics.QueueDepth.Store(0)
-}
-
-// leaseLocked grants j to node. A job whose work cannot be delivered is
-// terminal-failed and the pull answers 204. Caller holds f.mu;
-// leaseLocked releases it.
-func (f *fleetState) leaseLocked(j *Job, node string) (fleet.WorkView, int, string) {
-	s := f.s
-	payload, err := f.workPayload(j)
+// grant builds the payload of a job the table leased to node, outside
+// the table's mutex: for a job requeued after a restart it reads the
+// corpus. A job whose work cannot be delivered (e.g. its blob was
+// deleted) is terminal-failed rather than spun through the budget, its
+// lease dropped, and the pull answers 204.
+func (s *Server) grant(j *Job, node string, attempts int) (fleet.WorkView, int, string) {
+	payload, err := s.workPayload(j)
 	if err != nil {
-		// Undeliverable (e.g. blob deleted from the corpus): terminal-fail
-		// rather than spin it through the budget.
-		f.failLocked(j, FailError, "undeliverable: "+err.Error(), err.Error())
-		f.mu.Unlock()
+		if s.table.complete(j, "", false) { // no node is charged with it
+			s.failJob(j, FailError, "undeliverable: "+err.Error(), err.Error())
+		}
 		return fleet.WorkView{}, http.StatusNoContent, ""
 	}
-	expiry := time.Now().Add(s.cfg.LeaseTTL)
-	attempts := j.leaseTo(node)
 	wait := time.Since(j.CreatedAt())
 	if attempts == 1 {
 		s.metrics.QueueWait.Observe(wait)
 	}
-	f.leases[j.ID] = append(f.leases[j.ID], &jobLease{node: node, expiry: expiry})
 	payload.Attempts = attempts
 	payload.LeaseTTLMillis = fleet.ToMillis(s.cfg.LeaseTTL)
-	f.mu.Unlock()
 	if !s.coordinator() {
 		// Not journaled: a restarted single role fails unfinished jobs.
-		// Busy until the analyzer's completion, its lease's only end.
-		s.metrics.WorkersBusy.Add(1)
 		s.cfg.Logger.Info("job started", "job", j.ID, "source", payload.Source, "trace", payload.TraceID, "queue_wait", wait)
 		s.jobEvent(evJobStarted, j, "", nil)
 		return payload, http.StatusOK, ""
@@ -587,6 +225,15 @@ func (f *fleetState) leaseLocked(j *Job, node string) (fleet.WorkView, int, stri
 	s.cfg.Logger.Info("job leased", "job", j.ID, "node", node, "attempts", attempts)
 	s.jobEvent(evJobStarted, j, "leased to node",
 		map[string]string{"node": node, "attempts": fmt.Sprint(attempts)})
+	// A remote node gets the trace as base64 WTRC, with the content
+	// address stamped at admission.
+	if payload.Trace != nil {
+		var buf bytes.Buffer
+		if err := payload.Trace.WriteBinary(&buf); err != nil {
+			return payload, http.StatusInternalServerError, "encode trace: " + err.Error()
+		}
+		payload.TraceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
+	}
 	return payload, http.StatusOK, ""
 }
 
@@ -594,84 +241,43 @@ func (f *fleetState) leaseLocked(j *Job, node string) (fleet.WorkView, int, stri
 // reassigned, or the job finished) and the analyzer must abandon the
 // run. On a coordinator, renewing past MaxRenewals flags the holder as a
 // straggler and re-offers the job to a second node.
-func (f *fleetState) renew(_ context.Context, req fleet.RenewRequest) (fleet.RenewView, int, string) {
-	s := f.s
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	j, found := s.jobs.get(req.Job)
-	if !found || j.decided() {
-		return fleet.RenewView{}, http.StatusConflict, "lease lost: job finished"
+func (s *Server) renew(_ context.Context, req fleet.RenewRequest) (fleet.RenewView, int, string) {
+	j, _ := s.jobs.get(req.Job)
+	v, renewals, reoffered := s.table.renew(j, req.Node)
+	if v != granted {
+		status, msg := answer(v)
+		return fleet.RenewView{}, status, msg
 	}
-	var l *jobLease
-	for _, cand := range f.leases[req.Job] {
-		if cand.node == req.Node {
-			l = cand
-			break
-		}
-	}
-	if l == nil {
-		return fleet.RenewView{}, http.StatusConflict, "lease lost: job reassigned"
-	}
-	if n, known := f.nodes[req.Node]; known && !n.lost {
-		n.lastSeen = time.Now()
-	}
-	l.expiry = time.Now().Add(s.cfg.LeaseTTL)
-	l.renewals++
 	s.metrics.LeaseRenewals.Add(1)
-	if s.coordinator() && l.renewals > s.cfg.MaxRenewals && !f.reoffered[req.Job] && len(f.leases[req.Job]) == 1 {
-		f.reoffered[req.Job] = true
-		f.requeueLocked(j)
+	if reoffered {
 		s.metrics.JobsReassigned.Add(1)
 		s.cfg.Logger.Warn("straggler: job re-offered to a second node",
-			"job", j.ID, "node", req.Node, "renewals", l.renewals)
+			"job", j.ID, "node", req.Node, "renewals", renewals)
 		s.jobEvent(evJobReassigned, j, "straggler re-offer",
-			map[string]string{"from": req.Node, "renewals": fmt.Sprint(l.renewals)})
+			map[string]string{"from": req.Node, "renewals": fmt.Sprint(renewals)})
 	}
 	return fleet.RenewView{
 		Job:            req.Job,
 		LeaseTTLMillis: fleet.ToMillis(s.cfg.LeaseTTL),
-		Renewals:       l.renewals,
+		Renewals:       renewals,
 	}, http.StatusOK, ""
 }
 
 // complete accepts a result. First result wins: the job is finished by
 // whichever node delivers first — even one whose lease already expired
 // (the work is done; discarding it would only waste the redelivery) —
-// and later arrivals get "duplicate". The winner claims the job under
-// f.mu and records it after releasing it. Unknown jobs are a 404.
-func (f *fleetState) complete(ctx context.Context, req fleet.CompleteRequest) (fleet.CompleteView, int, string) {
-	s := f.s
-	if !s.coordinator() {
-		defer s.metrics.WorkersBusy.Add(-1) // the in-process analyzer is free again
-	}
-	f.mu.Lock()
+// and later arrivals get "duplicate". The winner claims the job in the
+// table and records it after. Unknown jobs are a 404.
+func (s *Server) complete(ctx context.Context, req fleet.CompleteRequest) (fleet.CompleteView, int, string) {
 	j, found := s.jobs.get(req.Job)
 	if !found {
-		f.mu.Unlock()
 		return fleet.CompleteView{}, http.StatusNotFound, "no such job"
 	}
-	if !j.claim() {
-		f.mu.Unlock()
+	if !s.table.complete(j, req.Node, req.OK) {
 		s.metrics.DuplicateResults.Add(1)
 		s.cfg.Logger.Info("duplicate result discarded", "job", j.ID, "node", req.Node)
 		return fleet.CompleteView{Job: j.ID, Result: "duplicate"}, http.StatusOK, ""
 	}
-	// The node may be unknown (lost and swept, or a pre-restart
-	// identity); the result still counts.
-	if n := f.nodes[req.Node]; n != nil {
-		if req.OK {
-			n.completed++
-		} else {
-			n.failed++
-		}
-	}
-	delete(f.leases, j.ID)
-	delete(f.reoffered, j.ID)
-	if i := slices.Index(f.queue, j); i >= 0 { // the result beat its re-offer
-		f.queue = slices.Delete(f.queue, i, i+1)
-		f.s.metrics.QueueDepth.Store(int64(len(f.queue)))
-	}
-	f.mu.Unlock()
 	switch {
 	case !req.OK:
 		s.failResult(j, &req)
@@ -770,7 +376,7 @@ func (s *Server) finishRemote(ctx context.Context, j *Job, req *fleet.CompleteRe
 // analyzers: grants and results travel by pointer, and a pull refused
 // by the drain stops the analyzer.
 type localCoordinator struct {
-	f    *fleetState
+	s    *Server
 	stop context.CancelFunc
 }
 
@@ -779,16 +385,18 @@ type localCoordinator struct {
 func answered[V any](v V, status int, _ string) (V, int, error) { return v, status, nil }
 
 func (c *localCoordinator) Register(ctx context.Context, req fleet.RegisterRequest) (fleet.RegisterView, int, error) {
-	return answered(c.f.register(ctx, req))
+	return answered(c.s.register(ctx, req))
 }
 
 func (c *localCoordinator) Heartbeat(_ context.Context, node string) (int, error) {
-	status, _ := c.f.heartbeat(node)
-	return status, nil
+	if !c.s.table.heartbeat(node) {
+		return http.StatusNotFound, nil
+	}
+	return http.StatusOK, nil
 }
 
 func (c *localCoordinator) Pull(ctx context.Context, req fleet.PullRequest) (fleet.WorkView, int, error) {
-	w, status, _ := c.f.pull(ctx, req)
+	w, status, _ := c.s.pull(ctx, req)
 	if status == http.StatusServiceUnavailable {
 		c.stop()
 	}
@@ -796,29 +404,30 @@ func (c *localCoordinator) Pull(ctx context.Context, req fleet.PullRequest) (fle
 }
 
 func (c *localCoordinator) Renew(ctx context.Context, req fleet.RenewRequest) (fleet.RenewView, int, error) {
-	return answered(c.f.renew(ctx, req))
+	return answered(c.s.renew(ctx, req))
 }
 
 func (c *localCoordinator) Complete(ctx context.Context, req fleet.CompleteRequest) (fleet.CompleteView, int, error) {
-	return answered(c.f.complete(ctx, req))
+	return answered(c.s.complete(ctx, req))
 }
 
-// startAnalyzers runs the single role's Workers in-process analyzers.
-// Their leases end only by completion: no janitor expires them and no
-// straggler re-offer doubles them, since an in-process analyzer cannot
-// be lost apart from the server and its watchdog bounds every run. The
-// analyzers log nothing; the server logs each job's start and verdict.
+// startAnalyzers runs the single role's Workers in-process analyzers,
+// once, unless Shutdown has begun. Their leases end only by completion
+// (lease.go). The analyzers log nothing; the server logs each job's
+// start and verdict.
 func (s *Server) startAnalyzers() {
-	for i := 0; i < s.cfg.Workers; i++ {
-		ctx, stop := context.WithCancel(context.Background())
-		a := fleet.NewAnalyzerFor(&localCoordinator{f: s.fleet, stop: stop},
-			s.analyzerConfig(fmt.Sprintf("local-%d", i+1), slog.New(slog.DiscardHandler)))
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			a.Run(ctx)
-		}()
-	}
+	s.analyzers.Do(func() {
+		for i := 0; i < s.cfg.Workers; i++ {
+			ctx, stop := context.WithCancel(context.Background())
+			a := fleet.NewAnalyzerFor(&localCoordinator{s: s, stop: stop},
+				s.analyzerConfig(fmt.Sprintf("local-%d", i+1), slog.New(slog.DiscardHandler)))
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				a.Run(ctx)
+			}()
+		}
+	})
 }
 
 // analyzerConfig is the in-process analyzers' configuration: the
@@ -874,36 +483,39 @@ func fleetHandler[Req, Resp any](s *Server, op string, limit int64,
 	}
 }
 
-// pullWire is pull for a remote node: the grant ships the trace as
-// base64 WTRC, with the content address stamped at admission.
-func (f *fleetState) pullWire(ctx context.Context, req fleet.PullRequest) (fleet.WorkView, int, string) {
-	work, status, msg := f.pull(ctx, req)
-	if work.Trace != nil {
-		var buf bytes.Buffer
-		if err := work.Trace.WriteBinary(&buf); err != nil {
-			return work, http.StatusInternalServerError, "encode trace: " + err.Error()
-		}
-		work.TraceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
-	}
-	return work, status, msg
-}
-
 // handleNodeList is GET /v1/nodes. It answers in every role so wolfctl
 // nodes works uniformly; a single-process wolfd lists none.
 func (s *Server) handleNodeList(w http.ResponseWriter, r *http.Request) {
 	views := []fleet.NodeView{}
 	if s.coordinator() {
-		views = s.fleet.nodeViews()
+		for _, n := range s.table.counts().nodes {
+			state := "alive"
+			if n.lost() {
+				state = "lost"
+			}
+			views = append(views, fleet.NodeView{
+				ID:            n.id,
+				Name:          n.name,
+				State:         state,
+				Leased:        n.leased,
+				Completed:     n.completed,
+				Failed:        n.failed,
+				Registered:    n.registered.UTC().Format(time.RFC3339Nano),
+				LastHeartbeat: n.lastSeen.UTC().Format(time.RFC3339Nano),
+			})
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"nodes": views})
 }
 
-// handleNodeHeartbeat is POST /v1/nodes/{id}/heartbeat.
+// handleNodeHeartbeat is POST /v1/nodes/{id}/heartbeat. 404 for an
+// unknown or lost node tells the analyzer to re-register.
 func (s *Server) handleNodeHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCoordinator(w) {
 		return
 	}
-	if status, msg := s.fleet.heartbeat(r.PathValue("id")); status != http.StatusOK {
+	if !s.table.heartbeat(r.PathValue("id")) {
+		status, msg := answer(refusedNode)
 		httpError(w, status, msg)
 		return
 	}

@@ -681,6 +681,80 @@ func TestCoordinatorRestartRequeuesLeased(t *testing.T) {
 	}
 }
 
+// TestUndeliverableJobAfterRestart: a job requeued by a coordinator
+// restart whose corpus blob is gone by the time it reaches a node is
+// terminal-failed as undeliverable, its lease dropped, and the pull
+// answers 204; the next pull parks as usual.
+func TestUndeliverableJobAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: time.Hour, HeartbeatTimeout: time.Hour, MaxDeliveries: 3,
+	}
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st1
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := uploadFig4(t, ts1.URL)
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	cfg.Store = st2
+	s, ts := startServer(t, cfg)
+	var v JobView
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &v)
+	if v.State != string(StateQueued) || v.TraceHash == "" {
+		t.Fatalf("restored job = %s hash %q, want queued with a trace hash", v.State, v.TraceHash)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/traces/"+v.TraceHash, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete trace = %d", resp.StatusCode)
+	}
+
+	node := registerNode(t, ts.URL, "n")
+	if code := fleetPost(t, ts.URL+"/v1/work/pull", fleet.PullRequest{Node: node}, nil); code != http.StatusNoContent {
+		t.Fatalf("pull of an undeliverable job = %d, want 204", code)
+	}
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &v)
+	if v.State != string(StateFailed) || !strings.HasPrefix(v.Error, "undeliverable: ") {
+		t.Fatalf("job = %s (%q), want failed as undeliverable", v.State, v.Error)
+	}
+	if n := s.metrics.JobsErrored.Load(); n != 1 {
+		t.Fatalf("error failures = %d, want 1", n)
+	}
+	s.table.mu.Lock()
+	leases := len(s.table.leases)
+	s.table.mu.Unlock()
+	if leases != 0 {
+		t.Fatalf("%d leases after the undeliverable grant, want none", leases)
+	}
+	ch, cancelPull := startPull(t, ts.URL, node)
+	waitParked(t, s, 1)
+	cancelPull()
+	<-ch
+}
+
 // TestCompleteFromForgottenNode pins the restart-completion edge: a
 // result from a node identity the coordinator no longer knows (it
 // restarted) is still accepted when the job is live — the work is
@@ -820,9 +894,9 @@ func awaitPull(t *testing.T, ch <-chan pullResult, within time.Duration) pullRes
 
 // parkedPulls reads how many pulls wait at the coordinator.
 func parkedPulls(s *Server) int {
-	s.fleet.mu.Lock()
-	defer s.fleet.mu.Unlock()
-	return s.fleet.parked
+	s.table.mu.Lock()
+	defer s.table.mu.Unlock()
+	return len(s.table.waiters)
 }
 
 // waitParked blocks until exactly n pulls wait at the coordinator.
@@ -865,7 +939,7 @@ func TestParkedPullWakes(t *testing.T) {
 		{"sweep-reassign", func(t *testing.T, s *Server, base string) func() string {
 			_, id := grantToOther(t, base)
 			return func() string {
-				s.fleet.sweep(time.Now().Add(2 * time.Minute)) // past the lease, not the heartbeat timeout
+				s.sweep(time.Now().Add(2 * time.Minute)) // past the lease, not the heartbeat timeout
 				return id
 			}
 		}, 2},
@@ -886,7 +960,7 @@ func TestParkedPullWakes(t *testing.T) {
 					ID: "j-000042", State: string(StateQueued), Source: "workload:Figure4",
 					Attempts: 1, Created: time.Now(),
 				})
-				s.fleet.requeueRestored([]*Job{j})
+				s.table.restore([]*Job{j})
 				return j.ID
 			}
 		}, 2},
@@ -980,7 +1054,7 @@ func TestParkedPullNodeLost(t *testing.T) {
 	node := registerNode(t, ts.URL, "doomed")
 	ch, _ := startPull(t, ts.URL, node)
 	waitParked(t, s, 1)
-	s.fleet.sweep(time.Now().Add(2 * time.Hour))
+	s.sweep(time.Now().Add(2 * time.Hour))
 	if r := awaitPull(t, ch, 5*time.Second); r.code != http.StatusNotFound {
 		t.Fatalf("parked pull of a lost node = %d, want 404", r.code)
 	}
@@ -1035,14 +1109,14 @@ func TestShutdownWakesParkedPulls(t *testing.T) {
 	waitParked(t, s, 2)
 
 	// Queue a job and begin Shutdown in one critical section, as if an
-	// admission raced the drain: the woken pulls reach f.mu only after
-	// the queue has closed.
+	// admission raced the drain: the woken pulls reach the table's
+	// mutex only after the queue has closed.
 	j := s.jobs.add("upload", "", fig4Trace(t))
-	s.fleet.mu.Lock()
-	s.fleet.queue = append(s.fleet.queue, j)
-	s.fleet.queuedLocked()
-	s.fleet.closeLocked()
-	s.fleet.mu.Unlock()
+	s.table.mu.Lock()
+	s.table.queue = append(s.table.queue, j)
+	s.table.queuedLocked()
+	s.table.closeLocked()
+	s.table.mu.Unlock()
 
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -1061,10 +1135,10 @@ func TestShutdownWakesParkedPulls(t *testing.T) {
 	if j.State() != StateQueued || j.Attempts() != 0 {
 		t.Fatalf("job = %s attempts=%d, want queued and never leased", j.State(), j.Attempts())
 	}
-	s.fleet.mu.Lock()
-	queued := len(s.fleet.queue)
-	leases := len(s.fleet.leases)
-	s.fleet.mu.Unlock()
+	s.table.mu.Lock()
+	queued := len(s.table.queue)
+	leases := len(s.table.leases)
+	s.table.mu.Unlock()
 	if queued != 1 || leases != 0 {
 		t.Fatalf("queued=%d leases=%d, want the job queued and no lease", queued, leases)
 	}
@@ -1088,7 +1162,7 @@ func TestQueueReofferFirst(t *testing.T) {
 		t.Fatalf("granted %s, want %s", w.Job, first)
 	}
 	second := uploadFig4(t, ts.URL)
-	s.fleet.sweep(time.Now().Add(2 * time.Hour)) // "lost" is lost; first is reassigned
+	s.sweep(time.Now().Add(2 * time.Hour)) // "lost" is lost; first is reassigned
 	live := registerNode(t, ts.URL, "live")
 	if w := pullWork(t, ts.URL, live); w.Job != first || w.Attempts != 2 {
 		t.Fatalf("grant = %s attempt %d, want the reassigned %s attempt 2", w.Job, w.Attempts, first)
@@ -1111,7 +1185,7 @@ func TestQueueDepthCountsReoffers(t *testing.T) {
 	if w := pullWork(t, ts.URL, node); w.Job != id {
 		t.Fatalf("granted %s, want %s", w.Job, id)
 	}
-	s.fleet.sweep(time.Now().Add(2 * time.Hour)) // the node is lost; the job is reassigned
+	s.sweep(time.Now().Add(2 * time.Hour)) // the node is lost; the job is reassigned
 
 	var body bytes.Buffer
 	if err := fig4Trace(t).Write(&body); err != nil {
@@ -1167,7 +1241,7 @@ func TestShutdownStopsLocalAnalyzers(t *testing.T) {
 	if d := time.Since(start); d > 250*time.Millisecond {
 		t.Fatalf("Shutdown took %v, want the analyzers stopped well under Poll", d)
 	}
-	if busy := s.Metrics().WorkersBusy.Load(); busy != 0 {
+	if busy := s.table.counts().busy; busy != 0 {
 		t.Fatalf("workers busy after Shutdown = %d, want 0", busy)
 	}
 }

@@ -183,14 +183,6 @@ func (j *Job) terminal() bool {
 	return j.state == StateDone || j.state == StateFailed
 }
 
-// decided reports whether the job's outcome is settled: terminal, or
-// claimed by a result still being recorded.
-func (j *Job) decided() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.claimed || j.state == StateDone || j.state == StateFailed
-}
-
 // claim reserves the job's outcome for one result; it reports false
 // when the job is already decided.
 func (j *Job) claim() bool {
@@ -223,14 +215,14 @@ func (j *Job) setWorkloadSeed(seed int64) {
 	j.wlSeed = seed
 }
 
-// leaseTo marks the job delivered to a node and returns the new
+// leaseTo marks the job delivered to a node at now and returns the new
 // delivery count; the lease itself lives in the lease table.
-func (j *Job) leaseTo(node string) int {
+func (j *Job) leaseTo(node string, now time.Time) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
 	if j.started.IsZero() {
-		j.started = time.Now()
+		j.started = now
 	}
 	j.node = node
 	j.attempts++

@@ -65,25 +65,19 @@ type Metrics struct {
 	JobsReassignEx atomic.Int64
 
 	// Fleet (coordinator role). NodesRegistered/NodesLost are lifetime
-	// counters; NodesAlive is the live gauge. JobsReassigned counts
-	// lease revocations that re-queued a job (including straggler
-	// re-offers); LeaseRenewals counts granted renewals;
-	// DuplicateResults counts completions that lost the
+	// counters; the live node gauge is read from the lease table.
+	// JobsReassigned counts lease revocations that re-queued a job
+	// (including straggler re-offers); LeaseRenewals counts granted
+	// renewals; DuplicateResults counts completions that lost the
 	// first-result-wins race.
 	NodesRegistered  atomic.Int64
 	NodesLost        atomic.Int64
-	NodesAlive       atomic.Int64
 	JobsReassigned   atomic.Int64
 	LeaseRenewals    atomic.Int64
 	DuplicateResults atomic.Int64
 	// SyncRejected counts synchronous analyses shed because every worker
 	// slot was busy.
 	SyncRejected atomic.Int64
-	// QueueDepth is the number of queued-but-not-started jobs.
-	QueueDepth atomic.Int64
-	// WorkersBusy is the number of workers currently running an
-	// analysis (the /v1/status utilization gauge).
-	WorkersBusy atomic.Int64
 	// AnalysisParallelism is the resolved per-job Generator worker pool
 	// size (core.Config.EffectiveParallelism), set once at startup.
 	AnalysisParallelism atomic.Int64
@@ -205,8 +199,10 @@ func (m *Metrics) observe(rep *core.Report, total time.Duration) {
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
-// format.
-func (m *Metrics) WritePrometheus(w io.Writer) {
+// format, with the gauges the lease table reports. The fleet families
+// render only on a coordinator, so the single-process exposition stays
+// byte-identical to earlier releases.
+func (m *Metrics) WritePrometheus(w io.Writer, c tableCounts, coordinator bool) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -232,8 +228,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("wolfd_stream_events_total", "Tuples decoded from stream chunks and fed to the incremental detector.", m.StreamEvents.Load())
 	counter("wolfd_stream_candidates_total", "Cycle candidates emitted mid-stream.", m.StreamCandidates.Load())
 
-	gauge("wolfd_queue_depth", "Queued-but-not-started jobs.", m.QueueDepth.Load())
-	gauge("wolfd_workers_busy", "Workers currently running an analysis.", m.WorkersBusy.Load())
+	gauge("wolfd_queue_depth", "Queued-but-not-started jobs.", int64(c.depth))
+	gauge("wolfd_workers_busy", "Workers currently running an analysis.", int64(c.busy))
 	gauge("wolfd_analysis_parallelism", "Resolved per-job analysis worker pool size (-analysis-parallelism).", m.AnalysisParallelism.Load())
 	counter("wolfd_cycles_total", "Potential deadlock cycles detected across all reports.", m.CyclesTotal.Load())
 	counter("wolfd_replay_faults_injected_total", "Scheduling perturbations injected across all replays.", m.FaultsInjected.Load())
@@ -273,22 +269,22 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s Build information; value is always 1.\n# TYPE %s gauge\n", name, name)
 	fmt.Fprintf(w, "%s{%s,%s,%s} 1\n", name,
 		obs.Label("version", bi.Version), obs.Label("goversion", bi.GoVersion), obs.Label("revision", bi.Revision))
-}
 
-// WriteFleetPrometheus renders the coordinator-only fleet families.
-// Separate from WritePrometheus so the single-process exposition stays
-// byte-identical to earlier releases.
-func (m *Metrics) WriteFleetPrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	if !coordinator {
+		return
 	}
 	counter("wolfd_nodes_registered_total", "Analyzer nodes that ever registered.", m.NodesRegistered.Load())
 	counter("wolfd_nodes_lost_total", "Analyzer nodes declared lost after missed heartbeats.", m.NodesLost.Load())
-	gauge("wolfd_nodes_alive", "Currently registered, non-lost analyzer nodes.", m.NodesAlive.Load())
+	gauge("wolfd_nodes_alive", "Currently registered, non-lost analyzer nodes.", int64(c.alive))
 	counter("wolfd_jobs_reassigned_total", "Jobs re-queued after a revoked lease (including straggler re-offers).", m.JobsReassigned.Load())
 	counter("wolfd_lease_renewals_total", "Work lease renewals granted.", m.LeaseRenewals.Load())
 	counter("wolfd_results_duplicate_total", "Completions that lost the first-result-wins race.", m.DuplicateResults.Load())
+	if len(c.nodes) == 0 { // an empty family would fail the exposition linter
+		return
+	}
+	name = "wolfd_node_leased"
+	fmt.Fprintf(w, "# HELP %s Jobs currently leased, per analyzer node.\n# TYPE %s gauge\n", name, name)
+	for _, n := range c.nodes {
+		fmt.Fprintf(w, "%s{%s,%s} %d\n", name, obs.Label("node", n.id), obs.Label("name", n.name), n.leased)
+	}
 }

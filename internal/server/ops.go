@@ -170,26 +170,26 @@ const errorWindowSeconds = 300
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	var v StatusView
 	v.Status = "ok"
-	if s.draining() {
+	if s.table.draining() {
 		v.Status = "draining"
 	}
 	v.Role = s.role()
+	c := s.table.counts()
 	if s.coordinator() {
-		nodes, alive, leased, pending := s.fleet.counts()
 		v.Fleet = &FleetStatusView{
-			Nodes:      nodes,
-			Alive:      alive,
-			Leased:     leased,
-			Pending:    pending,
+			Nodes:      len(c.nodes),
+			Alive:      c.alive,
+			Leased:     c.leased,
+			Pending:    c.pending,
 			Reassigned: s.metrics.JobsReassigned.Load(),
 		}
 	}
 	v.UptimeSeconds = time.Since(s.started).Seconds()
 	v.Build = obs.ReadBuildInfo()
-	v.Queue.Depth = s.metrics.QueueDepth.Load()
+	v.Queue.Depth = int64(c.depth)
 	v.Queue.Capacity = s.cfg.QueueSize
 	v.Workers.Total = s.cfg.Workers
-	v.Workers.Busy = s.metrics.WorkersBusy.Load()
+	v.Workers.Busy = int64(c.busy)
 	v.Streams.Open = s.metrics.StreamsOpen.Load()
 	v.Streams.Max = s.cfg.MaxOpenStreams
 	v.Jobs.Accepted = s.metrics.JobsAccepted.Load()

@@ -207,15 +207,19 @@ type Server struct {
 	streams *streamStore
 	// stop is closed when Shutdown begins: it ends the janitors and any
 	// /v1/debug/events SSE tails.
-	stop chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
 	// flight is the daemon-wide flight recorder: a bounded lock-free
 	// ring of recent lifecycle events across all jobs and streams.
 	flight  *obs.FlightRecorder
 	started time.Time
-	// fleet is the job queue and the node and lease bookkeeping every
+	// table is the job queue and the node and lease bookkeeping every
 	// analysis runs under.
-	fleet *fleetState
-	wg    sync.WaitGroup
+	table *leaseTable
+	// analyzers starts the single role's analyzers with the first
+	// admitted job; Shutdown spends it so none start after the drain.
+	analyzers sync.Once
+	wg        sync.WaitGroup
 }
 
 // New builds a server. With a corpus attached, the job registry is
@@ -236,7 +240,7 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.metrics.AnalysisParallelism.Store(int64(cfg.Analysis.EffectiveParallelism()))
-	s.fleet = newFleetState(s)
+	s.table = newLeaseTable(cfg, time.Now)
 	s.syncRunner = fleet.NewAnalyzerFor(nil, s.analyzerConfig("sync", cfg.Logger))
 	if cfg.Store != nil {
 		var requeued []*Job
@@ -260,9 +264,7 @@ func New(cfg Config) *Server {
 				cfg.Logger.Warn("job lost in restart", "job", j.ID, "trace", j.TraceID())
 			}
 		}
-		if len(requeued) > 0 {
-			s.fleet.requeueRestored(requeued)
-		}
+		s.failExhausted(s.table.restore(requeued))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/traces", s.handleUpload)
@@ -290,17 +292,18 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/debug/events", s.handleDebugEvents)
-	s.mux.HandleFunc("POST /v1/nodes", fleetHandler(s, "register", 1<<20, s.fleet.register))
+	s.mux.HandleFunc("POST /v1/nodes", fleetHandler(s, "register", 1<<20, s.register))
 	s.mux.HandleFunc("GET /v1/nodes", s.handleNodeList)
 	s.mux.HandleFunc("POST /v1/nodes/{id}/heartbeat", s.handleNodeHeartbeat)
-	s.mux.HandleFunc("POST /v1/work/pull", fleetHandler(s, "pull", 1<<20, s.fleet.pullWire))
-	s.mux.HandleFunc("POST /v1/work/renew", fleetHandler(s, "renew", 1<<20, s.fleet.renew))
-	s.mux.HandleFunc("POST /v1/work/complete", fleetHandler(s, "complete", cfg.MaxUploadBytes, s.fleet.complete))
-	// The janitors: lease and node expiry (coordinator only),
+	s.mux.HandleFunc("POST /v1/work/pull", fleetHandler(s, "pull", 1<<20, s.pull))
+	s.mux.HandleFunc("POST /v1/work/renew", fleetHandler(s, "renew", 1<<20, s.renew))
+	s.mux.HandleFunc("POST /v1/work/complete", fleetHandler(s, "complete", cfg.MaxUploadBytes, s.complete))
+	// The janitors: lease and node expiry (coordinator only, every
+	// quarter of the shortest deadline, clamped to [5ms, 1s]),
 	// idle-stream eviction, and — with a corpus and at least one bound
 	// set — trace GC.
 	if s.coordinator() {
-		s.every(s.fleet.janitorTick(), s.fleet.sweep)
+		s.every(min(max(min(cfg.LeaseTTL, cfg.HeartbeatTimeout)/4, 5*time.Millisecond), time.Second), s.sweep)
 	}
 	s.every(min(max(cfg.StreamIdleTimeout/4, 50*time.Millisecond), 15*time.Second), s.evictIdleStreams)
 	if cfg.Store != nil && (cfg.MaxCorpusBytes > 0 || cfg.TraceTTL > 0) {
@@ -424,10 +427,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // finishing a deep queue can outlive any reasonable drain budget. The
 // context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.fleet.close()
-	if !s.coordinator() {
-		s.fleet.drainQueued()
+	for _, j := range s.table.close() {
+		s.failJob(j, FailDrained, "server draining: job was queued but never started", "drained")
+		s.cfg.Logger.Info("job drained", "job", j.ID, "source", j.Source(), "trace", j.TraceID())
 	}
+	s.stopOnce.Do(func() { close(s.stop) })
+	s.analyzers.Do(func() {})
 	// Open streams cannot finish once admission is closed; release their
 	// slots now so the drained process accounts for them.
 	for _, ss := range s.streams.snapshot() {
@@ -443,16 +448,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// draining reports whether Shutdown has begun.
-func (s *Server) draining() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -565,24 +560,26 @@ func (s *Server) handleWorkloadJob(w http.ResponseWriter, r *http.Request) {
 // a fast analyzer's terminal record always lands after it.
 func (s *Server) admit(w http.ResponseWriter, j *Job) {
 	s.persistJob(j)
-	ok, closed := s.fleet.admit(j)
-	switch {
-	case closed:
-		j.fail("server shutting down")
+	if v := s.table.admit(j); v != granted {
+		j.fail(string(v))
 		s.persistJob(j)
-		s.jobEvent(evJobShed, j, "server shutting down", nil)
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-	case !ok:
-		j.fail("queue full")
-		s.persistJob(j)
-		s.jobEvent(evJobShed, j, "queue full", nil)
+		s.jobEvent(evJobShed, j, string(v), nil)
+		if v == refusedClosed {
+			httpError(w, http.StatusServiceUnavailable, string(v))
+			return
+		}
+		s.metrics.JobsRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "analysis queue full")
-	default:
-		s.jobEvent(evJobQueued, j, "", map[string]string{"source": j.source})
-		w.Header().Set("Location", "/v1/jobs/"+j.ID)
-		writeJSON(w, http.StatusAccepted, j.view())
+		return
 	}
+	s.metrics.JobsAccepted.Add(1)
+	if !s.coordinator() {
+		s.startAnalyzers()
+	}
+	s.jobEvent(evJobQueued, j, "", map[string]string{"source": j.source})
+	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // handleAnalyzeSync is POST /v1/analyze: run the pipeline inline on the
@@ -988,15 +985,10 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, obs.ReadBuildInfo())
 }
 
-// handleMetrics is GET /metrics. The fleet families render only in
-// coordinator mode, keeping the single-process exposition unchanged.
+// handleMetrics is GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w)
-	if s.coordinator() {
-		s.metrics.WriteFleetPrometheus(w)
-		s.fleet.writePrometheus(w)
-	}
+	s.metrics.WritePrometheus(w, s.table.counts(), s.coordinator())
 	if s.cfg.Store != nil {
 		s.cfg.Store.WritePrometheus(w)
 	}
@@ -1018,26 +1010,26 @@ func (s *Server) role() string {
 // probes and a future coordinator read the same queue/stream/build
 // rollup.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	closed := s.draining()
+	closed := s.table.draining()
 	status := http.StatusOK
 	state := "ok"
 	if closed {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
+	c := s.table.counts()
 	body := map[string]any{
 		"status":       state,
 		"draining":     closed,
 		"role":         s.role(),
-		"queue_depth":  s.metrics.QueueDepth.Load(),
+		"queue_depth":  c.depth,
 		"streams_open": s.metrics.StreamsOpen.Load(),
 		"version":      obs.ReadBuildInfo().Version,
 	}
 	if s.coordinator() {
-		nodes, alive, leased, _ := s.fleet.counts()
-		body["nodes"] = nodes
-		body["nodes_alive"] = alive
-		body["jobs_leased"] = leased
+		body["nodes"] = len(c.nodes)
+		body["nodes_alive"] = c.alive
+		body["jobs_leased"] = c.leased
 	}
 	writeJSON(w, status, body)
 }

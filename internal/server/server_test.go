@@ -345,7 +345,7 @@ func TestQueueFull(t *testing.T) {
 	// Wait until the worker has dequeued the first job so exactly
 	// QueueSize slots are occupied.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().QueueDepth.Load() != 2 && time.Now().Before(deadline) {
+	for s.table.counts().depth != 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -499,7 +499,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Wait for the single worker to park on the first job so exactly one
 	// job is in flight and two are queued when the drain starts.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().QueueDepth.Load() != 2 && time.Now().Before(deadline) {
+	for s.table.counts().depth != 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 

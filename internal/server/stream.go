@@ -194,7 +194,7 @@ func (s *Server) evictIdleStreams(now time.Time) {
 
 // handleStreamOpen is POST /v1/streams: admit a stream or shed load.
 func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
-	if s.draining() {
+	if s.table.draining() {
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
