@@ -281,12 +281,12 @@ func (s *Server) complete(ctx context.Context, req fleet.CompleteRequest) (fleet
 	switch {
 	case !req.OK:
 		s.failResult(j, &req)
+		s.persistJob(j)
 	case req.Analysis != nil:
 		s.finishLocal(ctx, j, req.Analysis, req.Trace)
 	default:
 		s.finishRemote(ctx, j, &req)
 	}
-	s.persistJob(j)
 	return fleet.CompleteView{Job: j.ID, Result: "accepted"}, http.StatusOK, ""
 }
 
@@ -322,10 +322,11 @@ func (s *Server) finishLocal(ctx context.Context, j *Job, rep *core.Report, reco
 	if recorded != nil {
 		s.archiveTrace(ctx, j, recorded)
 	}
+	now := time.Now()
 	if s.cfg.Store != nil {
-		s.recordDefects(ctx, j, j.TraceHash(), store.Summarize(rep))
+		s.settle(ctx, j, j.doneRecord(rep, nil, now), store.Summarize(rep))
 	}
-	elapsed := j.finish(rep)
+	elapsed := j.finish(rep, now)
 	s.metrics.observe(rep, elapsed)
 	s.cfg.Logger.Info("job done", "job", j.ID, "source", j.Source(), "trace", j.TraceID(),
 		"cycles", len(rep.Cycles), "defects", len(rep.Defects), "elapsed", elapsed)
@@ -362,10 +363,11 @@ func (s *Server) finishRemote(ctx context.Context, j *Job, req *fleet.CompleteRe
 			s.archiveTrace(ctx, j, tr)
 		}
 	}
-	if len(req.Summaries) > 0 {
-		s.recordDefects(ctx, j, j.TraceHash(), req.Summaries)
+	now := time.Now()
+	if s.cfg.Store != nil {
+		s.settle(ctx, j, j.doneRecord(nil, req.Report, now), req.Summaries)
 	}
-	j.finishRaw(req.Report)
+	j.finishRaw(req.Report, now)
 	s.metrics.JobsCompleted.Add(1)
 	s.metrics.Analysis.Observe(time.Since(j.CreatedAt()))
 	s.cfg.Logger.Info("job done", "job", j.ID, "node", req.Node, "defect_summaries", len(req.Summaries))

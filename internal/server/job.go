@@ -149,14 +149,14 @@ func (j *Job) setTrace(tr *trace.Trace) {
 	j.tuples = len(tr.Tuples)
 }
 
-// finish records a successful analysis and returns its time since the
-// first lease.
-func (j *Job) finish(rep *core.Report) time.Duration {
+// finish records a successful analysis finished at now and returns its
+// time since the first lease.
+func (j *Job) finish(rep *core.Report, now time.Time) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
 	j.report = rep
-	j.finished = time.Now()
+	j.finished = now
 	return j.finished.Sub(j.started)
 }
 
@@ -237,16 +237,16 @@ func (j *Job) unlease() {
 	j.node = ""
 }
 
-// finishRaw records a successful remote analysis by its wire-format
-// report; the report endpoint serves it verbatim, exactly like a job
-// rehydrated from the journal.
-func (j *Job) finishRaw(raw json.RawMessage) {
+// finishRaw records a successful remote analysis, finished at now, by
+// its wire-format report; the report endpoint serves it verbatim,
+// exactly like a job rehydrated from the journal.
+func (j *Job) finishRaw(raw json.RawMessage, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateDone
 	j.reportJSON = raw
 	j.remote = true
-	j.finished = time.Now()
+	j.finished = now
 }
 
 // ranRemote reports whether a remote analyzer delivered the job's
@@ -277,16 +277,32 @@ func (j *Job) record() store.JobRecord {
 		Attempts:  j.attempts,
 	}
 	if j.state == StateDone {
-		switch {
-		case j.report != nil:
-			if data, err := json.Marshal(report.FromCore(j.report)); err == nil {
-				rec.Report = data
-			}
-		case j.reportJSON != nil:
-			rec.Report = j.reportJSON
-		}
+		rec.Report = wireReport(j.report, j.reportJSON)
 	}
 	return rec
+}
+
+// doneRecord is the record the job will have once finish(rep, now) or
+// finishRaw(raw, now) flips it to done. It is built first so that the
+// journal holds the verdict before any reader sees done.
+func (j *Job) doneRecord(rep *core.Report, raw json.RawMessage, now time.Time) store.JobRecord {
+	rec := j.record()
+	rec.State = string(StateDone)
+	rec.Finished = now
+	rec.Report = wireReport(rep, raw)
+	return rec
+}
+
+// wireReport is a done job's report in its persisted wire form.
+func wireReport(rep *core.Report, raw json.RawMessage) json.RawMessage {
+	if rep == nil {
+		return raw
+	}
+	data, err := json.Marshal(report.FromCore(rep))
+	if err != nil {
+		return nil
+	}
+	return data
 }
 
 // JobView is the wire representation of a job's status.

@@ -392,21 +392,21 @@ func (s *Server) archiveTrace(ctx context.Context, j *Job, tr *trace.Trace) {
 	s.jobEvent(evStoreTrace, j, "trace archived", map[string]string{"hash": fingerprint.Short(hash)})
 }
 
-// recordDefects folds a finished analysis's defect summaries into the
-// corpus. j carries the causal identity for logs and events; it is nil
-// on the synchronous path, which has no job.
-func (s *Server) recordDefects(ctx context.Context, j *Job, traceHash string, sums []store.CycleSummary) {
-	if s.cfg.Store == nil {
-		return
-	}
-	jobID, traceID, source := "", "", ""
-	if j != nil {
-		jobID, traceID, source = j.ID, j.TraceID(), j.Source()
-	}
-	updated, err := s.cfg.Store.RecordSummaries(ctx, traceHash, sums, source, time.Now())
+// settle makes a finished job's verdict durable before the job reads
+// done: one fsynced journal append of its terminal record, which
+// carries the defect delta of sums, folded into the corpus right after.
+// A corpus failure never fails the job; it is logged.
+func (s *Server) settle(ctx context.Context, j *Job, rec store.JobRecord, sums []store.CycleSummary) {
+	updated, err := s.cfg.Store.FinishJob(ctx, rec, sums)
+	s.defectsRecorded(j.ID, j.TraceID(), updated, err)
+}
+
+// defectsRecorded logs a fold into the corpus and publishes a
+// store.defect event per fingerprint it touched. jobID and traceID are
+// empty on the synchronous path, which has no job.
+func (s *Server) defectsRecorded(jobID, traceID string, updated []string, err error) {
 	if err != nil {
 		s.cfg.Logger.Error("record defects", "job", jobID, "trace", traceID, "err", err)
-		return
 	}
 	for _, fp := range updated {
 		s.cfg.Logger.Info("defect recorded", "job", jobID, "trace", traceID,
@@ -623,7 +623,9 @@ func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 	rep := res.Analysis
 	if s.cfg.Store != nil {
 		if hash, _, perr := s.cfg.Store.PutTrace(r.Context(), tr); perr == nil {
-			s.recordDefects(r.Context(), nil, hash, store.Summarize(rep))
+			// No job: the delta is journaled as a record of its own.
+			updated, err := s.cfg.Store.Record(r.Context(), hash, rep, "", time.Now())
+			s.defectsRecorded("", "", updated, err)
 		} else {
 			s.cfg.Logger.Error("archive trace", "source", "sync", "trace", traceID, "err", perr)
 		}

@@ -222,14 +222,15 @@ func BenchmarkPutTraceDedup(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordSummaries prices folding one job's verdict into the
-// corpus as the corpus ages. Every call rewrites each defect record it
-// touches in full — indented JSON, a file fsync and a directory fsync —
-// and a record's Traces list gains a hash for every new trace that
-// exhibits it, so the rewrite grows with the corpus. The job here
-// touches 3 defects whose records already list traces= hashes,
-// including the job's own, so record size stays fixed across
-// iterations. record_bytes is the size of one rewritten record.
+// BenchmarkRecordSummaries prices folding one verdict into the corpus
+// as the corpus ages. A call journals the verdict's delta — the
+// fingerprints it touched, with signature and edges only for new ones —
+// in one fsynced append and updates the records in memory; the defect
+// files are rewritten only by the snapshot, once every snapshotEvery
+// deltas, so the cost per call should not grow with a record's Traces
+// list. The job here touches 3 defects whose records already list
+// traces= hashes, including the job's own, so record size stays fixed
+// across iterations. record_bytes is the size of one defect file.
 func BenchmarkRecordSummaries(b *testing.B) {
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	for _, n := range []int{1, 100, 1000} {

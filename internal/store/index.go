@@ -8,29 +8,41 @@ package store
 // other corpus file, and a warm Open deserializes it in O(index) with
 // no directory walk at all.
 //
-// Version 2 lays the trace table out as 256 per-shard sections of
-// fixed-width entries behind a shard table of (count, bytes) pairs.
-// A warm Open therefore only reads the file, checks the checksum and
-// slices the sections — the per-shard maps materialize lazily on first
-// access (see traceindex.go), which is what keeps a 100k-trace open in
-// single-digit milliseconds. Shards untouched since load are written
-// back verbatim on the next snapshot, so a read-mostly process never
-// decodes most of the corpus at all.
+// Since version 2 the trace table is laid out as 256 per-shard
+// sections of fixed-width entries behind a shard table of (count,
+// bytes) pairs. A warm Open therefore only reads the file, checks the
+// checksum and slices the sections — the per-shard maps materialize
+// lazily on first access (see traceindex.go), which is what keeps a
+// 100k-trace open in single-digit milliseconds. Shards untouched since
+// load are written back verbatim on the next snapshot, so a read-mostly
+// process never decodes most of the corpus at all.
 //
-// Correctness does not depend on the snapshot: it is a cache of
-// filesystem state, validated on load and discarded on any doubt, with
-// the parallel shard scan as the always-correct fallback. Two guards
-// decide whether a snapshot can be trusted:
+// The defect half of the snapshot, and the defect files a full
+// snapshot writes beside index.bin, are materializations of the job
+// journal, whose terminal records carry every verdict's defect delta
+// (jobs.go). Stamps tie them to the journal:
 //
-//   - A generation stamp: the byte length of the jobs journal at the
-//     moment the snapshot was written. Every wolfd mutation batch also
-//     appends a job record, so a journal that grew (or was compacted)
-//     since the snapshot proves the snapshot is stale.
-//   - A dirty marker (index.dirty): created before the first mutation
-//     after a snapshot, removed only after the next snapshot lands. A
-//     crash mid-anything leaves the marker behind, forcing a cold scan.
-//     This covers direct store mutations (PutTrace, GC) that do not
-//     touch the journal.
+//   - A sequence stamp: the last defect delta the snapshot reflects. It
+//     means "replay from here": Open folds in the journal's deltas past
+//     it. Each defect file carries the same kind of stamp for itself, so
+//     a scan after a crash — even one halfway through a snapshot, with
+//     some defect files written and index.bin not — replays each record
+//     from its own file's stamp.
+//   - A files stamp: the last delta every defect file reflects. Close
+//     writes index.bin alone, so files may lag; each record in the
+//     snapshot carries its own sequence number, and those past the
+//     files stamp are written by the next full snapshot.
+//   - A generation stamp: the byte length of the jobs journal when the
+//     snapshot was written. An Open that finds the journal longer or
+//     shorter (a crash after more appends, or a compaction) still uses
+//     the snapshot, but is not warm and writes a fresh one.
+//
+// Trace mutations (PutTrace, GC, DeleteTrace) are not journaled, so a
+// dirty marker (index.dirty) guards the trace index: created before the
+// first trace mutation after a snapshot, removed only after the next
+// snapshot lands. A crash in between leaves the marker behind, and
+// Open then rebuilds the trace index and re-reads the defect files with
+// the parallel shard scan, the always-correct fallback.
 //
 // The payload itself carries a magic, a version and a trailing CRC-32C,
 // so a torn or corrupt snapshot (crash during its own atomicWrite never
@@ -44,7 +56,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -53,7 +64,18 @@ import (
 // indexMagic and indexVersion head every index.bin.
 var indexMagic = []byte("WIDX")
 
-const indexVersion = 2
+// Version 3 added the sequence and files stamps; an older snapshot
+// fails closed into a scan.
+const indexVersion = 3
+
+// indexStamp is what a snapshot says it reflects: the journal's byte
+// length, the last defect delta, and the last delta every defect file
+// reflects.
+type indexStamp struct {
+	journal int64
+	seq     int64
+	files   int64
+}
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on
 // every platform wolfd targets.
@@ -67,61 +89,63 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.bin") }
 func (s *Store) dirtyPath() string { return filepath.Join(s.dir, "index.dirty") }
 func (s *Store) jobsPath() string  { return filepath.Join(s.dir, "jobs.jsonl") }
 
-// journalSize is the jobs journal's current on-disk byte length — the
-// snapshot generation stamp. A missing journal stamps as 0.
-func (s *Store) journalSize() int64 {
-	fi, err := os.Stat(s.jobsPath())
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
-}
-
-// markDirtyLocked drops the dirty marker before the first mutation
-// following a snapshot, invalidating that snapshot for any Open that
-// happens before the next one is written. One syscall per
-// snapshot-to-snapshot window; every later mutation sees s.dirty and
-// returns immediately. Caller holds s.mu.
+// markDirtyLocked drops the dirty marker before the first trace
+// mutation following a snapshot, invalidating that snapshot's trace
+// index for any Open that happens before the next one is written. One
+// directory fsync per snapshot-to-snapshot window; every later mutation
+// sees s.dirty and returns immediately. Caller holds s.mu.
 func (s *Store) markDirtyLocked() {
 	if s.dirty {
 		return
 	}
 	// Failing to drop the marker (full disk) is tolerable: the flag still
 	// flips in memory, so this process keeps snapshotting correctly; only
-	// a crash in exactly this window could leave a stale snapshot, and
-	// the journal stamp still catches every job-creating mutation.
+	// a crash in exactly this window could leave a stale trace index.
 	if f, err := os.Create(s.dirtyPath()); err == nil {
 		f.Close()
-		syncDir(s.dir)
+		s.syncs.dir(s.dir)
 	}
 	s.dirty = true
 }
 
-// saveIndexLocked atomically writes the snapshot and, when no blob
-// write is in flight, clears the dirty marker. In-flight writes (the
-// put path releases s.mu around disk I/O) leave the marker in place —
-// the snapshot is still written, but the next Open rescans rather than
-// trusting state that raced a writer. Caller holds s.mu.
-func (s *Store) saveIndexLocked() error {
-	data := s.encodeIndexLocked()
-	if err := atomicWrite(s.indexPath(), data); err != nil {
+// saveIndexLocked writes the snapshot. With defects it first writes
+// the defect files of the records folded since they were last written,
+// each atomically, then index.bin; without, index.bin alone, which
+// holds every record and marks the ones whose files lag. Then, when no
+// blob write is in flight, it clears the dirty marker. In-flight writes
+// (the put path releases s.mu around disk I/O) leave the marker in
+// place — the snapshot is still written, but the next Open rescans
+// rather than trusting state that raced a writer. Caller holds s.mu.
+func (s *Store) saveIndexLocked(defects bool) error {
+	if defects && s.filesSeq < s.seq {
+		s.ensureDefectsLocked() // a warm load's lagging records join unsaved
+		for fp := range s.unsaved {
+			if err := s.writeDefect(s.defects[fp]); err != nil {
+				return err
+			}
+		}
+		clear(s.unsaved)
+		s.filesSeq = s.seq
+	}
+	if err := s.syncs.atomicWrite(s.indexPath(), s.encodeIndexLocked()); err != nil {
 		return err
 	}
 	if s.writing == 0 {
 		os.Remove(s.dirtyPath())
-		syncDir(s.dir)
+		s.syncs.dir(s.dir)
 		s.dirty = false
 	}
 	return nil
 }
 
-// SaveIndex persists the current index snapshot. Close calls it; a
-// long-running server may also call it periodically so a crash close to
-// the end of a large ingest does not force a full rescan.
+// SaveIndex persists a full snapshot: the defect files folded since
+// they were last written, then index.bin. A long-running server may
+// call it periodically so a crash close to the end of a large ingest
+// does not force a full rescan.
 func (s *Store) SaveIndex() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.saveIndexLocked()
+	return s.saveIndexLocked(true)
 }
 
 // encodeIndexLocked serializes the index. Caller holds s.mu.
@@ -129,8 +153,11 @@ func (s *Store) SaveIndex() error {
 // Layout: magic, version byte, journal stamp varint; defect block
 // (uvarint count, then per record: flags byte, uvarint length, JSON);
 // the flags byte once marked pre-sharding records and is always 0;
-// shard table (256 x uvarint count, uvarint bytes); the 256 trace
-// sections of fixed-width entries; CRC-32C trailer.
+// sequence stamp varint (the last delta the defect block reflects) and
+// files stamp varint (the last delta every defect file reflects; a
+// record with a later seq has a lagging file); shard table (256 x
+// uvarint count, uvarint bytes); the 256 trace sections of fixed-width
+// entries; CRC-32C trailer.
 func (s *Store) encodeIndexLocked() []byte {
 	var buf bytes.Buffer
 	buf.Write(indexMagic)
@@ -139,7 +166,7 @@ func (s *Store) encodeIndexLocked() []byte {
 	putUvarint := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
 	putVarint := func(v int64) { buf.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
 
-	putVarint(s.journalSize())
+	putVarint(s.jobs.size)
 
 	if s.rawDefects != nil {
 		// Never materialized since load: splice the block back verbatim.
@@ -148,7 +175,7 @@ func (s *Store) encodeIndexLocked() []byte {
 	} else {
 		putUvarint(uint64(len(s.defects)))
 		for _, rec := range s.defects {
-			data, err := json.Marshal(rec)
+			data, err := json.Marshal(defectFile{rec, rec.seq})
 			if err != nil {
 				continue
 			}
@@ -157,6 +184,8 @@ func (s *Store) encodeIndexLocked() []byte {
 			buf.Write(data)
 		}
 	}
+	putVarint(s.seq)
+	putVarint(s.filesSeq)
 
 	// Encode mutated shards; pass raw sections through verbatim.
 	sections := make([][]byte, traceShards)
@@ -192,34 +221,32 @@ func (s *Store) encodeIndexLocked() []byte {
 	return buf.Bytes()
 }
 
-// loadIndex attempts a warm Open from the snapshot, populating the
-// defect map eagerly and the trace shards lazily. It reports false —
+// loadIndex attempts to load the snapshot, the defect block and the
+// trace shards lazily, and returns its stamps. It reports false —
 // leaving the store empty for the cold scan — when there is no
-// snapshot, the dirty marker exists, the generation stamp disagrees
-// with the journal, or the payload fails validation. Called from Open
-// before the job log is opened (journal compaction would move the
-// stamp).
-func (s *Store) loadIndex() bool {
+// snapshot, the dirty marker exists, or the payload fails validation.
+func (s *Store) loadIndex() (indexStamp, bool) {
 	if _, err := os.Stat(s.dirtyPath()); err == nil {
 		s.dirty = true
-		return false
+		return indexStamp{}, false
 	}
 	data, err := os.ReadFile(s.indexPath())
 	if err != nil {
-		return false
+		return indexStamp{}, false
 	}
-	if err := s.decodeIndex(data); err != nil {
+	stamp, err := s.decodeIndex(data)
+	if err != nil {
 		s.traces.reset()
 		s.defects = make(map[string]*DefectRecord)
 		s.rawDefects, s.rawDefectN = nil, 0
-		return false
+		return indexStamp{}, false
 	}
-	return true
+	return stamp, true
 }
 
 // ensureDefectsLocked materializes the defect records from a lazily
-// loaded snapshot block: JSON-parse every record, then rebuild the
-// query postings. A no-op after the first call (and always after a cold
+// loaded snapshot block: JSON-parse every record, noting those whose
+// defect files lag, then rebuild the query postings. A no-op after the first call (and always after a cold
 // scan, which builds the map directly). Caller holds s.mu.
 func (s *Store) ensureDefectsLocked() {
 	if s.rawDefects == nil {
@@ -239,12 +266,17 @@ func (s *Store) ensureDefectsLocked() {
 		off := len(raw) - r.Len()
 		r.Seek(int64(n), 1)
 		rec := new(DefectRecord)
+		file := defectFile{DefectRecord: rec}
 		// The block is checksummed and encoder-produced; a record that
 		// still fails to parse is dropped rather than fatal.
-		if err := json.Unmarshal(raw[off:off+int(n)], rec); err != nil || !validHash(rec.Fingerprint) {
+		if err := json.Unmarshal(raw[off:off+int(n)], &file); err != nil || !validHash(rec.Fingerprint) {
 			continue
 		}
+		rec.seq = file.Seq
 		s.defects[rec.Fingerprint] = rec
+		if rec.seq > s.filesSeq {
+			s.unsaved[rec.Fingerprint] = true
+		}
 	}
 	s.rebuildPostingsLocked()
 }
@@ -252,25 +284,23 @@ func (s *Store) ensureDefectsLocked() {
 // decodeIndex parses and validates one snapshot payload. The trace
 // sections are only sliced, not decoded — they stay referenced from the
 // read buffer until a shard materializes.
-func (s *Store) decodeIndex(data []byte) error {
+func (s *Store) decodeIndex(data []byte) (indexStamp, error) {
+	var stamp indexStamp
 	if len(data) < len(indexMagic)+1+4 {
-		return errBadIndex
+		return stamp, errBadIndex
 	}
 	payload, sum := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum) {
-		return errBadIndex
+		return stamp, errBadIndex
 	}
 	if !bytes.Equal(payload[:len(indexMagic)], indexMagic) || payload[len(indexMagic)] != indexVersion {
-		return errBadIndex
+		return stamp, errBadIndex
 	}
 	r := bytes.NewReader(payload[len(indexMagic)+1:])
 
-	stamp, err := binary.ReadVarint(r)
-	if err != nil {
-		return errBadIndex
-	}
-	if stamp != s.journalSize() {
-		return fmt.Errorf("%w: journal moved", errBadIndex)
+	var err error
+	if stamp.journal, err = binary.ReadVarint(r); err != nil {
+		return stamp, errBadIndex
 	}
 
 	// The defect block is only frame-walked here — each record's JSON is
@@ -278,31 +308,37 @@ func (s *Store) decodeIndex(data []byte) error {
 	// free of per-record decoding.
 	nDefects, err := binary.ReadUvarint(r)
 	if err != nil || nDefects > uint64(r.Len()) {
-		return errBadIndex
+		return stamp, errBadIndex
 	}
 	defStart := len(payload) - r.Len()
 	for i := uint64(0); i < nDefects; i++ {
 		if _, err := r.ReadByte(); err != nil { // flags
-			return errBadIndex
+			return stamp, errBadIndex
 		}
 		n, err := binary.ReadUvarint(r)
 		if err != nil || n > uint64(r.Len()) {
-			return errBadIndex
+			return stamp, errBadIndex
 		}
 		r.Seek(int64(n), 1)
 	}
 	s.rawDefects = payload[defStart : len(payload)-r.Len()]
 	s.rawDefectN = int(nDefects)
+	if stamp.seq, err = binary.ReadVarint(r); err != nil {
+		return stamp, errBadIndex
+	}
+	if stamp.files, err = binary.ReadVarint(r); err != nil || stamp.files > stamp.seq {
+		return stamp, errBadIndex
+	}
 
 	counts := make([]int, traceShards)
 	for i := 0; i < traceShards; i++ {
 		n, err := binary.ReadUvarint(r)
 		if err != nil || n > uint64(r.Len())/traceEntrySize {
-			return errBadIndex
+			return stamp, errBadIndex
 		}
 		b, err := binary.ReadUvarint(r)
 		if err != nil {
-			return errBadIndex
+			return stamp, errBadIndex
 		}
 		counts[i] = int(n)
 		s.traces.shards[i].rawN = int(n)
@@ -314,13 +350,13 @@ func (s *Store) decodeIndex(data []byte) error {
 	for i, n := range counts {
 		end := off + n*traceEntrySize
 		if end > len(payload) {
-			return errBadIndex
+			return stamp, errBadIndex
 		}
 		s.traces.shards[i].raw = payload[off:end]
 		off = end
 	}
 	if off != len(payload) {
-		return errBadIndex
+		return stamp, errBadIndex
 	}
-	return nil
+	return stamp, nil
 }

@@ -78,7 +78,7 @@ func (s *Store) shardFlatFiles() error {
 			touched[filepath.Dir(dst)] = true
 		}
 		for dir := range touched {
-			if err := syncDir(dir); err != nil {
+			if err := s.syncs.dir(dir); err != nil {
 				return err
 			}
 		}
@@ -163,7 +163,8 @@ func (s *Store) scanTraces() error {
 }
 
 // scanDefects rebuilds the defect index from the filesystem, in
-// parallel per shard. Unreadable or mismatched records are skipped
+// parallel per shard, with each record's delta stamp (Open then replays
+// the journal past it). Unreadable or mismatched records are skipped
 // rather than fatal, so one corrupt file cannot take the corpus down.
 func (s *Store) scanDefects() error {
 	var mu sync.Mutex
@@ -172,12 +173,15 @@ func (s *Store) scanDefects() error {
 		if err != nil {
 			return
 		}
-		var rec DefectRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Fingerprint != fp {
+		rec := new(DefectRecord)
+		file := defectFile{DefectRecord: rec}
+		if err := json.Unmarshal(data, &file); err != nil || rec.Fingerprint != fp {
 			return // corrupt record: skip, never fatal
 		}
+		rec.seq = file.Seq
 		mu.Lock()
-		s.defects[fp] = &rec
+		s.defects[fp] = rec
+		s.seq = max(s.seq, rec.seq)
 		mu.Unlock()
 	}
 	return forEachShard(s.defectsDir(), func(shard string) {

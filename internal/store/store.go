@@ -11,11 +11,12 @@
 //	                         re-encoding share a hash), sharded by the
 //	                         first address byte (shard.go)
 //	defects/ab/<fp>.json     one defect record per fingerprint, sharded
-//	                         the same way
-//	jobs.jsonl               append-only job log, one JSON record per line
-//	index.bin                persistent index snapshot (index.go); purely
-//	                         a cache — deleting it costs one rescan
-//	index.dirty              marker: mutations since the last snapshot
+//	                         the same way, written by full snapshots
+//	jobs.jsonl               append-only job log, one JSON record per
+//	                         line; terminal records carry defect deltas
+//	index.bin                persistent index snapshot (index.go)
+//	index.dirty              marker: trace mutations since the last
+//	                         snapshot
 //
 // Pre-sharding corpora with blobs directly under traces/ and defects/
 // keep working: Open moves every such file into its shard before it
@@ -23,19 +24,33 @@
 //
 // Crash-safety invariants:
 //
-//   - Trace blobs, defect records and the index snapshot are written to
-//     a temp file in the same directory, fsynced, then renamed into
-//     place — a reader never observes a partial file, and a crash
-//     leaves at most an orphaned ".tmp-*" file that the next Open
-//     sweeps.
+//   - The job log is the durable record of defects. A verdict's defect
+//     delta rides on the job's terminal record (or, on the job-less
+//     synchronous path, on a record of its own), which is appended and
+//     fsynced before the fold reaches memory, so a verdict is on disk
+//     before any reader sees it. Nothing else on the job path writes a
+//     defect.
 //   - The job log is append-only and fsynced per record; a crash can
 //     truncate at most the final line. Open tolerates a torn tail by
 //     dropping the partial line and truncating the file back to the
 //     last intact record before appending again.
-//   - The filesystem stays the source of truth: the index snapshot is
-//     validated against the journal generation and a dirty marker, and
-//     on any doubt Open falls back to rebuilding the index with a
-//     parallel scan of the shard directories.
+//   - Trace blobs, defect files and the index snapshot are written to a
+//     temp file in the same directory, fsynced, then renamed into place
+//     — a reader never observes a partial file, and a crash leaves at
+//     most an orphaned ".tmp-*" file that the next Open sweeps.
+//   - Defect files and index.bin are materializations of the journal.
+//     A full snapshot writes the defect files folded since they were
+//     last written, then index.bin: every snapshotEvery deltas, after an
+//     Open that replayed or scanned, and before a journal compaction.
+//     Close writes index.bin alone, which holds every record. Each
+//     records the last delta sequence number it reflects, and Open
+//     folds in the journal's deltas past it — from the snapshot's
+//     number on a warm open, from each defect file's own after a scan —
+//     so any crash, including one halfway through a snapshot, reopens
+//     to the state the journal describes.
+//   - Trace mutations are not journaled: a dirty marker guards the
+//     snapshot's trace index, and on any doubt Open rebuilds the index
+//     with a parallel scan of the shard directories.
 package store
 
 import (
@@ -119,6 +134,9 @@ type DefectRecord struct {
 	// Rank is the corpus triage score (core.ScoreDefect), computed at
 	// query time and never persisted.
 	Rank float64 `json:"rank,omitempty"`
+
+	// seq is the last delta folded into the record (defectFile.Seq).
+	seq int64
 }
 
 // clone deep-copies the record so callers can't mutate the index.
@@ -154,6 +172,15 @@ type Store struct {
 	rawDefects []byte
 	rawDefectN int
 
+	// seq is the last defect delta folded in, filesSeq the last one
+	// every defect file reflects; unsaved holds the fingerprints whose
+	// files lag, which the next full snapshot writes; nextSnapshot is
+	// the seq at which the job path takes one.
+	seq          int64
+	filesSeq     int64
+	unsaved      map[string]bool
+	nextSnapshot int64
+
 	// dirty mirrors the on-disk index.dirty marker; writing counts blob
 	// writes in flight outside s.mu (they block marker clearing).
 	dirty   bool
@@ -167,6 +194,7 @@ type Store struct {
 	warm        bool
 
 	// Counters and latency for the wolfd_store_* metric family.
+	syncs            fsyncs
 	tracePuts        atomic.Int64
 	traceDedups      atomic.Int64
 	traceDeletes     atomic.Int64
@@ -176,16 +204,24 @@ type Store struct {
 	putLatency       obs.Histogram
 }
 
+// snapshotEvery is how many defect deltas the job path folds between
+// snapshots. It bounds how far the defect files and index.bin trail the
+// journal, and so the fold an Open after a crash replays.
+const snapshotEvery = 1024
+
 // Open opens (creating if needed) the corpus rooted at dir. When a
 // valid index snapshot exists the in-memory index is loaded from it in
 // O(index) — no directory walk; otherwise it is rebuilt by a parallel
-// scan of the shard directories and a fresh snapshot is written so the
+// scan of the shard directories. Either way the journal's defect deltas
+// that the loaded state does not reflect are folded in, and unless the
+// snapshot matched the journal exactly a fresh one is written so the
 // next Open is warm.
 func Open(dir string) (*Store, error) {
 	start := time.Now()
 	s := &Store{
 		dir:      dir,
 		defects:  make(map[string]*DefectRecord),
+		unsaved:  make(map[string]bool),
 		inflight: make(map[string]chan struct{}),
 	}
 	for _, sub := range []string{s.tracesDir(), s.defectsDir()} {
@@ -205,36 +241,78 @@ func Open(dir string) (*Store, error) {
 	if err := s.shardFlatFiles(); err != nil {
 		return nil, err
 	}
-	// The snapshot must be validated before the job log is opened:
-	// opening can truncate a torn tail or compact the journal, moving
-	// the generation stamp the snapshot was taken against.
-	s.warm = s.loadIndex()
-	if !s.warm {
+	stamp, loaded := s.loadIndex()
+	s.filesSeq = stamp.files
+	if !loaded {
 		if err := s.scanTraces(); err != nil {
 			return nil, err
 		}
 		if err := s.scanDefects(); err != nil {
 			return nil, err
 		}
+		// (A warm open defers both the defect parse and the postings
+		// rebuild to the first defect access — see ensureDefectsLocked.)
+		s.rebuildPostingsLocked()
 	}
-	jl, err := openJobLog(s.jobsPath())
+	jl, err := readJobLog(s.jobsPath(), &s.syncs)
 	if err != nil {
 		return nil, err
 	}
 	s.jobs = jl
-	if s.rawDefects == nil {
-		// Cold open: defects were just scanned into the map. (A warm open
-		// defers both the defect parse and the postings rebuild to the
-		// first defect access — see ensureDefectsLocked.)
-		s.rebuildPostingsLocked()
+	s.replayLocked(jl.deltas, stamp, loaded)
+	jl.deltas = nil
+	s.nextSnapshot = s.seq + snapshotEvery
+	s.warm = loaded && stamp.journal == jl.size
+	if jl.needsCompaction() {
+		// Compaction drops job-less and superseded records, deltas
+		// included: the snapshot first makes every delta durable in the
+		// defect files. Without it the journal stays as it is.
+		if s.saveIndexLocked(true) == nil {
+			if err := jl.compact(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := jl.openAppend(); err != nil {
+		return nil, err
 	}
 	if !s.warm || jl.compacted {
-		// Cold open or a journal rewrite: persist a snapshot stamped
-		// against the journal as it is now, so the next Open is warm.
-		s.saveIndexLocked()
+		// A scan, a replayed tail or a journal rewrite: persist a full
+		// snapshot stamped against the journal as it is now, so the next
+		// Open is warm.
+		s.saveIndexLocked(true)
 	}
 	s.openSeconds = time.Since(start).Seconds()
 	return s, nil
+}
+
+// replayLocked folds in the journal's deltas that the loaded state does
+// not reflect: those past the snapshot's sequence number after a
+// snapshot load, and per fingerprint those past its defect file's after
+// a scan. Deltas fold in Seq order whatever order compaction left them
+// in. Caller holds s.mu (or owns s, as Open does).
+func (s *Store) replayLocked(deltas []*DefectDelta, stamp indexStamp, loaded bool) {
+	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].Seq < deltas[j].Seq })
+	if loaded {
+		s.seq = max(s.seq, stamp.seq)
+	}
+	for _, d := range deltas {
+		s.seq = max(s.seq, d.Seq)
+		if loaded && d.Seq <= stamp.seq {
+			continue
+		}
+		for i := range d.Cycles {
+			cs := &d.Cycles[i]
+			if !validHash(cs.Fingerprint) {
+				continue
+			}
+			s.ensureDefectsLocked()
+			if rec, ok := s.defects[cs.Fingerprint]; ok && !loaded && rec.seq >= d.Seq {
+				continue
+			}
+			s.applyLocked(d, cs)
+		}
+	}
 }
 
 // OpenInfo reports whether the last Open was served from the index
@@ -243,12 +321,15 @@ func (s *Store) OpenInfo() (warm bool, seconds float64) {
 	return s.warm, s.openSeconds
 }
 
-// Close snapshots the index and releases the job log. The store must
-// not be used afterwards.
+// Close writes index.bin and releases the job log. The store must not
+// be used afterwards. index.bin holds every record, so shutdown writes
+// one file however much was folded; defect files that lag stay marked
+// in it for the next full snapshot, and a scan replays them from the
+// journal meanwhile.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.saveIndexLocked()
+	s.saveIndexLocked(false)
 	return s.jobs.close()
 }
 
@@ -342,7 +423,7 @@ func (s *Store) PutTrace(ctx context.Context, tr *trace.Trace) (hash string, cre
 		path := s.shardTracePath(hash)
 		werr := os.MkdirAll(filepath.Dir(path), 0o755)
 		if werr == nil {
-			werr = atomicWrite(path, data)
+			werr = s.syncs.atomicWrite(path, data)
 		}
 
 		s.mu.Lock()
@@ -479,85 +560,154 @@ func Summarize(rep *core.Report) []CycleSummary {
 	return out
 }
 
-// Record folds one analysis into the defect corpus: every confirmed or
-// still-candidate cycle of rep (false positives are excluded — they are
-// refuted, not defects) is fingerprinted and merged into its defect
-// record. One analysis contributes at most one occurrence per
-// fingerprint no matter how many of its cycles collapse to it. source
-// tags the defect with the workload that produced the trace
-// ("workload:NAME" or a bare name; empty adds nothing). Updated records
-// are persisted atomically before Record returns; it reports the
-// fingerprints it touched.
+// Record folds one analysis into the defect corpus without a job: every
+// confirmed or still-candidate cycle of rep (false positives are
+// excluded — they are refuted, not defects) is fingerprinted and merged
+// into its defect record. One analysis contributes at most one
+// occurrence per fingerprint no matter how many of its cycles collapse
+// to it. source tags the defect with the workload that produced the
+// trace ("workload:NAME" or a bare name; empty adds nothing). The fold
+// is journaled as a record of its own before Record returns; it reports
+// the fingerprints it touched.
 func (s *Store) Record(ctx context.Context, traceHash string, rep *core.Report, source string, now time.Time) ([]string, error) {
 	return s.RecordSummaries(ctx, traceHash, Summarize(rep), source, now)
 }
 
-// RecordSummaries merges pre-distilled cycle summaries into the corpus —
-// the remote-completion path, where the coordinator holds an analyzer's
-// summaries rather than a live *core.Report. Fingerprints are
-// untrusted wire input and become filenames, so anything that is not a
-// plain hex digest is rejected. Duplicate fingerprints within one call
-// are collapsed (first wins), matching Summarize's dedup for callers
-// that bypass it.
+// RecordSummaries is Record over pre-distilled cycle summaries.
+// Fingerprints are untrusted wire input and become filenames, so a call
+// with any summary whose fingerprint is not a plain hex digest is
+// rejected whole. Duplicate fingerprints within one call are collapsed
+// (first wins), matching Summarize's dedup for callers that bypass it.
 func (s *Store) RecordSummaries(ctx context.Context, traceHash string, sums []CycleSummary, source string, now time.Time) ([]string, error) {
+	return s.fold(ctx, JobRecord{TraceHash: traceHash, Source: source, Finished: now}, sums)
+}
+
+// FinishJob appends rec, a job's terminal record, carrying the defect
+// delta of sums: the summaries of the remote-completion path or
+// Summarize of a local report, validated as RecordSummaries validates
+// them, folded with rec.TraceHash as the trace, rec.Source as the
+// source and rec.Finished as the time. That one fsynced append is the
+// verdict's durable write; the fold into the in-memory corpus follows
+// it, so once FinishJob returns, readers see the defects and a crash
+// keeps them. When a summary is invalid no defect changes, rec is still
+// appended (without a delta) and the validation error is returned.
+func (s *Store) FinishJob(ctx context.Context, rec JobRecord, sums []CycleSummary) ([]string, error) {
+	if rec.ID == "" {
+		return nil, fmt.Errorf("store: job record without an ID")
+	}
+	return s.fold(ctx, rec, sums)
+}
+
+// fold validates sums, journals rec with their delta — rec without an ID
+// journals the delta alone, and only when there is one — and applies
+// the delta in memory.
+func (s *Store) fold(ctx context.Context, rec JobRecord, sums []CycleSummary) ([]string, error) {
 	_, sp := obs.Start(ctx, "store.record-defects")
 	defer sp.End()
 
-	workload := workloadFromSource(source)
-	seen := make(map[string]bool)
-	var updated []string
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureDefectsLocked()
+	var invalid error
+	seen := make(map[string]bool, len(sums))
+	uniq := make([]CycleSummary, 0, len(sums))
 	for _, cs := range sums {
 		if !validHash(cs.Fingerprint) {
-			return updated, fmt.Errorf("store: invalid fingerprint %q", cs.Fingerprint)
+			invalid = fmt.Errorf("store: invalid fingerprint %q", cs.Fingerprint)
+			uniq = nil
+			break
 		}
-		if seen[cs.Fingerprint] {
-			continue
+		if !seen[cs.Fingerprint] {
+			seen[cs.Fingerprint] = true
+			uniq = append(uniq, cs)
 		}
-		seen[cs.Fingerprint] = true
-		rec, ok := s.defects[cs.Fingerprint]
-		if !ok {
-			rec = &DefectRecord{
-				Fingerprint: cs.Fingerprint,
-				Signature:   cs.Signature,
-				Edges:       append([]fingerprint.Edge(nil), cs.Edges...),
-				Class:       ClassCandidate,
-				FirstSeen:   now,
-			}
-			s.defects[cs.Fingerprint] = rec
-		}
-		rec.Occurrences++
-		rec.LastSeen = now
-		if cs.Confirmed {
-			rec.Class = ClassConfirmed
-			if rec.Method == "" {
-				rec.Method = cs.Method
-			}
-		}
-		if traceHash != "" && !containsString(rec.Traces, traceHash) {
-			rec.Traces = append(rec.Traces, traceHash)
-		}
-		if workload != "" && !containsString(rec.Workloads, workload) {
-			rec.Workloads = append(rec.Workloads, workload)
-		}
-		s.markDirtyLocked()
-		if err := s.writeDefect(rec); err != nil {
-			return updated, err
-		}
-		s.indexDefectLocked(rec, !ok)
-		s.defectUpdates.Add(1)
-		updated = append(updated, cs.Fingerprint)
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.Defects = nil
+	if len(uniq) > 0 {
+		s.ensureDefectsLocked()
+		d := &DefectDelta{Seq: s.seq + 1, Cycles: make([]CycleSummary, len(uniq))}
+		for i, cs := range uniq {
+			c := CycleSummary{Fingerprint: cs.Fingerprint, Confirmed: cs.Confirmed, Method: cs.Method}
+			if _, ok := s.defects[cs.Fingerprint]; !ok {
+				c.Signature, c.Edges = cs.Signature, cs.Edges
+			}
+			d.Cycles[i] = c
+		}
+		rec.Defects = d.bind(&rec)
+	}
+	if rec.ID != "" || rec.Defects != nil {
+		if err := s.jobs.append(rec); err != nil {
+			return nil, err
+		}
+	}
+	if rec.Defects == nil {
+		return nil, invalid
+	}
+	d := rec.Defects
+	s.seq = d.Seq
+	updated := make([]string, len(d.Cycles))
+	for i := range d.Cycles {
+		s.applyLocked(d, &d.Cycles[i])
+		updated[i] = d.Cycles[i].Fingerprint
+	}
+	s.defectUpdates.Add(int64(len(updated)))
 	sp.Add("updated", int64(len(updated)))
+	if s.seq >= s.nextSnapshot {
+		// Off the common path: one job in snapshotEvery pays for the
+		// snapshot; a failure is retried snapshotEvery deltas later.
+		s.nextSnapshot = s.seq + snapshotEvery
+		s.saveIndexLocked(true)
+	}
 	return updated, nil
+}
+
+// applyLocked folds one summary of delta d into its defect record: one
+// occurrence, the first confirming method, and the trace and workload in
+// first-seen order. Caller holds s.mu.
+func (s *Store) applyLocked(d *DefectDelta, cs *CycleSummary) {
+	rec, ok := s.defects[cs.Fingerprint]
+	if !ok {
+		rec = &DefectRecord{
+			Fingerprint: cs.Fingerprint,
+			Signature:   cs.Signature,
+			Edges:       append([]fingerprint.Edge(nil), cs.Edges...),
+			Class:       ClassCandidate,
+			FirstSeen:   d.at,
+		}
+		s.defects[cs.Fingerprint] = rec
+	}
+	rec.Occurrences++
+	rec.LastSeen = d.at
+	if cs.Confirmed {
+		rec.Class = ClassConfirmed
+		if rec.Method == "" {
+			rec.Method = cs.Method
+		}
+	}
+	if d.trace != "" && !containsString(rec.Traces, d.trace) {
+		rec.Traces = append(rec.Traces, d.trace)
+	}
+	if d.workload != "" && !containsString(rec.Workloads, d.workload) {
+		rec.Workloads = append(rec.Workloads, d.workload)
+	}
+	rec.seq = d.Seq
+	s.unsaved[cs.Fingerprint] = true
+	s.indexDefectLocked(rec, !ok)
+}
+
+// defectFile is a defect record as the snapshot writes it under
+// defects/: the record plus the sequence number of the last delta
+// folded into it, from which a scanning Open replays the journal.
+// Files from before the journal carried deltas have none (0).
+type defectFile struct {
+	*DefectRecord
+	Seq int64 `json:"seq,omitempty"`
 }
 
 // writeDefect persists one record atomically at its sharded path.
 // Caller holds s.mu.
 func (s *Store) writeDefect(rec *DefectRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
+	data, err := json.MarshalIndent(defectFile{rec, rec.seq}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encode defect: %w", err)
 	}
@@ -565,7 +715,7 @@ func (s *Store) writeDefect(rec *DefectRecord) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return atomicWrite(path, append(data, '\n'))
+	return s.syncs.atomicWrite(path, append(data, '\n'))
 }
 
 // Defects lists the defect records, most occurrences first (fingerprint
@@ -601,8 +751,14 @@ func (s *Store) Defect(fp string) (*DefectRecord, bool) {
 	return &c, true
 }
 
-// AppendJob durably appends one job record to the log.
+// AppendJob durably appends one job record to the log. A record's
+// defect delta is the store's to write (FinishJob); one passed here is
+// dropped.
 func (s *Store) AppendJob(rec JobRecord) error {
+	if rec.ID == "" {
+		return fmt.Errorf("store: job record without an ID")
+	}
+	rec.Defects = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs.append(rec)
@@ -658,16 +814,40 @@ func (s *Store) WritePrometheus(w io.Writer) {
 	counter("wolfd_store_trace_writes_total", "New trace blobs written.", s.tracePuts.Load())
 	counter("wolfd_store_trace_dedup_total", "Trace puts deduplicated by content address.", s.traceDedups.Load())
 	counter("wolfd_store_trace_deletes_total", "Trace blobs deleted.", s.traceDeletes.Load())
-	counter("wolfd_store_defect_updates_total", "Defect record updates persisted.", s.defectUpdates.Load())
+	counter("wolfd_store_defect_updates_total", "Defect record updates folded in (journaled).", s.defectUpdates.Load())
+	counter("wolfd_store_fsyncs_total", "Fsyncs the store issued, of files and of directories.", s.syncs.n.Load())
 	counter("wolfd_store_gc_runs_total", "Trace GC passes completed.", s.gcRuns.Load())
 	counter("wolfd_store_gc_bytes_reclaimed_total", "Trace bytes reclaimed by GC.", s.gcBytesReclaimed.Load())
 	s.putLatency.WritePrometheus(w, "wolfd_store_put_seconds", "Trace put latency (including dedup hits).", "")
 }
 
+// fsyncs issues a store's fsyncs and counts them
+// (wolfd_store_fsyncs_total).
+type fsyncs struct{ n atomic.Int64 }
+
+// file fsyncs an open file.
+func (c *fsyncs) file(f *os.File) error {
+	c.n.Add(1)
+	return f.Sync()
+}
+
+// dir fsyncs a directory so a rename or create in it survives a crash.
+func (c *fsyncs) dir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer d.Close()
+	if err := c.file(d); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
 // atomicWrite writes data to path via a same-directory temp file, fsync
 // and rename, so concurrent readers and crashes never observe a partial
-// file.
-func atomicWrite(path string, data []byte) error {
+// file: two fsyncs, the file's and its directory's.
+func (c *fsyncs) atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -682,7 +862,7 @@ func atomicWrite(path string, data []byte) error {
 	if _, err := f.Write(data); err != nil {
 		return cleanup(err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := c.file(f); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Close(); err != nil {
@@ -693,20 +873,7 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: %w", err)
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return c.dir(dir)
 }
 
 func containsString(xs []string, s string) bool {
