@@ -19,6 +19,9 @@ cleanup() {
     [ -n "$pid" ] && kill -CONT "$pid" 2>/dev/null || true
     [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
   done
+  for pid in "$a_pid" "$b_pid" "$coord_pid" "$single_pid"; do
+    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true # let the shutdown snapshot land
+  done
   rm -rf "$workdir"
 }
 trap cleanup EXIT

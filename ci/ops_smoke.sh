@@ -12,8 +12,12 @@ workdir="$(mktemp -d)"
 wolfd_pid=""
 tail_pid=""
 cleanup() {
-  [ -n "$tail_pid" ] && kill "$tail_pid" 2>/dev/null || true
-  [ -n "$wolfd_pid" ] && kill "$wolfd_pid" 2>/dev/null || true
+  for pid in "$tail_pid" "$wolfd_pid"; do
+    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+  done
+  for pid in "$tail_pid" "$wolfd_pid"; do
+    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true # let the shutdown snapshot land
+  done
   rm -rf "$workdir"
 }
 trap cleanup EXIT

@@ -10,7 +10,10 @@ cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
 wolfd_pid=""
 cleanup() {
-  [ -n "$wolfd_pid" ] && kill "$wolfd_pid" 2>/dev/null || true
+  if [ -n "$wolfd_pid" ]; then
+    kill "$wolfd_pid" 2>/dev/null || true
+    wait "$wolfd_pid" 2>/dev/null || true # let the shutdown snapshot land
+  fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT

@@ -76,12 +76,7 @@ func main() {
 	}
 	if *ext {
 		fmt.Fprintln(os.Stderr, "running the value-flow extension comparison...")
-		extResults, err := report.RunExtension(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Println(report.TableExt(extResults))
+		fmt.Println(report.TableExt(report.RunExtension(results, cfg)))
 	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

@@ -2,6 +2,13 @@
 // the paper's Figure 3: instrumented execution → extended dynamic cycle
 // detection → Pruner → Generator → Replayer, plus the DeadlockFuzzer
 // baseline pipeline used for comparison.
+//
+// Every entry point is built from one set of stages under one wrapper,
+// run: the front half (baseline and detectAll), refute (Pruner and
+// Generator), reproduce (WOLF's Replayer) and fuzz (DeadlockFuzzer).
+// Compare runs the front half once for both tools, as the paper's
+// evaluation does ("same detection, but reproduction by randomized
+// scheduling").
 package core
 
 import (
@@ -240,11 +247,12 @@ func (d *DefectReport) classify() {
 }
 
 // Timings records wall-clock durations of the pipeline phases. It is a
-// derived view: Analyze aggregates the obs phase spans ("record",
-// "cycle-detect", "prune", "generate", "replay") recorded during the
-// run, so the same measurements feed the report, the wolfd histograms,
-// and timeline exports. Only Uninstrumented is measured separately (it
-// is a baseline, not a pipeline phase).
+// derived view: every entry point aggregates the obs phase spans
+// ("record", "cycle-detect", "prune", "generate", "replay") recorded
+// during its run, so the same measurements feed the report, the wolfd
+// histograms, and timeline exports. Uninstrumented comes from the
+// baseline stage, not a phase span. Compare's two reports share
+// Uninstrumented and CycleDetect (see Compare).
 type Timings struct {
 	// Uninstrumented is the bare program run time (same seeds, no
 	// listeners; best of several repetitions), the baseline for the
@@ -404,9 +412,11 @@ func cycleKey(c *detect.Cycle) string {
 	return strings.Join(parts, "|")
 }
 
-// record runs one instrumented execution and returns its trace plus the
-// execution's wall time.
-func record(f sim.Factory, seed int64, maxSteps int, timestamps bool) (*trace.Trace, time.Duration) {
+// record runs one instrumented execution and returns its trace. The
+// execution emits a "record" span on ctx's recorder, pre-measured so the
+// instrumented time excludes trace finalization, matching the paper's
+// slowdown statistic.
+func record(ctx context.Context, f sim.Factory, seed int64, maxSteps int, timestamps bool) *trace.Trace {
 	prog, opts := f()
 	var vt *vclock.Tracker
 	if timestamps {
@@ -421,32 +431,36 @@ func record(f sim.Factory, seed int64, maxSteps int, timestamps bool) (*trace.Tr
 	start := time.Now()
 	sim.Run(prog, sim.NewRandomStrategy(seed), opts)
 	dur := time.Since(start)
-	return rec.Finish(seed), dur
+	tr := rec.Finish(seed)
+	if r := obs.FromContext(ctx); r != nil {
+		r.Observe("record", dur,
+			obs.Attr{Key: "seed", Value: seed},
+			obs.Attr{Key: "steps", Value: int64(tr.Steps)},
+			obs.Attr{Key: "tuples", Value: int64(len(tr.Tuples))})
+	}
+	return tr
 }
 
-// detectAll runs detection over every seed and deduplicates cycles.
-// Each seed emits a "record" span (pre-measured, so the instrumented
-// time excludes trace finalization, matching the paper's slowdown
-// statistic) and a "cycle-detect" span around the lock-graph search.
+// search runs the lock-graph cycle search on one trace inside a
+// "cycle-detect" span.
+func search(ctx context.Context, tr *trace.Trace, cfg *Config) []*detect.Cycle {
+	_, sp := obs.Start(ctx, "cycle-detect")
+	cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen})
+	sp.Add("cycles", int64(len(cycles)))
+	sp.End()
+	return cycles
+}
+
+// detectAll records one execution per detection seed, searches each
+// trace for cycles and deduplicates them across seeds. Detection never
+// reads taus or clocks, so the cycles are the same with and without
+// timestamps; only the Pruner needs them.
 func detectAll(ctx context.Context, f sim.Factory, cfg *Config, timestamps bool) []*CycleReport {
-	rec := obs.FromContext(ctx)
 	seen := make(map[string]bool)
 	var out []*CycleReport
 	for _, seed := range cfg.detectSeeds() {
-		tr, runDur := record(f, seed, cfg.MaxSteps, timestamps)
-		if rec != nil {
-			rec.Observe("record", runDur,
-				obs.Attr{Key: "seed", Value: seed},
-				obs.Attr{Key: "steps", Value: int64(tr.Steps)},
-				obs.Attr{Key: "tuples", Value: int64(len(tr.Tuples))})
-		}
-		_, sp := obs.Start(ctx, "cycle-detect")
-		cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen})
-		if sp != nil {
-			sp.Add("cycles", int64(len(cycles)))
-			sp.End()
-		}
-		for _, c := range cycles {
+		tr := record(ctx, f, seed, cfg.MaxSteps, timestamps)
+		for _, c := range search(ctx, tr, cfg) {
 			key := cycleKey(c)
 			if seen[key] {
 				continue
@@ -486,11 +500,9 @@ func baseline(ctx context.Context, f sim.Factory, cfg *Config) time.Duration {
 
 // pruneCycles applies the Pruner (Algorithm 2) to every cycle in one
 // batched PruneCtx call per recorded trace — the clocks a cycle is
-// checked against belong to the trace it was detected on, and online
-// detection records one trace per seed. Batching keeps the span stream
-// at one "pruner.prune" span with aggregate counts per trace instead of
-// one cycles=1 span per cycle, which used to skew span counts and
-// histogram samples. Traces recorded without clocks are skipped.
+// checked against belong to the trace it was detected on, and detection
+// records one trace per seed. Each trace gets one "pruner.prune" span
+// with aggregate counts. Traces recorded without clocks are skipped.
 func pruneCycles(ctx context.Context, cycles []*CycleReport) {
 	byTrace := make(map[*trace.Trace][]*CycleReport)
 	var order []*trace.Trace // deterministic span emission order
@@ -580,48 +592,33 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 	wg.Wait()
 }
 
-// Analyze runs the full WOLF pipeline on the workload built by f.
-func Analyze(f sim.Factory, cfg Config) *Report {
-	return AnalyzeCtx(context.Background(), f, cfg)
-}
-
-// AnalyzeCtx is Analyze with observability: pipeline phases emit spans
-// on the context's obs.Recorder (one is created and attached when the
-// context carries none), and the report's Timings are derived from
-// those spans. Callers that pass their own recorder — the wolfd worker
-// pool feeding histograms, the CLI exporting a timeline — see exactly
-// the measurements the report is built from.
-func AnalyzeCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
-	rec := obs.FromContext(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.WithRecorder(ctx, rec)
+// refute is WOLF's trace-only half: the Pruner (Algorithm 2, batched per
+// recorded trace) and the Generator (Algorithm 3, optionally with the
+// value-flow extension, fanned out across the configured worker pool),
+// each inside its phase span. It stops before a phase once ctx is
+// cancelled; cycles not reached keep their Unknown class.
+func refute(ctx context.Context, cycles []*CycleReport, cfg *Config) {
+	if ctx.Err() != nil {
+		return
 	}
-	mark := rec.Mark()
-	rep := &Report{Tool: "wolf"}
-
-	// Baseline run time for the slowdown statistic.
-	uninstrumented := baseline(ctx, f, &cfg)
-
-	// Extended dynamic cycle detection (Algorithm 1 + cycle detection).
-	rep.Cycles = detectAll(ctx, f, &cfg, true)
-
-	// Pruner (Algorithm 2), batched per recorded trace.
 	_, sp := obs.Start(ctx, "prune")
 	if !cfg.DisablePruner {
-		pruneCycles(ctx, rep.Cycles)
+		pruneCycles(ctx, cycles)
 	}
 	sp.End()
-
-	// Generator (Algorithm 3, optionally with the value-flow extension),
-	// fanned out across the configured worker pool.
+	if ctx.Err() != nil {
+		return
+	}
 	_, sp = obs.Start(ctx, "generate")
-	generateCycles(ctx, rep.Cycles, &cfg)
+	generateCycles(ctx, cycles, cfg)
 	sp.End()
+}
 
-	// Replayer (Algorithm 4).
-	_, sp = obs.Start(ctx, "replay")
-	for _, cr := range rep.Cycles {
+// reproduce is WOLF's Replayer (Algorithm 4): every cycle still Unknown
+// is re-executed under its Gs.
+func reproduce(ctx context.Context, f sim.Factory, cycles []*CycleReport, cfg *Config) {
+	_, sp := obs.Start(ctx, "replay")
+	for _, cr := range cycles {
 		if cr.Class != Unknown {
 			continue
 		}
@@ -642,35 +639,13 @@ func AnalyzeCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
 		}
 	}
 	sp.End()
-
-	rep.Timings = TimingsFromRecorder(rec, mark)
-	rep.Timings.Uninstrumented = uninstrumented
-	rep.group()
-	return rep
 }
 
-// AnalyzeDF runs the DeadlockFuzzer baseline pipeline: iGoodLock
-// detection (no timestamps), no pruning, abstraction-based randomized
-// reproduction.
-func AnalyzeDF(f sim.Factory, cfg Config) *Report {
-	return AnalyzeDFCtx(context.Background(), f, cfg)
-}
-
-// AnalyzeDFCtx is AnalyzeDF with observability; see AnalyzeCtx.
-func AnalyzeDFCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
-	rec := obs.FromContext(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.WithRecorder(ctx, rec)
-	}
-	mark := rec.Mark()
-	rep := &Report{Tool: "deadlockfuzzer"}
-
-	uninstrumented := baseline(ctx, f, &cfg)
-	rep.Cycles = detectAll(ctx, f, &cfg, false)
-
+// fuzz is DeadlockFuzzer's reproduction: abstraction-based randomized
+// scheduling of every cycle, with no pruning and no Gs.
+func fuzz(ctx context.Context, f sim.Factory, cycles []*CycleReport, cfg *Config) {
 	_, sp := obs.Start(ctx, "replay")
-	for _, cr := range rep.Cycles {
+	for _, cr := range cycles {
 		res := fuzzer.Reproduce(f, cr.Cycle, fuzzer.Config{
 			Attempts: cfg.ReplayAttempts,
 			BaseSeed: cfg.ReplaySeed,
@@ -682,11 +657,88 @@ func AnalyzeDFCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
 		}
 	}
 	sp.End()
+}
 
+// run is the wrapper every entry point shares: it attaches a recorder
+// to ctx when it has none, runs stages, derives Timings from their spans
+// (keeping the Uninstrumented a stage set) and groups cycles into defects.
+func run(ctx context.Context, tool string, stages func(ctx context.Context, rep *Report)) *Report {
+	rec := obs.FromContext(ctx)
+	if rec == nil {
+		rec = obs.NewRecorder()
+		ctx = obs.WithRecorder(ctx, rec)
+	}
+	mark := rec.Mark()
+	rep := &Report{Tool: tool}
+	stages(ctx, rep)
+	uninstrumented := rep.Timings.Uninstrumented
 	rep.Timings = TimingsFromRecorder(rec, mark)
 	rep.Timings.Uninstrumented = uninstrumented
 	rep.group()
 	return rep
+}
+
+// Analyze runs the full WOLF pipeline on the workload built by f.
+func Analyze(f sim.Factory, cfg Config) *Report {
+	return AnalyzeCtx(context.Background(), f, cfg)
+}
+
+// AnalyzeCtx is Analyze with observability: pipeline phases emit spans
+// on the context's obs.Recorder (one is created and attached when the
+// context carries none), and the report's Timings are derived from
+// those spans. Callers that pass their own recorder — the wolfd worker
+// pool feeding histograms, the CLI exporting a timeline — see exactly
+// the measurements the report is built from.
+func AnalyzeCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
+	return run(ctx, "wolf", func(ctx context.Context, rep *Report) {
+		rep.Timings.Uninstrumented = baseline(ctx, f, &cfg)
+		rep.Cycles = detectAll(ctx, f, &cfg, true)
+		refute(ctx, rep.Cycles, &cfg)
+		reproduce(ctx, f, rep.Cycles, &cfg)
+	})
+}
+
+// AnalyzeDF runs the DeadlockFuzzer baseline pipeline: iGoodLock
+// detection (no timestamps), no pruning, abstraction-based randomized
+// reproduction.
+func AnalyzeDF(f sim.Factory, cfg Config) *Report {
+	return AnalyzeDFCtx(context.Background(), f, cfg)
+}
+
+// AnalyzeDFCtx is AnalyzeDF with observability; see AnalyzeCtx.
+func AnalyzeDFCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
+	return run(ctx, "deadlockfuzzer", func(ctx context.Context, rep *Report) {
+		rep.Timings.Uninstrumented = baseline(ctx, f, &cfg)
+		rep.Cycles = detectAll(ctx, f, &cfg, false)
+		fuzz(ctx, f, rep.Cycles, &cfg)
+	})
+}
+
+// Compare runs WOLF and the DeadlockFuzzer baseline over one front half:
+// one baseline, then one timestamped recording and one cycle search per
+// detection seed. Each tool then reproduces its own CycleReports for the
+// same cycles and traces, so both reports equal those of separate
+// AnalyzeCtx and AnalyzeDFCtx runs except in Timings and in the fuzzer's
+// (clocked) Trace. DeadlockFuzzer shares WOLF's Uninstrumented and
+// CycleDetect; its Instrumented times one extra clock-free recording per
+// seed, whose trace is discarded, so Figure 10's detection ratio keeps
+// comparing WOLF's clocked recording with the baseline's plain one.
+func Compare(ctx context.Context, f sim.Factory, cfg Config) (wolf, df *Report) {
+	wolf = AnalyzeCtx(ctx, f, cfg)
+	df = run(ctx, "deadlockfuzzer", func(ctx context.Context, rep *Report) {
+		for _, seed := range cfg.detectSeeds() {
+			record(ctx, f, seed, cfg.MaxSteps, false)
+		}
+		// WOLF's stages write only CycleReport fields, never the shared
+		// cycles or traces, and group keeps rep.Cycles in search order.
+		for _, cr := range wolf.Cycles {
+			rep.Cycles = append(rep.Cycles, &CycleReport{Cycle: cr.Cycle, Trace: cr.Trace})
+		}
+		fuzz(ctx, f, rep.Cycles, &cfg)
+	})
+	df.Timings.Uninstrumented = wolf.Timings.Uninstrumented
+	df.Timings.CycleDetect = wolf.Timings.CycleDetect
+	return wolf, df
 }
 
 // group buckets cycle reports into defect reports by signature.

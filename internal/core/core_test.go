@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"wolf/internal/obs"
 	"wolf/sim"
 )
 
@@ -172,15 +174,27 @@ func TestGeneratorAblation(t *testing.T) {
 }
 
 // TestTimingsPopulated: every phase records a duration and the slowdown
-// statistic is positive.
+// statistic is positive, for Analyze and for both of Compare's reports.
+// Compare runs one front half: one baseline span and one cycle search
+// per seed, with a clocked and a clock-free recording per seed.
 func TestTimingsPopulated(t *testing.T) {
-	rep := Analyze(figure2Factory, Config{})
-	tm := rep.Timings
-	if tm.Uninstrumented <= 0 || tm.Detect() <= 0 {
-		t.Errorf("timings not populated: %+v", tm)
+	cfg := Config{DetectSeeds: []int64{1, 2}}
+	rec := obs.NewRecorder()
+	wolf, df := Compare(obs.WithRecorder(context.Background(), rec), figure2Factory, cfg)
+	for _, rep := range []*Report{Analyze(figure2Factory, Config{}), wolf, df} {
+		tm := rep.Timings
+		if tm.Uninstrumented <= 0 || tm.Detect() <= 0 {
+			t.Errorf("%s timings not populated: %+v", rep.Tool, tm)
+		}
+		if tm.DetectionSlowdown() <= 0 {
+			t.Errorf("%s slowdown = %v, want > 0", rep.Tool, tm.DetectionSlowdown())
+		}
 	}
-	if tm.DetectionSlowdown() <= 0 {
-		t.Errorf("slowdown = %v, want > 0", tm.DetectionSlowdown())
+	seeds := len(cfg.DetectSeeds)
+	for name, want := range map[string]int{"baseline": 1, "record": 2 * seeds, "cycle-detect": seeds} {
+		if got := rec.Count(name); got != want {
+			t.Errorf("Compare emitted %d %q spans, want %d", got, name, want)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 
-	"wolf/internal/detect"
-	"wolf/internal/obs"
 	"wolf/internal/trace"
 	"wolf/sim"
 )
@@ -29,54 +27,17 @@ func AnalyzeTrace(tr *trace.Trace, cfg Config) *Report {
 // "generate"); when the caller's context carries a recorder — wolfd
 // attaches one per job — the same spans feed its latency histograms.
 func AnalyzeTraceCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*Report, error) {
-	rec := obs.FromContext(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.WithRecorder(ctx, rec)
-	}
-	mark := rec.Mark()
-	rep := &Report{Tool: "wolf(offline)"}
-	finish := func() (*Report, error) {
-		rep.Timings = TimingsFromRecorder(rec, mark)
-		rep.group()
-		return rep, ctx.Err()
-	}
-
-	_, sp := obs.Start(ctx, "cycle-detect")
-	cycles := detect.CyclesCtx(ctx, tr, detect.Config{MaxLength: cfg.MaxCycleLen})
-	for _, c := range cycles {
-		rep.Cycles = append(rep.Cycles, &CycleReport{Cycle: c, Trace: tr})
-	}
-	sp.Add("cycles", int64(len(cycles)))
-	sp.End()
-	if ctx.Err() != nil {
-		return finish()
-	}
-
-	_, sp = obs.Start(ctx, "prune")
-	if !cfg.DisablePruner {
-		// One batched PruneCtx call for the whole trace: a single
-		// "pruner.prune" span carries the aggregate cycle counts instead
-		// of one cycles=1 span per cycle.
-		pruneCycles(ctx, rep.Cycles)
-	}
-	sp.End()
-	if ctx.Err() != nil {
-		return finish()
-	}
-
-	// Generator fan-out across the configured worker pool; see
-	// generateCycles for why the result is schedule-independent.
-	_, sp = obs.Start(ctx, "generate")
-	generateCycles(ctx, rep.Cycles, &cfg)
-	sp.End()
-
-	return finish()
+	rep := run(ctx, "wolf(offline)", func(ctx context.Context, rep *Report) {
+		for _, c := range search(ctx, tr, &cfg) {
+			rep.Cycles = append(rep.Cycles, &CycleReport{Cycle: c, Trace: tr})
+		}
+		refute(ctx, rep.Cycles, &cfg)
+	})
+	return rep, ctx.Err()
 }
 
 // Record performs one instrumented run with the given seed and returns
 // the recorded trace, for offline analysis or archiving.
 func Record(f sim.Factory, seed int64, maxSteps int) *trace.Trace {
-	tr, _ := record(f, seed, maxSteps, true)
-	return tr
+	return record(context.Background(), f, seed, maxSteps, true)
 }

@@ -17,37 +17,21 @@ type ExtResult struct {
 	Base, Ext *core.Report
 }
 
-// RunExtension analyzes every selected workload twice: the paper's
-// pipeline and the pipeline with the data-dependency extension enabled.
-func RunExtension(cfg Config) ([]*ExtResult, error) {
+// RunExtension reruns each campaign result's WOLF analysis with the
+// data-dependency extension enabled, at the same detection seed; the
+// campaign's own WOLF report is the base.
+func RunExtension(results []*Result, cfg Config) []*ExtResult {
 	cfg.fill()
-	selected := workloads.All()
-	if len(cfg.Workloads) > 0 {
-		selected = selected[:0]
-		for _, name := range cfg.Workloads {
-			w, ok := workloads.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown workload %q", name)
-			}
-			selected = append(selected, w)
-		}
-	}
-	var out []*ExtResult
-	for _, w := range selected {
-		seed, ok := workloads.FindTerminatingSeed(w.New, cfg.SeedTries)
-		if !ok {
-			return nil, fmt.Errorf("workload %s: no terminating detection seed", w.Name)
-		}
-		base := core.Config{DetectSeeds: []int64{seed}, ReplayAttempts: cfg.ReplayAttempts}
-		ext := base
-		ext.DataDependency = true
-		out = append(out, &ExtResult{
-			Workload: w,
-			Base:     core.Analyze(w.New, base),
-			Ext:      core.Analyze(w.New, ext),
+	out := make([]*ExtResult, 0, len(results))
+	for _, r := range results {
+		ext := core.Analyze(r.Workload.New, core.Config{
+			DetectSeeds:    []int64{r.Seed},
+			ReplayAttempts: cfg.ReplayAttempts,
+			DataDependency: true,
 		})
+		out = append(out, &ExtResult{Workload: r.Workload, Base: r.Wolf, Ext: ext})
 	}
-	return out, nil
+	return out
 }
 
 // TableExt renders the extension comparison: per benchmark, how many

@@ -6,6 +6,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -56,7 +57,8 @@ type Result struct {
 	HitMeasured bool
 }
 
-// Run executes both pipelines on every selected workload.
+// Run executes both pipelines on every selected workload; they share one
+// detection (core.Compare).
 func Run(cfg Config) ([]*Result, error) {
 	cfg.fill()
 	selected := workloads.All()
@@ -76,13 +78,8 @@ func Run(cfg Config) ([]*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("workload %s: no terminating detection seed in %d tries", w.Name, cfg.SeedTries)
 		}
-		ccfg := core.Config{DetectSeeds: []int64{seed}, ReplayAttempts: cfg.ReplayAttempts}
-		out = append(out, &Result{
-			Workload: w,
-			Seed:     seed,
-			Wolf:     core.Analyze(w.New, ccfg),
-			DF:       core.AnalyzeDF(w.New, ccfg),
-		})
+		wolf, df := core.Compare(context.Background(), w.New, core.Config{DetectSeeds: []int64{seed}, ReplayAttempts: cfg.ReplayAttempts})
+		out = append(out, &Result{Workload: w, Seed: seed, Wolf: wolf, DF: df})
 	}
 	return out, nil
 }

@@ -151,10 +151,12 @@ func TestWriteCSV(t *testing.T) {
 // collapse (when included); on benchmarks without data flags the two
 // configurations agree.
 func TestExtensionTable(t *testing.T) {
-	results, err := RunExtension(Config{Workloads: []string{"HashMap"}, ReplayAttempts: 5})
+	cfg := Config{Workloads: []string{"HashMap"}, ReplayAttempts: 5}
+	campaign, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := RunExtension(campaign, cfg)
 	out := TableExt(results)
 	if !strings.Contains(out, "HashMap") || !strings.Contains(out, "Unknown defects") {
 		t.Fatalf("malformed table:\n%s", out)
