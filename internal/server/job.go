@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,9 +64,10 @@ type Job struct {
 	wlSeed    int64
 	claimed   bool
 	report    *core.Report
-	// reportJSON is the wire report of a job rehydrated from the corpus
-	// after a restart, or delivered by a remote analyzer (remote); the
-	// report endpoint serves it verbatim.
+	// reportJSON is the wire report a remote analyzer delivered
+	// (remote); the report endpoint serves it verbatim. A job rehydrated
+	// from the corpus holds neither report: its wire report stays in
+	// the journal (store.JobReport).
 	reportJSON json.RawMessage
 	remote     bool
 }
@@ -78,7 +80,7 @@ func (j *Job) State() JobState {
 }
 
 // Report returns the analysis report, nil until the job is done (and
-// nil for jobs rehydrated from the corpus — see ReportJSON).
+// nil for jobs a remote analyzer ran or rehydrated from the corpus).
 func (j *Job) Report() *core.Report {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -88,7 +90,7 @@ func (j *Job) Report() *core.Report {
 	return j.report
 }
 
-// ReportJSON returns the persisted wire report of a rehydrated job, nil
+// ReportJSON returns the wire report a remote analyzer delivered, nil
 // otherwise.
 func (j *Job) ReportJSON() json.RawMessage {
 	j.mu.Lock()
@@ -238,8 +240,7 @@ func (j *Job) unlease() {
 }
 
 // finishRaw records a successful remote analysis, finished at now, by
-// its wire-format report; the report endpoint serves it verbatim,
-// exactly like a job rehydrated from the journal.
+// its wire-format report; the report endpoint serves it verbatim.
 func (j *Job) finishRaw(raw json.RawMessage, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -402,18 +403,17 @@ func (s *jobStore) add(source, traceID string, tr *trace.Trace) *Job {
 // fromRecord builds the in-memory job a persisted record describes.
 func fromRecord(rec store.JobRecord) *Job {
 	return &Job{
-		ID:         rec.ID,
-		state:      JobState(rec.State),
-		source:     rec.Source,
-		trace:      rec.Trace,
-		traceHash:  rec.TraceHash,
-		err:        rec.Error,
-		created:    rec.Created,
-		started:    rec.Started,
-		finished:   rec.Finished,
-		node:       rec.Node,
-		attempts:   rec.Attempts,
-		reportJSON: rec.Report,
+		ID:        rec.ID,
+		state:     JobState(rec.State),
+		source:    rec.Source,
+		trace:     rec.Trace,
+		traceHash: rec.TraceHash,
+		err:       rec.Error,
+		created:   rec.Created,
+		started:   rec.Started,
+		finished:  rec.Finished,
+		node:      rec.Node,
+		attempts:  rec.Attempts,
 	}
 }
 
@@ -472,14 +472,23 @@ func (s *jobStore) get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// list snapshots every job's view in creation order.
-func (s *jobStore) list() []JobView {
+// list snapshots, in creation order, the views of the last n jobs in
+// state (in any state when it is empty), or of every such job when n is
+// negative. Views are built only for the jobs returned.
+func (s *jobStore) list(state string, n int) []JobView {
 	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
+	jobs := s.order // append-only: the entries it holds never change
 	s.mu.Unlock()
-	out := make([]JobView, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.view()
+	out := make([]JobView, 0)
+	for i := len(jobs) - 1; i >= 0 && (n < 0 || len(out) < n); i-- {
+		if state != "" && string(jobs[i].State()) != state {
+			continue
+		}
+		// The state may move on between the two reads: the view decides.
+		if v := jobs[i].view(); state == "" || v.State == state {
+			out = append(out, v)
+		}
 	}
+	slices.Reverse(out)
 	return out
 }

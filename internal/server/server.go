@@ -647,35 +647,22 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // ?limit=N keeps only the N most recent matches (tail of the
 // creation-ordered list).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	jobs := s.jobs.list()
-	if state := r.URL.Query().Get("state"); state != "" {
-		if !validState(state) {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("bad state %q: want queued, running, done or failed", state))
-			return
-		}
-		filtered := jobs[:0]
-		for _, v := range jobs {
-			if v.State == state {
-				filtered = append(filtered, v)
-			}
-		}
-		jobs = filtered
+	state := r.URL.Query().Get("state")
+	if state != "" && !validState(state) {
+		httpError(w, http.StatusBadRequest,
+			fmt.Sprintf("bad state %q: want queued, running, done or failed", state))
+		return
 	}
+	limit := -1
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			httpError(w, http.StatusBadRequest, "bad limit: want a non-negative integer")
 			return
 		}
-		if n < len(jobs) {
-			jobs = jobs[len(jobs)-n:]
-		}
+		limit = n
 	}
-	if jobs == nil {
-		jobs = []JobView{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list(state, limit)})
 }
 
 // handleJob is GET /v1/jobs/{id}.
@@ -698,13 +685,19 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State() {
 	case StateDone:
-		if rep := j.Report(); rep != nil {
-			writeJSON(w, http.StatusOK, report.FromCore(rep))
-			return
+		// One wire form before and after a restart: the report as the
+		// job's journal record carries it, which a rehydrated job reads
+		// from the corpus.
+		raw := wireReport(j.Report(), j.ReportJSON())
+		if raw == nil && s.cfg.Store != nil {
+			var err error
+			if raw, err = s.cfg.Store.JobReport(j.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
+				s.cfg.Logger.Error("read report", "job", j.ID, "err", err)
+				httpError(w, http.StatusInternalServerError, "report unreadable from the corpus")
+				return
+			}
 		}
-		// Rehydrated after a restart: the in-memory report is gone, but
-		// the persisted wire form is served verbatim.
-		if raw := j.ReportJSON(); raw != nil {
+		if raw != nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			w.Write(raw)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,9 +90,43 @@ func openOnce(b *testing.B, dir string) {
 	}
 }
 
+// benchJobs is how many done jobs the journal case's journal holds.
+const benchJobs = 1000
+
+// appendBenchJobs journals n jobs the way wolfd does, an admission and a
+// done record each, the done record carrying a report of about 3 KB.
+func appendBenchJobs(b *testing.B, dir string, n int) {
+	b.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cycles []string
+	for i := 0; i < 20; i++ {
+		cycles = append(cycles, fmt.Sprintf(`{"signature":"pkg/site.go:%d+pkg/site.go:%d","class":"confirmed","method":"steering","threads":["t1","t2"],"locks":["l%d","l%d"],"attempts":%d}`, 10+i, 40+i, i, i+1, i%5+1))
+	}
+	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	for i := 1; i <= n; i++ {
+		rec := JobRecord{ID: fmt.Sprintf("j-%06d", i), State: "queued", Source: "upload",
+			TraceHash: fakeHash(i), Created: t0.Add(time.Duration(i) * time.Second)}
+		if err := s.AppendJob(rec); err != nil {
+			b.Fatal(err)
+		}
+		rec.State, rec.Finished = "done", rec.Created.Add(time.Second)
+		rec.Report = json.RawMessage(fmt.Sprintf(`{"tool":"wolf","job":%q,"cycles":[%s]}`, rec.ID, strings.Join(cycles, ",")))
+		if err := s.AppendJob(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkStoreOpen measures corpus open latency: warm (snapshot
-// load), cold (sharded parallel scan) and flat (moving a legacy layout
-// into its shards, then the cold scan).
+// load), cold (sharded parallel scan), flat (moving a legacy layout
+// into its shards, then the cold scan) and journal (a warm open whose
+// job journal holds benchJobs done jobs with their reports).
 // The warm/cold ratio at 100k traces is the ISSUE's >=50x acceptance
 // number.
 func BenchmarkStoreOpen(b *testing.B) {
@@ -100,14 +135,19 @@ func BenchmarkStoreOpen(b *testing.B) {
 		name string
 		flat bool
 		warm bool
+		jobs int
 	}{
-		{"warm", false, true},
-		{"cold", false, false},
-		{"flat", true, false},
+		{"warm", false, true, 0},
+		{"cold", false, false, 0},
+		{"flat", true, false, 0},
+		{"journal", false, true, benchJobs},
 	} {
 		b.Run(fmt.Sprintf("%s-%d", tc.name, n), func(b *testing.B) {
 			dir := b.TempDir()
 			buildBenchCorpus(b, dir, n, tc.flat)
+			if tc.jobs > 0 {
+				appendBenchJobs(b, dir, tc.jobs)
+			}
 			openOnce(b, dir) // write the snapshot once
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -127,8 +167,8 @@ func BenchmarkStoreOpen(b *testing.B) {
 					b.Fatalf("warm = %v, want %v", warm, tc.warm)
 				}
 				b.StopTimer()
-				if len(s.Traces()) != n {
-					b.Fatalf("indexed %d traces, want %d", len(s.Traces()), n)
+				if len(s.Traces()) != n || len(s.Jobs()) != tc.jobs {
+					b.Fatalf("indexed %d traces and %d jobs, want %d and %d", len(s.Traces()), len(s.Jobs()), n, tc.jobs)
 				}
 				if err := s.Close(); err != nil {
 					b.Fatal(err)

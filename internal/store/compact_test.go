@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +11,8 @@ import (
 )
 
 // churnJobs runs n jobs through queued → running → done, writing three
-// journal records per job (one more than the 2× steady-state floor).
+// journal records per job (one more than the 2× steady-state floor);
+// each done record carries churnReport.
 func churnJobs(t *testing.T, dir string, n int) {
 	t.Helper()
 	s, err := Open(dir)
@@ -24,6 +27,9 @@ func churnJobs(t *testing.T, dir string, n int) {
 				Source:  "upload",
 				Created: time.Date(2026, 8, 1, 0, 0, i, 0, time.UTC),
 			}
+			if state == "done" {
+				rec.Report = json.RawMessage(churnReport(i))
+			}
 			if err := s.AppendJob(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -34,21 +40,67 @@ func churnJobs(t *testing.T, dir string, n int) {
 	}
 }
 
-func logLines(t *testing.T, dir string) []string {
+func churnReport(i int) string { return fmt.Sprintf(`{"tool":"wolf","job":%d}`, i) }
+
+// journalFrame is one frame of the job journal, with its place in the
+// file.
+type journalFrame struct {
+	off, size             int
+	header, delta, report string
+}
+
+// logFrames splits dir's job journal into its frames, failing the test
+// when any byte of the file is not part of an intact frame.
+func logFrames(t testing.TB, dir string) []journalFrame {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	data, err := os.ReadFile(filepath.Join(dir, jobsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		return nil
+	var out []journalFrame
+	for off := 0; off < len(data); {
+		fr, ok := nextFrame(data[off:])
+		if !ok {
+			t.Fatalf("journal bytes %d..%d are not an intact frame", off, len(data))
+		}
+		rep := data[off+int(fr.span.rep) : off+int(fr.span.rep+fr.span.repN)]
+		out = append(out, journalFrame{off: off, size: int(fr.span.size),
+			header: string(fr.header), delta: string(fr.delta), report: string(rep)})
+		off += int(fr.span.size)
 	}
-	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	return out
+}
+
+// appendRawFrame appends the frame of rec to dir's job journal behind
+// the store's back, as a crash after an fsynced append leaves it.
+func appendRawFrame(t testing.TB, dir string, rec JobRecord) {
+	t.Helper()
+	data, _, err := encodeFrame(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, dir, data)
+}
+
+// appendRaw appends bytes to dir's job journal.
+func appendRaw(t testing.TB, dir string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, jobsFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCompactionOnOpen: a journal holding three records per job (above
-// the 2× floor) is rewritten on Open to one latest-state line per job,
-// preserving state and first-seen order.
+// the 2× floor) is rewritten on Open to one latest-state frame per job,
+// preserving state, first-seen order and the reports at their new
+// offsets.
 func TestCompactionOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	churnJobs(t, dir, 3) // 9 records, 3 live → compacts
@@ -60,8 +112,8 @@ func TestCompactionOnOpen(t *testing.T) {
 	if !s.jobs.compacted {
 		t.Error("journal above the 2x floor was not compacted")
 	}
-	if lines := logLines(t, dir); len(lines) != 3 {
-		t.Fatalf("compacted log lines = %d, want 3", len(lines))
+	if frames := logFrames(t, dir); len(frames) != 3 {
+		t.Fatalf("compacted log frames = %d, want 3", len(frames))
 	}
 	jobs := s.Jobs()
 	if len(jobs) != 3 {
@@ -70,6 +122,9 @@ func TestCompactionOnOpen(t *testing.T) {
 	for i, j := range jobs {
 		if j.ID != jobID(i+1) || j.State != "done" {
 			t.Errorf("job %d = %s/%s, want %s/done", i, j.ID, j.State, jobID(i+1))
+		}
+		if rep, err := s.JobReport(j.ID); err != nil || string(rep) != churnReport(i+1) {
+			t.Errorf("report of %s after compaction = %s (%v), want %s", j.ID, rep, err, churnReport(i+1))
 		}
 	}
 
@@ -118,8 +173,8 @@ func TestNoCompactionAtSteadyState(t *testing.T) {
 	if s2.jobs.compacted {
 		t.Error("steady-state journal (replayed == 2x live) was compacted")
 	}
-	if lines := logLines(t, dir); len(lines) != 8 {
-		t.Fatalf("log lines = %d, want 8 (untouched)", len(lines))
+	if frames := logFrames(t, dir); len(frames) != 8 {
+		t.Fatalf("log frames = %d, want 8 (untouched)", len(frames))
 	}
 }
 
@@ -132,7 +187,7 @@ func TestKillDuringCompaction(t *testing.T) {
 	churnJobs(t, dir, 3)
 
 	// Simulate the crash artifact: a half-written compaction temp next
-	// to jobs.jsonl.
+	// to the journal.
 	tmp := filepath.Join(dir, ".tmp-jobs-123456")
 	if err := os.WriteFile(tmp, []byte(`{"id":"j-010000","state":"do`), 0o644); err != nil {
 		t.Fatal(err)
@@ -155,8 +210,8 @@ func TestKillDuringCompaction(t *testing.T) {
 			t.Errorf("job %d = %s/%s, want %s/done", i, j.ID, j.State, jobID(i+1))
 		}
 	}
-	if lines := logLines(t, dir); len(lines) != 3 {
-		t.Fatalf("log lines = %d, want 3 (compaction retried)", len(lines))
+	if frames := logFrames(t, dir); len(frames) != 3 {
+		t.Fatalf("log frames = %d, want 3 (compaction retried)", len(frames))
 	}
 }
 
@@ -182,11 +237,11 @@ func TestJobRecordFleetFieldsRoundTrip(t *testing.T) {
 	}
 	s.Close()
 
-	for _, line := range logLines(t, dir) {
-		if strings.Contains(line, `"j-000002"`) {
+	for _, fr := range logFrames(t, dir) {
+		if strings.Contains(fr.header, `"j-000002"`) {
 			for _, field := range []string{"node", "attempts"} {
-				if strings.Contains(line, field) {
-					t.Errorf("fleet field %q leaked into a non-fleet record: %s", field, line)
+				if strings.Contains(fr.header, field) {
+					t.Errorf("fleet field %q leaked into a non-fleet record: %s", field, fr.header)
 				}
 			}
 		}

@@ -96,6 +96,8 @@ const (
 	opSnapshot            // a snapshot, full or index.bin alone
 	opCrash               // the process dies: no Close
 	opTornSnapshot        // the process dies halfway through a snapshot
+	opTornJob             // a job whose terminal append the process dies inside
+	opFlip                // one byte of a journal frame goes bad on disk
 	numOps
 )
 
@@ -105,6 +107,9 @@ type durableOp struct {
 	source  string
 	running bool // the job also journals a "running" record (coordinator leases)
 	sums    []CycleSummary
+	// at picks where opTornJob tears its frame, and the frame and byte
+	// opFlip corrupts.
+	at, frame int
 }
 
 // decodeDurableOps turns fuzz bytes into at most 24 operations over
@@ -127,7 +132,7 @@ func decodeDurableOps(data []byte) []durableOp {
 		b := next()
 		op := durableOp{kind: b % numOps, running: b&0x80 != 0}
 		switch op.kind {
-		case opJob, opSync, opBadRemote:
+		case opJob, opSync, opBadRemote, opTornJob:
 			if x := next() % 4; x < 3 {
 				op.trace = fakeHash(100 + x)
 			}
@@ -148,13 +153,20 @@ func decodeDurableOps(data []byte) []durableOp {
 				op.sums = slices.Insert(op.sums, at, CycleSummary{Fingerprint: "../not-a-fingerprint"})
 			}
 		}
+		switch op.kind {
+		case opTornJob:
+			op.at = next()<<8 | next()
+		case opFlip:
+			op.frame, op.at = next(), next()<<8|next()
+		}
 		ops = append(ops, op)
 	}
 	return ops
 }
 
 // durableRun drives one operation sequence against a store and the
-// reference, checking Defects after every reopen.
+// reference, checking Defects, the jobs and their reports after every
+// reopen.
 type durableRun struct {
 	t    testing.TB
 	dir  string
@@ -162,16 +174,86 @@ type durableRun struct {
 	ref  refCorpus
 	jobs int
 	now  time.Time
+	// want is every job's expected latest state, first-seen order, and
+	// reports the report each done job's terminal record carried.
+	want    []wantJob
+	reports map[string]string
+}
+
+type wantJob struct{ id, state string }
+
+// jobReport is the wire report the run journals for a done job: compact
+// JSON whose length varies with the job.
+func jobReport(id string, n int) string {
+	return fmt.Sprintf(`{"tool":"wolf","job":%q,"pad":%q}`, id, strings.Repeat("x", n%97))
+}
+
+// setState records a job's new latest state.
+func (r *durableRun) setState(id, state string) {
+	for i := range r.want {
+		if r.want[i].id == id {
+			r.want[i].state = state
+			return
+		}
+	}
+	r.want = append(r.want, wantJob{id, state})
 }
 
 func (r *durableRun) check(when string) {
 	r.t.Helper()
-	if got, want := renderDefects(r.t, r.s.Defects()), r.ref.render(r.t); got != want {
+	// A nil reference is one a damaged journal just made unknowable (see
+	// opFlip).
+	if got, want := renderDefects(r.t, r.s.Defects()), r.ref.render(r.t); r.ref != nil && got != want {
 		r.t.Fatalf("defects %s differ from the reference fold:\n got %s\nwant %s", when, got, want)
 	}
-	if got := len(r.s.Jobs()); got != r.jobs {
-		r.t.Fatalf("jobs %s = %d, want %d", when, got, r.jobs)
+	jobs := r.s.Jobs()
+	got := make([]wantJob, len(jobs))
+	for i, j := range jobs {
+		got[i] = wantJob{j.ID, j.State}
 	}
+	if !slices.Equal(got, r.want) {
+		r.t.Fatalf("jobs %s = %v, want %v", when, got, r.want)
+	}
+	for _, j := range r.want {
+		if j.state != "done" {
+			continue
+		}
+		if rep, err := r.s.JobReport(j.id); err != nil || string(rep) != r.reports[j.id] {
+			r.t.Fatalf("report of %s %s = %q (%v), want %q", j.id, when, rep, err, r.reports[j.id])
+		}
+	}
+}
+
+// keepFrames cuts the journal back to its first n intact frames and
+// makes what they say the expected jobs, as Open must find them.
+func (r *durableRun) keepFrames(frames []journalFrame, n int) {
+	r.t.Helper()
+	r.want = nil
+	for _, fr := range frames[:n] {
+		var h frameHeader
+		if err := json.Unmarshal([]byte(fr.header), &h); err != nil {
+			r.t.Fatal(err)
+		}
+		if h.ID != "" {
+			r.setState(h.ID, h.State)
+		}
+	}
+}
+
+// damage abandons the store as a dying process does, lets edit change
+// the journal's bytes, and reopens.
+func (r *durableRun) damage(when string, edit func(data []byte) []byte) {
+	r.t.Helper()
+	r.s.jobs.close()
+	path := filepath.Join(r.dir, jobsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+		r.t.Fatal(err)
+	}
+	r.reopen(when)
 }
 
 // reopen abandons the store without Close, as a dying process does,
@@ -192,7 +274,7 @@ func (r *durableRun) apply(i int, op durableOp) {
 	ctx := context.Background()
 	r.now = r.now.Add(time.Second)
 	switch op.kind {
-	case opJob, opBadRemote:
+	case opJob, opBadRemote, opTornJob:
 		r.jobs++
 		id := fmt.Sprintf("j-%06d", r.jobs)
 		states := []string{"queued"}
@@ -204,11 +286,25 @@ func (r *durableRun) apply(i int, op durableOp) {
 				r.t.Fatal(err)
 			}
 		}
-		rec := JobRecord{ID: id, State: "done", Source: op.source, TraceHash: op.trace, Finished: r.now}
+		r.reports[id] = jobReport(id, r.jobs*31+len(op.sums))
+		rec := JobRecord{ID: id, State: "done", Source: op.source, TraceHash: op.trace, Finished: r.now,
+			Report: json.RawMessage(r.reports[id])}
 		_, err := r.s.FinishJob(ctx, rec, op.sums)
 		if (err != nil) != (op.kind == opBadRemote) {
 			r.t.Fatalf("op %d: FinishJob err = %v", i, err)
 		}
+		if op.kind == opTornJob {
+			// The process dies inside the terminal append: the frame is
+			// cut short, and neither its delta nor its state survives.
+			frames := logFrames(r.t, r.dir)
+			last := frames[len(frames)-1]
+			r.keepFrames(frames, len(frames)-1)
+			r.damage(fmt.Sprintf("after a torn append at op %d", i), func(data []byte) []byte {
+				return data[:last.off+op.at%last.size]
+			})
+			return
+		}
+		r.setState(id, "done")
 		r.ref.fold(op.trace, workloadFromSource(op.source), op.sums, r.now)
 	case opSync:
 		if _, err := r.s.RecordSummaries(ctx, op.trace, op.sums, op.source, r.now); err != nil {
@@ -247,6 +343,27 @@ func (r *durableRun) apply(i int, op durableOp) {
 		}
 		r.s.mu.Unlock()
 		r.reopen(fmt.Sprintf("after a crash inside a snapshot at op %d", i))
+	case opFlip:
+		// A byte of one frame goes bad: Open keeps the frames before it.
+		frames := logFrames(r.t, r.dir)
+		if len(frames) == 0 {
+			return
+		}
+		// The deltas of the dropped frames are lost, but a snapshot may
+		// already reflect some of them, so what the reopened store folds
+		// is not known in advance: it becomes the reference, and every
+		// later reopen must agree with it.
+		k := op.frame % len(frames)
+		r.keepFrames(frames, k)
+		r.ref = nil
+		r.damage(fmt.Sprintf("after a flipped byte in frame %d at op %d", k, i), func(data []byte) []byte {
+			data[frames[k].off+op.at%frames[k].size] ^= 0x5a
+			return data
+		})
+		r.ref = refCorpus{}
+		for _, rec := range r.s.Defects() {
+			r.ref[rec.Fingerprint] = rec
+		}
 	}
 }
 
@@ -259,7 +376,8 @@ func checkDurable(t testing.TB, ops []durableOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &durableRun{t: t, dir: dir, s: s, ref: refCorpus{}, now: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
+	r := &durableRun{t: t, dir: dir, s: s, ref: refCorpus{}, now: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
+		reports: make(map[string]string)}
 	for i, op := range ops {
 		r.apply(i, op)
 	}
@@ -289,10 +407,14 @@ func checkDurable(t testing.TB, ops []durableOp) {
 
 // FuzzCrashEquivalence: random sequences of job completions (some with
 // a lease record, some with a malformed fingerprint), job-less folds,
-// trace mutations, snapshots and crashes — between operations and
-// halfway through a snapshot — leave Defects identical live, after every
-// crash, after a clean reopen, after a cold reopen, and to the
-// reference fold.
+// trace mutations, snapshots and crashes — between operations, halfway
+// through a snapshot and inside a job's terminal append — leave Defects
+// identical live, after every crash, after a clean reopen, after a cold
+// reopen, and to the reference fold. A byte flipped in any journal
+// frame drops that frame and every later one; from the reopen after it,
+// the defects that reopen found are the reference. Throughout, the jobs
+// are exactly those of the intact frames, and every done job's report
+// reads back byte for byte.
 func FuzzCrashEquivalence(f *testing.F) {
 	f.Add([]byte{opJob, 0, 0, 2, 0x08, 0x11, opCrash})
 	f.Add([]byte{opJob, 0, 1, 1, 0x00, opTraceWrite, opJob, 1, 0, 2, 0x18, 0x01, opCrash, opSync, 2, 3, 1, 0x28})
@@ -300,6 +422,9 @@ func FuzzCrashEquivalence(f *testing.F) {
 	f.Add([]byte{opJob | 0x80, 0, 0, 1, 0x02, opJob | 0x80, 1, 1, 1, 0x02, opSnapshot, opBadRemote, 2, 0, 1, 0x03, 0, opJob | 0x80, 2, 2, 2, 0x12, 0x03, opCrash})
 	f.Add([]byte{opTraceWrite, opSync, 3, 3, 3, 0x08, 0x08, 0x09, opTornSnapshot, opTraceWrite, opJob, 0, 0, 2, 0x1c, 0x2c, opTornSnapshot})
 	f.Add([]byte{opJob, 0, 0, 2, 0x01, 0x02, opSnapshot | 0x80, opCrash, opJob, 1, 1, 1, 0x02, opSnapshot | 0x80, opTraceWrite, opSync, 2, 0, 1, 0x03, opCrash, opTornSnapshot})
+	f.Add([]byte{opJob, 0, 0, 1, 0x01, opTornJob, 1, 1, 2, 0x01, 0x02, 0, 40, opJob, 2, 1, 1, 0x03, opTornJob, 0, 0, 0, 0, 0})
+	f.Add([]byte{opJob, 0, 0, 2, 0x01, 0x12, opSync, 1, 1, 1, 0x02, opJob, 2, 0, 1, 0x03, opFlip, 1, 0, 90, opJob, 0, 1, 1, 0x04, opCrash})
+	f.Add([]byte{opJob, 0, 0, 1, 0x01, opSnapshot, opJob, 1, 1, 1, 0x02, opFlip, 2, 0, 3, opTornJob, 2, 2, 1, 0x01, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDurable(t, decodeDurableOps(data))
 	})
@@ -365,7 +490,7 @@ func TestRecordSummariesAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := renderDefects(t, s.Defects())
-	lines := len(logLines(t, dir))
+	frames := len(logFrames(t, dir))
 	bad := []CycleSummary{good, {Fingerprint: "../../etc/passwd"}}
 	if updated, err := s.RecordSummaries(ctx, fakeHash(3), bad, "upload", time.Now()); err == nil || len(updated) != 0 {
 		t.Fatalf("malformed fingerprint accepted: updated=%v err=%v", updated, err)
@@ -373,8 +498,8 @@ func TestRecordSummariesAllOrNothing(t *testing.T) {
 	if got := renderDefects(t, s.Defects()); got != before {
 		t.Errorf("a rejected call changed the corpus:\n got %s\nwant %s", got, before)
 	}
-	if got := len(logLines(t, dir)); got != lines {
-		t.Errorf("a rejected job-less call journaled %d records", got-lines)
+	if got := len(logFrames(t, dir)); got != frames {
+		t.Errorf("a rejected job-less call journaled %d records", got-frames)
 	}
 	// A job's terminal record is still journaled, without a delta.
 	rec := JobRecord{ID: "j-000001", State: "done", Source: "upload"}
@@ -387,8 +512,8 @@ func TestRecordSummariesAllOrNothing(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].State != "done" {
 		t.Errorf("jobs = %+v, want j-000001 done", jobs)
 	}
-	if last := logLines(t, dir)[len(logLines(t, dir))-1]; strings.Contains(last, `"defects"`) {
-		t.Errorf("rejected job journaled a delta: %s", last)
+	if last := logFrames(t, dir)[len(logFrames(t, dir))-1]; last.delta != "" {
+		t.Errorf("rejected job journaled a delta: %s", last.delta)
 	}
 }
 

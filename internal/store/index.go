@@ -87,7 +87,6 @@ var errBadIndex = errors.New("store: unusable index snapshot")
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.bin") }
 func (s *Store) dirtyPath() string { return filepath.Join(s.dir, "index.dirty") }
-func (s *Store) jobsPath() string  { return filepath.Join(s.dir, "jobs.jsonl") }
 
 // markDirtyLocked drops the dirty marker before the first trace
 // mutation following a snapshot, invalidating that snapshot's trace

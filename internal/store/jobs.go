@@ -1,12 +1,50 @@
 package store
 
+// The job journal, jobs.bin: one length-prefixed, checksummed frame per
+// record, appended and fsynced. All integers are big-endian:
+//
+//	header length  uint32
+//	delta length   uint32
+//	report length  uint32
+//	header         JSON: the JobRecord without Report and Defects, plus
+//	               "seq", the Seq of the delta the frame carries
+//	delta          JSON DefectDelta, empty when the frame carries none
+//	report         a done job's wire report, empty otherwise
+//	CRC-32C        uint32 over every byte of the frame before it
+//
+// Open reads the file once, checks each frame's lengths and checksum and
+// decodes its header; a delta's JSON is decoded only when its Seq lies
+// past what the loaded defect state reflects, and a report is never
+// decoded at all: the journal keeps where the latest frame of each job
+// lies, and JobReport reads the report at its offset. The first frame
+// that runs past the end of the file, fails its checksum or has an
+// undecodable header ends the journal: it and everything after it are
+// truncated away. The checksum covers the report, so a flipped bit
+// anywhere in a frame is caught.
+//
+// Journals written before the framed format are JSON lines in
+// jobs.jsonl. Open converts one into a complete jobs.bin written with
+// atomicWrite, then removes it. jobs.bin only ever appears whole and
+// nothing appends to jobs.jsonl after the conversion, so when a crash
+// leaves both files, jobs.bin is the journal and jobs.jsonl is removed.
+
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
+	"path/filepath"
 	"time"
+)
+
+// Journal file names: the framed journal and its JSON-lines predecessor.
+const (
+	jobsFile       = "jobs.bin"
+	legacyJobsFile = "jobs.jsonl"
 )
 
 // JobRecord is one persisted snapshot of a wolfd job. The server appends
@@ -34,7 +72,8 @@ type JobRecord struct {
 	Node     string `json:"node,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 	// Report is the wire-format analysis report (report.JSONReport) of a
-	// done job, kept verbatim so it can be served after a restart.
+	// done job, kept verbatim so it can be served after a restart. The
+	// journal stores it; Jobs never returns it (read it with JobReport).
 	Report json.RawMessage `json:"report,omitempty"`
 	// Defects is what the job folded into the defect corpus, carried by
 	// its terminal record (FinishJob): this append is what makes the
@@ -68,82 +107,220 @@ func (d *DefectDelta) bind(rec *JobRecord) *DefectDelta {
 	return d
 }
 
-// deltaRecord is the journal line of a job-less fold: a JobRecord
-// without a job, carrying only the fields a delta takes its context from.
-type deltaRecord struct {
-	Source    string       `json:"source,omitempty"`
-	TraceHash string       `json:"trace_hash,omitempty"`
-	Finished  time.Time    `json:"finished"`
-	Defects   *DefectDelta `json:"defects"`
+// frameHeader is a frame's header section. A record without a job ID
+// carries a job-less delta (the synchronous analysis path).
+type frameHeader struct {
+	JobRecord
+	Seq int64 `json:"seq,omitempty"`
 }
 
-// jobLog is the append-only JSONL job journal. Caller (Store) serializes
-// access.
+// framePrefix is the three section lengths; frameTrailer the checksum.
+const (
+	framePrefix  = 12
+	frameTrailer = 4
+)
+
+// span locates a job's latest frame in the journal file, and the report
+// inside it.
+type span struct {
+	off, size int64 // the frame
+	rep, repN int64 // the report: file offset and length
+}
+
+// encodeFrame frames rec and reports where the report lies relative to
+// the frame's start. The report is framed verbatim, so JobReport reads
+// back exactly the bytes appended.
+func encodeFrame(rec JobRecord) ([]byte, span, error) {
+	h := frameHeader{JobRecord: rec}
+	h.Report, h.Defects = nil, nil
+	var delta []byte
+	var err error
+	if rec.Defects != nil {
+		h.Seq = rec.Defects.Seq
+		if delta, err = json.Marshal(rec.Defects); err != nil {
+			return nil, span{}, err
+		}
+	}
+	report := rec.Report
+	header, err := json.Marshal(h)
+	if err != nil {
+		return nil, span{}, err
+	}
+	if max(len(header), len(delta), len(report)) > math.MaxUint32 {
+		return nil, span{}, fmt.Errorf("record of job %q too large to frame", rec.ID)
+	}
+	buf := make([]byte, framePrefix, framePrefix+len(header)+len(delta)+len(report)+frameTrailer)
+	binary.BigEndian.PutUint32(buf[0:], uint32(len(header)))
+	binary.BigEndian.PutUint32(buf[4:], uint32(len(delta)))
+	binary.BigEndian.PutUint32(buf[8:], uint32(len(report)))
+	buf = append(buf, header...)
+	buf = append(buf, delta...)
+	buf = append(buf, report...)
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	rep := int64(framePrefix + len(header) + len(delta))
+	return buf, span{size: int64(len(buf)), rep: rep, repN: int64(len(report))}, nil
+}
+
+// frame is one intact frame's sections, sliced from the journal bytes.
+type frame struct {
+	header, delta []byte
+	span          span // relative to the frame's start
+}
+
+// nextFrame checks the frame at the start of data: its lengths fit in
+// data and its checksum matches.
+func nextFrame(data []byte) (frame, bool) {
+	if len(data) < framePrefix+frameTrailer {
+		return frame{}, false
+	}
+	h := uint64(binary.BigEndian.Uint32(data[0:]))
+	d := uint64(binary.BigEndian.Uint32(data[4:]))
+	r := uint64(binary.BigEndian.Uint32(data[8:]))
+	end := framePrefix + h + d + r
+	if end+frameTrailer > uint64(len(data)) {
+		return frame{}, false
+	}
+	if crc32.Checksum(data[:end], crcTable) != binary.BigEndian.Uint32(data[end:]) {
+		return frame{}, false
+	}
+	return frame{
+		header: data[framePrefix : framePrefix+h],
+		delta:  data[framePrefix+h : framePrefix+h+d],
+		span:   span{size: int64(end + frameTrailer), rep: int64(framePrefix + h + d), repN: int64(r)},
+	}, true
+}
+
+// jobLog is the append-only framed job journal. Caller (Store)
+// serializes access.
 type jobLog struct {
-	path   string
+	path string
+	// f appends frames and reads reports at their offsets.
 	f      *os.File
 	syncs  *fsyncs
 	latest map[string]int // job ID → index in order
-	order  []JobRecord    // latest record per job, first-seen order
+	order  []JobRecord    // latest record per job without its report, first-seen order
+	spans  []span         // where each order entry's frame lies
 	// size is the journal's byte length as of the last read or append.
 	size int64
-	// replayed counts the raw records parsed at open — the journal's
-	// on-disk length in records, as opposed to len(order) live jobs.
+	// replayed counts the frames read at open — the journal's on-disk
+	// length in records, as opposed to len(order) live jobs.
 	replayed int
-	// compacted marks that this open rewrote the journal (tests/stats).
+	// compacted marks that this open rewrote the journal: a compaction
+	// or the conversion of a JSON-lines journal (tests/stats).
 	compacted bool
-	// deltas are the defect deltas read at open, in journal order, until
-	// Open has folded them.
+	// deltas are the defect deltas read at open past the decode floor,
+	// in journal order, until Open has folded them; data is the file as
+	// read at open, until Open is done with it (compact copies from it).
 	deltas []*DefectDelta
+	data   []byte
 }
 
-// readJobLog replays the journal, tolerating a torn tail: a crash
-// mid-append can leave a final partial line, which is dropped and
-// truncated away so the next append starts on a record boundary. A
-// record with no job ID carries a job-less delta (the synchronous
-// analysis path); it is counted but joins no job.
-func readJobLog(path string, syncs *fsyncs) (*jobLog, error) {
-	jl := &jobLog{path: path, syncs: syncs, latest: make(map[string]int)}
-	data, err := os.ReadFile(path)
+// readJobLog replays the journal in dir, converting a JSON-lines one
+// first. Only deltas with a Seq above floor are decoded; the loaded
+// defect state reflects the rest. A torn or corrupt frame and
+// everything after it are dropped and truncated away, so the next
+// append starts on a frame boundary. A record with no job ID carries a
+// job-less delta; it is counted but joins no job.
+func readJobLog(dir string, syncs *fsyncs, floor int64) (*jobLog, error) {
+	jl := &jobLog{path: filepath.Join(dir, jobsFile), syncs: syncs, latest: make(map[string]int)}
+	converted, err := convertLegacyJobs(dir, syncs)
+	if err != nil {
+		return nil, err
+	}
+	jl.compacted = converted
+	data, err := os.ReadFile(jl.path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	good := int64(0)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	offset := int64(0)
-	for sc.Scan() {
-		line := sc.Bytes()
-		// +1 for the newline the scanner stripped; a final line without
-		// one is by definition torn (append writes the newline with the
-		// record) and stays beyond `good`.
-		end := offset + int64(len(line)) + 1
-		offset = end
-		if end > int64(len(data)) {
+	jl.data = data
+	off := int64(0)
+	for off < int64(len(data)) {
+		fr, ok := nextFrame(data[off:])
+		if !ok {
 			break
 		}
-		var rec JobRecord
-		if err := json.Unmarshal(line, &rec); err != nil || (rec.ID == "" && rec.Defects == nil) {
-			break // torn or corrupt: drop this and everything after
+		var h frameHeader
+		if err := json.Unmarshal(fr.header, &h); err != nil || (h.ID == "" && len(fr.delta) == 0) {
+			break
 		}
-		if rec.Defects != nil {
-			jl.deltas = append(jl.deltas, rec.Defects.bind(&rec))
-			rec.Defects = nil
+		if len(fr.delta) > 0 && h.Seq > floor {
+			d := new(DefectDelta)
+			if err := json.Unmarshal(fr.delta, d); err != nil {
+				break
+			}
+			jl.deltas = append(jl.deltas, d.bind(&h.JobRecord))
 		}
-		if rec.ID != "" {
-			jl.upsert(rec)
+		if h.ID != "" {
+			sp := fr.span
+			sp.off, sp.rep = off, off+sp.rep
+			jl.upsert(h.JobRecord, sp)
 		}
 		jl.replayed++
-		good = end
+		off += fr.span.size
 	}
-	if good < int64(len(data)) {
+	if off < int64(len(data)) {
 		// Repair: truncate the torn tail so future appends are clean.
-		if err := os.Truncate(path, good); err != nil {
+		if err := os.Truncate(jl.path, off); err != nil {
 			return nil, fmt.Errorf("store: repair job log: %w", err)
 		}
 	}
-	jl.size = good
+	jl.size = off
 	return jl, nil
+}
+
+// convertLegacyJobs rewrites a JSON-lines journal in dir as the framed
+// journal, and reports whether it did. When both files exist, the
+// framed one is a finished conversion and the legacy one is only
+// removed.
+func convertLegacyJobs(dir string, syncs *fsyncs) (bool, error) {
+	path, legacy := filepath.Join(dir, jobsFile), filepath.Join(dir, legacyJobsFile)
+	data, err := os.ReadFile(legacy)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("store: %w", err)
+	}
+	if _, err := os.Stat(path); err == nil {
+		// A crash between the conversion's rename and this removal; a
+		// failed removal is retried by the next Open.
+		os.Remove(legacy)
+		return false, nil
+	}
+	var buf bytes.Buffer
+	for _, rec := range readLegacyJobs(data) {
+		fr, _, err := encodeFrame(rec)
+		if err != nil {
+			return false, fmt.Errorf("store: convert job log: %w", err)
+		}
+		buf.Write(fr)
+	}
+	if err := syncs.atomicWrite(path, buf.Bytes()); err != nil {
+		return false, fmt.Errorf("store: convert job log: %w", err)
+	}
+	os.Remove(legacy) // left behind, the next Open removes it
+	return true, nil
+}
+
+// readLegacyJobs parses a JSON-lines journal up to its first torn or
+// corrupt line: a final line without its newline is torn (the append
+// wrote record and newline together), and so is one that fails to
+// parse or holds neither a job ID nor a delta. Lines have no length
+// cap.
+func readLegacyJobs(data []byte) []JobRecord {
+	var recs []JobRecord
+	for {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return recs
+		}
+		var rec JobRecord
+		if err := json.Unmarshal(data[:i], &rec); err != nil || (rec.ID == "" && rec.Defects == nil) {
+			return recs
+		}
+		recs = append(recs, rec)
+		data = data[i+1:]
+	}
 }
 
 // needsCompaction reports whether the replayed history exceeds twice
@@ -152,35 +329,35 @@ func readJobLog(path string, syncs *fsyncs) (*jobLog, error) {
 func (jl *jobLog) needsCompaction() bool { return jl.replayed > 2*len(jl.order) }
 
 // compact atomically rewrites the journal (same-directory temp file,
-// fsync, rename) with exactly one latest-state record per live job, in
-// first-seen order. Superseded records and job-less deltas are dropped,
-// so the caller must first have made every delta durable elsewhere (a
-// snapshot). A crash anywhere during compaction leaves either the
-// intact original or the complete replacement, never a mix; an orphaned
-// temp file is swept by the next Open. Must run before openAppend (the
-// handle's offset would go stale across the rename).
+// fsync, rename) with the latest frame of each live job, copied
+// verbatim, in first-seen order. Superseded and job-less frames are
+// dropped, deltas included, so the caller must first have made every
+// delta durable elsewhere (a snapshot). A crash anywhere during
+// compaction leaves either the intact original or the complete
+// replacement, never a mix; an orphaned temp file is swept by the next
+// Open. Runs only within Open, on the bytes readJobLog read, and before
+// openAppend (the handle would go stale across the rename).
 func (jl *jobLog) compact() error {
 	var buf bytes.Buffer
-	for _, rec := range jl.order {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: compact job log: %w", err)
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+	spans := make([]span, len(jl.spans))
+	for i, sp := range jl.spans {
+		moved := int64(buf.Len()) - sp.off
+		buf.Write(jl.data[sp.off : sp.off+sp.size])
+		spans[i] = span{off: sp.off + moved, size: sp.size, rep: sp.rep + moved, repN: sp.repN}
 	}
 	if err := jl.syncs.atomicWrite(jl.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("store: compact job log: %w", err)
 	}
+	jl.spans = spans
 	jl.replayed = len(jl.order)
 	jl.size = int64(buf.Len())
 	jl.compacted = true
 	return nil
 }
 
-// openAppend opens the append handle.
+// openAppend opens the handle that appends frames and reads reports.
 func (jl *jobLog) openAppend() error {
-	f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -188,46 +365,51 @@ func (jl *jobLog) openAppend() error {
 	return nil
 }
 
-// upsert merges one record into the latest-per-ID view.
-func (jl *jobLog) upsert(rec JobRecord) {
+// upsert merges one record, without its report and delta, into the
+// latest-per-ID view.
+func (jl *jobLog) upsert(rec JobRecord, sp span) {
+	rec.Report, rec.Defects = nil, nil
 	if i, ok := jl.latest[rec.ID]; ok {
-		jl.order[i] = rec
+		jl.order[i], jl.spans[i] = rec, sp
 		return
 	}
 	jl.latest[rec.ID] = len(jl.order)
 	jl.order = append(jl.order, rec)
+	jl.spans = append(jl.spans, sp)
 }
 
-// append durably writes one record (fsynced) and merges it in memory
-// without its delta. A record without an ID is written as a
-// deltaRecord.
+// append durably writes one record's frame (fsynced) and merges the
+// record in memory.
 func (jl *jobLog) append(rec JobRecord) error {
 	if jl.f == nil {
 		return fmt.Errorf("store: job log closed")
 	}
-	var data []byte
-	var err error
-	if rec.ID == "" {
-		data, err = json.Marshal(deltaRecord{rec.Source, rec.TraceHash, rec.Finished, rec.Defects})
-	} else {
-		data, err = json.Marshal(rec)
-	}
+	data, sp, err := encodeFrame(rec)
 	if err != nil {
 		return fmt.Errorf("store: encode job: %w", err)
 	}
-	data = append(data, '\n')
 	if _, err := jl.f.Write(data); err != nil {
 		return fmt.Errorf("store: append job: %w", err)
 	}
+	sp.off, sp.rep = jl.size, jl.size+sp.rep
 	jl.size += int64(len(data))
 	if err := jl.syncs.file(jl.f); err != nil {
 		return fmt.Errorf("store: sync job log: %w", err)
 	}
 	if rec.ID != "" {
-		rec.Defects = nil
-		jl.upsert(rec)
+		jl.upsert(rec, sp)
 	}
 	return nil
+}
+
+// reportAt returns the file and the span of the report the latest
+// record of job id carries; ok is false when there is none.
+func (jl *jobLog) reportAt(id string) (f *os.File, sp span, ok bool) {
+	i, found := jl.latest[id]
+	if !found || jl.spans[i].repN == 0 || jl.f == nil {
+		return nil, span{}, false
+	}
+	return jl.f, jl.spans[i], true
 }
 
 // snapshot copies the latest record of every job, first-seen order.

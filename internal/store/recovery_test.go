@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -31,7 +29,7 @@ func appendJobs(t *testing.T, dir string, n int) string {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, "jobs.jsonl")
+	return filepath.Join(dir, jobsFile)
 }
 
 func jobID(i int) string {
@@ -39,22 +37,22 @@ func jobID(i int) string {
 }
 
 // TestRecoveryTruncatedTail simulates a crash mid-append: the job log
-// ends in a torn, partial record. Reopening must drop exactly the torn
-// line, repair the file, and keep appending cleanly.
+// ends in a torn, partial frame. Reopening must drop exactly the torn
+// frame, repair the file, and keep appending cleanly.
 func TestRecoveryTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	path := appendJobs(t, dir, 3)
 
-	// Kill: chop the file mid-way through the final record.
+	// Kill: chop the file mid-way through the final frame.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("log lines = %d, want 3", len(lines))
+	frames := logFrames(t, dir)
+	if len(frames) != 3 {
+		t.Fatalf("log frames = %d, want 3", len(frames))
 	}
-	torn := data[:len(data)-len(lines[2])/2-1] // cut inside the last line
+	torn := data[:frames[2].off+frames[2].size/2] // cut inside the last frame
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +72,10 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 		}
 	}
 
-	// The file itself was repaired back to a record boundary.
-	repaired, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(repaired) == 0 || repaired[len(repaired)-1] != '\n' {
-		t.Error("repaired log does not end on a record boundary")
-	}
-	for _, line := range strings.Split(strings.TrimSuffix(string(repaired), "\n"), "\n") {
-		var rec JobRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Errorf("repaired log still holds a corrupt line: %q", line)
-		}
+	// The file itself was repaired back to a frame boundary: every byte
+	// left belongs to an intact frame.
+	if got := len(logFrames(t, dir)); got != 2 {
+		t.Errorf("repaired log frames = %d, want 2", got)
 	}
 
 	// Appends after repair land on the boundary and survive another
@@ -109,9 +98,10 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 }
 
 // TestRecoveryMissingNewline covers the other torn-tail shape: the final
-// record is complete JSON but the newline never hit the disk. The
-// append path writes record+newline in one write, so a missing newline
-// still marks a torn record and must be dropped.
+// frame is complete but for its last byte, the checksum's (where the
+// JSON-lines journal's newline was). The append path writes a frame in
+// one write, so a frame short of its trailer is torn and must be
+// dropped.
 func TestRecoveryMissingNewline(t *testing.T) {
 	dir := t.TempDir()
 	path := appendJobs(t, dir, 2)
@@ -128,24 +118,18 @@ func TestRecoveryMissingNewline(t *testing.T) {
 	}
 	defer s.Close()
 	if got := len(s.Jobs()); got != 1 {
-		t.Fatalf("jobs = %d, want 1 (record without newline is torn)", got)
+		t.Fatalf("jobs = %d, want 1 (frame without its last byte is torn)", got)
 	}
 }
 
 // TestRecoveryCorruptLine: garbage in the middle of the log (torn write
-// followed by a later append from a buggy run) drops the corrupt line
+// followed by a later append from a buggy run) drops the corrupt frame
 // and everything after it rather than failing open.
 func TestRecoveryCorruptLine(t *testing.T) {
 	dir := t.TempDir()
-	path := appendJobs(t, dir, 1)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("{torn garbage\n{\"id\":\"j-020000\",\"state\":\"queued\",\"source\":\"upload\"}\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendJobs(t, dir, 1)
+	appendRaw(t, dir, []byte("\x00\x00\x00\x05torn garbage"))
+	appendRawFrame(t, dir, JobRecord{ID: "j-020000", State: "queued", Source: "upload"})
 
 	s, err := Open(dir)
 	if err != nil {
@@ -153,7 +137,7 @@ func TestRecoveryCorruptLine(t *testing.T) {
 	}
 	defer s.Close()
 	if got := len(s.Jobs()); got != 1 {
-		t.Fatalf("jobs = %d, want 1 (corrupt line and successors dropped)", got)
+		t.Fatalf("jobs = %d, want 1 (corrupt frame and successors dropped)", got)
 	}
 }
 
@@ -169,7 +153,7 @@ func TestRecoveryEmptyAndAbsentLog(t *testing.T) {
 		t.Errorf("fresh store jobs = %d", got)
 	}
 	s.Close()
-	if err := os.Truncate(filepath.Join(dir, "jobs.jsonl"), 0); err != nil {
+	if err := os.Truncate(filepath.Join(dir, jobsFile), 0); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)

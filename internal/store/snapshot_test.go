@@ -177,14 +177,7 @@ func TestJournalGrowthInvalidatesSnapshot(t *testing.T) {
 
 	// Simulate post-snapshot journal growth: append a record the way the
 	// job log would, without touching the snapshot.
-	f, err := os.OpenFile(filepath.Join(dir, "jobs.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"id":"j-990000","state":"queued","source":"upload"}` + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendRawFrame(t, dir, JobRecord{ID: "j-990000", State: "queued", Source: "upload"})
 
 	s, err := Open(dir)
 	if err != nil {

@@ -12,15 +12,17 @@
 //	                         first address byte (shard.go)
 //	defects/ab/<fp>.json     one defect record per fingerprint, sharded
 //	                         the same way, written by full snapshots
-//	jobs.jsonl               append-only job log, one JSON record per
-//	                         line; terminal records carry defect deltas
+//	jobs.bin                 append-only job journal, one checksummed
+//	                         frame per record (jobs.go); terminal
+//	                         records carry defect deltas and reports
 //	index.bin                persistent index snapshot (index.go)
 //	index.dirty              marker: trace mutations since the last
 //	                         snapshot
 //
 // Pre-sharding corpora with blobs directly under traces/ and defects/
 // keep working: Open moves every such file into its shard before it
-// loads the index (shard.go).
+// loads the index (shard.go). Likewise a JSON-lines job log (jobs.jsonl)
+// is converted into jobs.bin by the first Open that finds it (jobs.go).
 //
 // Crash-safety invariants:
 //
@@ -31,9 +33,14 @@
 //     before any reader sees it. Nothing else on the job path writes a
 //     defect.
 //   - The job log is append-only and fsynced per record; a crash can
-//     truncate at most the final line. Open tolerates a torn tail by
-//     dropping the partial line and truncating the file back to the
-//     last intact record before appending again.
+//     truncate at most the final frame. Each frame carries its lengths
+//     and a CRC-32C over all its bytes, report included. Open drops the
+//     first torn or corrupt frame and everything after it, truncating
+//     the file back to the last intact frame before appending again.
+//   - The conversion of a JSON-lines job log writes jobs.bin whole with
+//     the atomic write below, then removes jobs.jsonl; an Open that
+//     finds both (a crash in between) keeps jobs.bin and removes
+//     jobs.jsonl.
 //   - Trace blobs, defect files and the index snapshot are written to a
 //     temp file in the same directory, fsynced, then renamed into place
 //     — a reader never observes a partial file, and a crash leaves at
@@ -229,8 +236,8 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	// Sweep root-level temp files: a crash during journal compaction or
-	// an index snapshot leaves an orphaned ".tmp-*" next to jobs.jsonl.
+	// Sweep root-level temp files: a crash during a journal rewrite or
+	// an index snapshot leaves an orphaned ".tmp-*" next to jobs.bin.
 	if entries, err := os.ReadDir(dir); err == nil {
 		for _, e := range entries {
 			if strings.HasPrefix(e.Name(), ".tmp-") {
@@ -254,7 +261,13 @@ func Open(dir string) (*Store, error) {
 		// rebuild to the first defect access — see ensureDefectsLocked.)
 		s.rebuildPostingsLocked()
 	}
-	jl, err := readJobLog(s.jobsPath(), &s.syncs)
+	// After a snapshot load the deltas up to its stamp are folded
+	// already: the journal decodes only those past it.
+	floor := int64(0)
+	if loaded {
+		floor = stamp.seq
+	}
+	jl, err := readJobLog(dir, &s.syncs, floor)
 	if err != nil {
 		return nil, err
 	}
@@ -273,6 +286,7 @@ func Open(dir string) (*Store, error) {
 			}
 		}
 	}
+	jl.data = nil
 	if err := jl.openAppend(); err != nil {
 		return nil, err
 	}
@@ -765,11 +779,30 @@ func (s *Store) AppendJob(rec JobRecord) error {
 }
 
 // Jobs returns the latest persisted record of every job, in first-seen
-// order.
+// order, without its report (see JobReport).
 func (s *Store) Jobs() []JobRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs.snapshot()
+}
+
+// JobReport returns the wire report the latest record of job id
+// carries, read from the journal at its offset. It returns ErrNotFound
+// when the store holds no such job or its latest record has no report.
+func (s *Store) JobReport(id string) (json.RawMessage, error) {
+	s.mu.Lock()
+	f, sp, ok := s.jobs.reportAt(id)
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	// Frames never move once Open returns (only Open compacts), so the
+	// read needs no lock.
+	buf := make([]byte, sp.repN)
+	if _, err := f.ReadAt(buf, sp.rep); err != nil {
+		return nil, fmt.Errorf("store: read report of job %s: %w", id, err)
+	}
+	return buf, nil
 }
 
 // Stats summarizes the corpus.

@@ -302,8 +302,8 @@ func TestJobLogLatestRecordWins(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("jobs = %d, want 2", len(jobs))
 	}
-	if jobs[0].ID != "j-000001" || jobs[0].State != "done" || string(jobs[0].Report) != string(rep) {
-		t.Errorf("latest record did not win: %+v", jobs[0])
+	if got, err := s.JobReport("j-000001"); jobs[0].ID != "j-000001" || jobs[0].State != "done" || err != nil || string(got) != string(rep) {
+		t.Errorf("latest record did not win: %+v, report %s (%v)", jobs[0], got, err)
 	}
 	if jobs[1].State != "queued" {
 		t.Errorf("unrelated job mutated: %+v", jobs[1])
