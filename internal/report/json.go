@@ -110,11 +110,6 @@ func FromCore(rep *core.Report) *JSONReport {
 	}
 	for _, cr := range rep.Cycles {
 		jc := JSONCycle{
-			Threads:          cr.Cycle.Threads(),
-			Locks:            cycleLocks(cr),
-			Sites:            cr.Cycle.Sites(),
-			Signature:        cr.Cycle.Signature(),
-			Fingerprint:      fingerprint.Of(cr.Cycle),
 			Class:            cr.Class.String(),
 			GsSize:           cr.GsSize,
 			HasGraph:         cr.Gs != nil,
@@ -123,6 +118,10 @@ func FromCore(rep *core.Report) *JSONReport {
 			FallbackAttempts: cr.FallbackAttempts,
 			Divergence:       cr.Divergence.ByName(),
 			Faults:           cr.Faults.Total(),
+		}
+		if c := cr.Cycle; c != nil {
+			jc.Threads, jc.Locks, jc.Sites = c.Threads(), cycleLocks(cr), c.Sites()
+			jc.Signature, jc.Fingerprint = c.Signature(), fingerprint.Of(c)
 		}
 		if cr.PruneReason != nil {
 			jc.PruneRule = cr.PruneReason.Rule

@@ -2,6 +2,7 @@ package sdg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -15,9 +16,16 @@ func (g *Graph) DOT(title string) string {
 	fmt.Fprintf(&sb, "digraph Gs {\n")
 	fmt.Fprintf(&sb, "  label=%q; rankdir=TB; node [shape=box, fontsize=10];\n", title)
 
-	// Cluster vertices by thread, in insertion (trace) order.
+	// Cluster vertices by thread, in insertion (trace) order: threads by
+	// their first vertex, each thread's vertices as inserted.
+	threads := make([]string, 0, len(g.byThread))
+	for thread := range g.byThread {
+		threads = append(threads, thread)
+	}
+	slices.SortFunc(threads, func(a, b string) int { return g.byThread[a][0] - g.byThread[b][0] })
 	cluster := 0
-	for thread, ids := range g.byThread {
+	for _, thread := range threads {
+		ids := g.byThread[thread]
 		live := make([]int, 0, len(ids))
 		for _, id := range ids {
 			if !g.dead[id] {

@@ -32,6 +32,7 @@ import (
 	"wolf/internal/fleet"
 	"wolf/internal/obs"
 	"wolf/internal/replay"
+	"wolf/internal/report"
 	"wolf/internal/store"
 	"wolf/internal/trace"
 )
@@ -109,18 +110,23 @@ func (s *Server) failJob(j *Job, reason FailReason, msg, event string) {
 	s.jobEvent(evJobFailed, j, event, map[string]string{"reason": string(reason)})
 }
 
-// workPayload builds the grant for one job: the trace (in memory, or
-// the corpus blob after a restart) or the workload the analyzer records
-// itself.
+// workPayload builds the grant for one job: the trace (in memory, as
+// the WTRC an earlier grant encoded, or the corpus blob after a
+// restart) or the workload the analyzer records itself.
 func (s *Server) workPayload(j *Job) (fleet.WorkView, error) {
+	tr, wtrc, hash := j.traceSource()
 	w := fleet.WorkView{
 		Job:       j.ID,
 		Source:    j.Source(),
 		TraceID:   j.TraceID(),
-		TraceHash: j.TraceHash(),
-		Trace:     j.Trace(),
+		TraceHash: hash,
+		Trace:     tr,
 	}
-	if w.Trace != nil {
+	switch {
+	case tr != nil:
+		return w, nil
+	case wtrc != nil:
+		w.TraceB64 = base64.StdEncoding.EncodeToString(wtrc)
 		return w, nil
 	}
 	if w.TraceHash != "" && s.cfg.Store != nil {
@@ -226,12 +232,14 @@ func (s *Server) grant(j *Job, node string, attempts int) (fleet.WorkView, int, 
 	s.jobEvent(evJobStarted, j, "leased to node",
 		map[string]string{"node": node, "attempts": fmt.Sprint(attempts)})
 	// A remote node gets the trace as base64 WTRC, with the content
-	// address stamped at admission.
+	// address stamped at admission. The job keeps the encoding in place
+	// of the decoded trace, for a re-offer and for once it is terminal.
 	if payload.Trace != nil {
 		var buf bytes.Buffer
 		if err := payload.Trace.WriteBinary(&buf); err != nil {
 			return payload, http.StatusInternalServerError, "encode trace: " + err.Error()
 		}
+		j.keepWTRC(buf.Bytes())
 		payload.TraceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
 	}
 	return payload, http.StatusOK, ""
@@ -316,19 +324,23 @@ func (s *Server) failResult(j *Job, req *fleet.CompleteRequest) {
 }
 
 // finishLocal records an in-process analyzer's report, handed over by
-// pointer, and archives the trace it recorded for a workload job.
-// Defects reach the corpus before the job reads done.
+// pointer, and archives the trace it recorded for a workload job. The
+// wire report is rendered once, here: the terminal journal record
+// carries it, and the job keeps it only when that append did not
+// happen. Defects reach the corpus before the job reads done.
 func (s *Server) finishLocal(ctx context.Context, j *Job, rep *core.Report, recorded *trace.Trace) {
 	if recorded != nil {
 		s.archiveTrace(ctx, j, recorded)
 	}
-	now := time.Now()
-	if s.cfg.Store != nil {
-		s.settle(ctx, j, j.doneRecord(rep, nil, now), store.Summarize(rep))
+	raw, err := json.Marshal(report.FromCore(rep))
+	if err != nil {
+		s.cfg.Logger.Error("render report", "job", j.ID, "err", err)
 	}
-	elapsed := j.finish(rep, now)
+	rec := j.doneRecord(raw, time.Now())
+	journaled := s.cfg.Store != nil && s.settle(ctx, j, rec, store.Summarize(rep))
+	elapsed := j.finish(rec, journaled)
 	s.metrics.observe(rep, elapsed)
-	s.cfg.Logger.Info("job done", "job", j.ID, "source", j.Source(), "trace", j.TraceID(),
+	s.cfg.Logger.Info("job done", "job", j.ID, "source", rec.Source, "trace", rec.Trace,
 		"cycles", len(rep.Cycles), "defects", len(rep.Defects), "elapsed", elapsed)
 	for _, cr := range rep.Cycles {
 		if cr.ReplayMethod == replay.MethodNone || cr.Cycle == nil {
@@ -345,29 +357,30 @@ func (s *Server) finishLocal(ctx context.Context, j *Job, rep *core.Report, reco
 	})
 }
 
-// finishRemote records a remote analyzer's wire-form result. A shipped
-// trace that fails to decode or validate is not archived; the verdict
-// still counts.
+// finishRemote records a remote analyzer's wire-form result, its
+// report verbatim. A trace the node shipped (one it recorded) is
+// archived, or kept as the job's WTRC without a corpus; one that fails
+// to decode or validate is dropped, and the verdict still counts.
 func (s *Server) finishRemote(ctx context.Context, j *Job, req *fleet.CompleteRequest) {
-	if req.TraceB64 != "" && s.cfg.Store != nil && j.TraceHash() == "" {
+	if _, wtrc, hash := j.traceSource(); req.TraceB64 != "" && wtrc == nil && hash == "" {
 		raw, err := base64.StdEncoding.DecodeString(req.TraceB64)
 		var tr *trace.Trace
 		if err == nil {
 			tr, err = trace.ReadBinary(bytes.NewReader(raw))
 		}
-		if err != nil {
+		switch {
+		case err != nil:
 			s.cfg.Logger.Error("shipped trace rejected, not archived", "job", j.ID, "node", req.Node,
 				"trace", j.TraceID(), "err", err)
 			s.jobEvent(evStoreTrace, j, "shipped trace rejected: "+err.Error(), map[string]string{"node": req.Node})
-		} else {
+		case s.cfg.Store != nil:
 			s.archiveTrace(ctx, j, tr)
+		default:
+			j.keepWTRC(raw)
 		}
 	}
-	now := time.Now()
-	if s.cfg.Store != nil {
-		s.settle(ctx, j, j.doneRecord(nil, req.Report, now), req.Summaries)
-	}
-	j.finishRaw(req.Report, now)
+	rec := j.doneRecord(req.Report, time.Now())
+	j.finish(rec, s.cfg.Store != nil && s.settle(ctx, j, rec, req.Summaries))
 	s.metrics.JobsCompleted.Add(1)
 	s.metrics.Analysis.Observe(time.Since(j.CreatedAt()))
 	s.cfg.Logger.Info("job done", "job", j.ID, "node", req.Node, "defect_summaries", len(req.Summaries))

@@ -1,14 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"wolf/internal/core"
-	"wolf/internal/report"
 	"wolf/internal/store"
 	"wolf/internal/trace"
 )
@@ -40,75 +41,60 @@ func validState(s string) bool {
 
 // Job is one unit of analysis work: a trace (uploaded, or recorded from
 // a named workload by the analyzer) plus its outcome.
+//
+// A job that has left the analyzer is its journal record: what it
+// holds then is rec, plus the byte sections the corpus does not: its
+// wire report when no journal frame holds it, and the WTRC encoding of
+// its trace when no corpus blob does. With a corpus, a finished job is
+// what fromRecord builds from its record after a restart.
 type Job struct {
 	// ID is the server-assigned job identifier.
 	ID string
 
-	mu        sync.Mutex
-	state     JobState
-	err       string
-	source    string
-	trace     string
-	tuples    int
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	tr        *trace.Trace
-	traceHash string
-	// The node holding the job's lease and the delivery count, shown
-	// only when showLease (coordinator role). wlSeed pins a workload
-	// job's detection schedule. claimed marks a result being recorded.
-	node      string
-	attempts  int
+	mu sync.Mutex
+	// rec is the job as its journal record describes it, without Report
+	// and Defects.
+	rec store.JobRecord
+	// showLease shows the lease fields in views (coordinator role).
+	// wlSeed pins a workload job's detection schedule. claimed marks a
+	// result being recorded.
 	showLease bool
 	wlSeed    int64
 	claimed   bool
-	report    *core.Report
-	// reportJSON is the wire report a remote analyzer delivered
-	// (remote); the report endpoint serves it verbatim. A job rehydrated
-	// from the corpus holds neither report: its wire report stays in
-	// the journal (store.JobReport).
-	reportJSON json.RawMessage
-	remote     bool
+	// tr is the decoded trace while the job waits or runs: set at
+	// creation for uploads, once an in-process analyzer recorded it for
+	// workload jobs. wtrc is its WTRC encoding, kept in its place by a
+	// coordinator's grant and, once the job is terminal, whenever the
+	// corpus does not hold the trace. A terminal job drops tr.
+	tr   *trace.Trace
+	wtrc []byte
+	// report is a done job's wire report, rendered once, kept when its
+	// terminal journal append did not happen (no corpus, or a failed
+	// append); otherwise Store.JobReport reads it by offset.
+	report json.RawMessage
 }
 
 // State returns the current lifecycle state.
 func (j *Job) State() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return JobState(j.rec.State)
 }
 
-// Report returns the analysis report, nil until the job is done (and
-// nil for jobs a remote analyzer ran or rehydrated from the corpus).
-func (j *Job) Report() *core.Report {
+// keptReport returns the wire report a done job keeps in memory, nil
+// when the journal holds it (or the job is not done).
+func (j *Job) keptReport() json.RawMessage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil
-	}
 	return j.report
 }
 
-// ReportJSON returns the wire report a remote analyzer delivered, nil
-// otherwise.
-func (j *Job) ReportJSON() json.RawMessage {
+// traceSource returns where the job's trace is: decoded in memory, as
+// WTRC bytes, or in the corpus under hash.
+func (j *Job) traceSource() (tr *trace.Trace, wtrc []byte, hash string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil
-	}
-	return j.reportJSON
-}
-
-// Trace returns the job's trace: set at creation for uploads, once an
-// in-process analyzer recorded it for workload jobs, nil before that
-// (and nil after a restart — the blob lives in the corpus under
-// TraceHash).
-func (j *Job) Trace() *trace.Trace {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tr
+	return j.tr, j.wtrc, j.rec.TraceHash
 }
 
 // TraceID returns the W3C trace ID correlating the job to the request
@@ -116,7 +102,7 @@ func (j *Job) Trace() *trace.Trace {
 func (j *Job) TraceID() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.trace
+	return j.rec.Trace
 }
 
 // Source returns the job's provenance tag ("upload", "workload:NAME",
@@ -124,65 +110,96 @@ func (j *Job) TraceID() string {
 func (j *Job) Source() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.source
-}
-
-// TraceHash returns the content address of the job's trace in the
-// corpus, empty when the server runs without one.
-func (j *Job) TraceHash() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.traceHash
+	return j.rec.Source
 }
 
 // setTraceHash records the corpus address of the job's trace.
 func (j *Job) setTraceHash(hash string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.traceHash = hash
+	j.rec.TraceHash = hash
 }
 
 // setTrace attaches the trace an in-process analyzer recorded for a
-// workload job.
+// workload job that is still running.
 func (j *Job) setTrace(tr *trace.Trace) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.terminalLocked() {
+		return
+	}
 	j.tr = tr
-	j.tuples = len(tr.Tuples)
+	j.rec.Tuples = len(tr.Tuples)
 }
 
-// finish records a successful analysis finished at now and returns its
-// time since the first lease.
-func (j *Job) finish(rep *core.Report, now time.Time) time.Duration {
+// keepWTRC replaces the decoded trace with its WTRC encoding.
+func (j *Job) keepWTRC(wtrc []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateDone
-	j.report = rep
-	j.finished = now
-	return j.finished.Sub(j.started)
+	j.tr, j.wtrc = nil, wtrc
+}
+
+// endTrace returns the WTRC bytes the job keeps once terminal: none when
+// the corpus holds its trace, else those it has or its decoded trace
+// encoded now. The caller owns the job's terminal transition; the
+// encoding runs outside j.mu.
+func (j *Job) endTrace() []byte {
+	tr, wtrc, hash := j.traceSource()
+	if hash != "" {
+		return nil
+	}
+	if wtrc == nil && tr != nil {
+		var buf bytes.Buffer
+		if tr.WriteBinary(&buf) == nil {
+			wtrc = bytes.Clone(buf.Bytes())
+		}
+	}
+	return wtrc
+}
+
+// finish makes the job the done record rec, whose Report is the job's
+// wire report, and returns its time since the first lease. journaled
+// says the journal holds rec: the job then keeps no report bytes.
+func (j *Job) finish(rec store.JobRecord, journaled bool) time.Duration {
+	wtrc := j.endTrace()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !journaled {
+		j.report = rec.Report
+	}
+	rec.Report, rec.Defects = nil, nil
+	j.rec = rec
+	j.tr, j.wtrc = nil, wtrc
+	return rec.Finished.Sub(rec.Started)
 }
 
 // fail records a failed analysis.
 func (j *Job) fail(msg string) {
+	wtrc := j.endTrace()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateFailed
-	j.err = msg
-	j.finished = time.Now()
+	j.rec.State = string(StateFailed)
+	j.rec.Error = msg
+	j.rec.Finished = time.Now()
+	j.tr, j.wtrc = nil, wtrc
 }
 
 // CreatedAt returns the admission time.
 func (j *Job) CreatedAt() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.created
+	return j.rec.Created
 }
 
 // terminal reports whether the job reached done or failed.
 func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state == StateDone || j.state == StateFailed
+	return j.terminalLocked()
+}
+
+func (j *Job) terminalLocked() bool {
+	return j.rec.State == string(StateDone) || j.rec.State == string(StateFailed)
 }
 
 // claim reserves the job's outcome for one result; it reports false
@@ -190,7 +207,7 @@ func (j *Job) terminal() bool {
 func (j *Job) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	won := !j.claimed && j.state != StateDone && j.state != StateFailed
+	won := !j.claimed && !j.terminalLocked()
 	j.claimed = true
 	return won
 }
@@ -199,7 +216,7 @@ func (j *Job) claim() bool {
 func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.attempts
+	return j.rec.Attempts
 }
 
 // WorkloadSeed returns the pinned detection seed of a workload job (0
@@ -222,88 +239,41 @@ func (j *Job) setWorkloadSeed(seed int64) {
 func (j *Job) leaseTo(node string, now time.Time) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateRunning
-	if j.started.IsZero() {
-		j.started = now
+	j.rec.State = string(StateRunning)
+	if j.rec.Started.IsZero() {
+		j.rec.Started = now
 	}
-	j.node = node
-	j.attempts++
-	return j.attempts
+	j.rec.Node = node
+	j.rec.Attempts++
+	return j.rec.Attempts
 }
 
 // unlease returns a job to queued after its lease was revoked.
 func (j *Job) unlease() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateQueued
-	j.node = ""
+	j.rec.State = string(StateQueued)
+	j.rec.Node = ""
 }
 
-// finishRaw records a successful remote analysis, finished at now, by
-// its wire-format report; the report endpoint serves it verbatim.
-func (j *Job) finishRaw(raw json.RawMessage, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateDone
-	j.reportJSON = raw
-	j.remote = true
-	j.finished = now
-}
-
-// ranRemote reports whether a remote analyzer delivered the job's
-// result in this process, so its in-memory report never existed here.
-func (j *Job) ranRemote() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.remote
-}
-
-// record snapshots the job as a corpus JobRecord. The report is
-// marshaled into its wire form for done jobs so a restarted server can
-// serve it verbatim.
+// record snapshots the job as a corpus JobRecord, without a report: a
+// done job's report reaches the journal only in its terminal record
+// (doneRecord).
 func (j *Job) record() store.JobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec := store.JobRecord{
-		ID:        j.ID,
-		State:     string(j.state),
-		Source:    j.source,
-		Trace:     j.trace,
-		TraceHash: j.traceHash,
-		Error:     j.err,
-		Created:   j.created,
-		Started:   j.started,
-		Finished:  j.finished,
-		Node:      j.node,
-		Attempts:  j.attempts,
-	}
-	if j.state == StateDone {
-		rec.Report = wireReport(j.report, j.reportJSON)
-	}
-	return rec
+	return j.rec
 }
 
-// doneRecord is the record the job will have once finish(rep, now) or
-// finishRaw(raw, now) flips it to done. It is built first so that the
-// journal holds the verdict before any reader sees done.
-func (j *Job) doneRecord(rep *core.Report, raw json.RawMessage, now time.Time) store.JobRecord {
+// doneRecord is the record the job will have once finish flips it to
+// done at now, carrying raw, its wire report. It is built first so that
+// the journal holds the verdict before any reader sees done.
+func (j *Job) doneRecord(raw json.RawMessage, now time.Time) store.JobRecord {
 	rec := j.record()
 	rec.State = string(StateDone)
 	rec.Finished = now
-	rec.Report = wireReport(rep, raw)
+	rec.Report = raw
 	return rec
-}
-
-// wireReport is a done job's report in its persisted wire form.
-func wireReport(rep *core.Report, raw json.RawMessage) json.RawMessage {
-	if rep == nil {
-		return raw
-	}
-	data, err := json.Marshal(report.FromCore(rep))
-	if err != nil {
-		return nil
-	}
-	return data
 }
 
 // JobView is the wire representation of a job's status.
@@ -335,26 +305,27 @@ type JobView struct {
 func (j *Job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	rec := &j.rec
 	v := JobView{
 		ID:        j.ID,
-		State:     string(j.state),
-		Source:    j.source,
-		Trace:     j.trace,
-		Tuples:    j.tuples,
-		TraceHash: j.traceHash,
-		Error:     j.err,
-		Created:   j.created.UTC().Format(time.RFC3339Nano),
+		State:     rec.State,
+		Source:    rec.Source,
+		Trace:     rec.Trace,
+		Tuples:    rec.Tuples,
+		TraceHash: rec.TraceHash,
+		Error:     rec.Error,
+		Created:   rec.Created.UTC().Format(time.RFC3339Nano),
 	}
 	if j.showLease {
-		v.Node, v.Attempts = j.node, j.attempts
+		v.Node, v.Attempts = rec.Node, rec.Attempts
 	}
-	if !j.started.IsZero() {
-		v.Started = j.started.UTC().Format(time.RFC3339Nano)
+	if !rec.Started.IsZero() {
+		v.Started = rec.Started.UTC().Format(time.RFC3339Nano)
 	}
-	if !j.finished.IsZero() {
-		v.Finished = j.finished.UTC().Format(time.RFC3339Nano)
+	if !rec.Finished.IsZero() {
+		v.Finished = rec.Finished.UTC().Format(time.RFC3339Nano)
 	}
-	if j.state == StateDone {
+	if rec.State == string(StateDone) {
 		v.ReportURL = "/v1/jobs/" + j.ID + "/report"
 	}
 	return v
@@ -383,17 +354,21 @@ func (s *jobStore) add(source, traceID string, tr *trace.Trace) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
+	id := fmt.Sprintf("j-%06d", s.seq)
 	j := &Job{
-		ID:        fmt.Sprintf("j-%06d", s.seq),
-		state:     StateQueued,
-		source:    source,
-		trace:     traceID,
-		created:   time.Now(),
+		ID: id,
+		rec: store.JobRecord{
+			ID:      id,
+			State:   string(StateQueued),
+			Source:  source,
+			Trace:   traceID,
+			Created: time.Now(),
+		},
 		tr:        tr,
 		showLease: s.showLease,
 	}
 	if tr != nil {
-		j.tuples = len(tr.Tuples)
+		j.rec.Tuples = len(tr.Tuples)
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
@@ -402,27 +377,17 @@ func (s *jobStore) add(source, traceID string, tr *trace.Trace) *Job {
 
 // fromRecord builds the in-memory job a persisted record describes.
 func fromRecord(rec store.JobRecord) *Job {
-	return &Job{
-		ID:        rec.ID,
-		state:     JobState(rec.State),
-		source:    rec.Source,
-		trace:     rec.Trace,
-		traceHash: rec.TraceHash,
-		err:       rec.Error,
-		created:   rec.Created,
-		started:   rec.Started,
-		finished:  rec.Finished,
-		node:      rec.Node,
-		attempts:  rec.Attempts,
-	}
+	return &Job{ID: rec.ID, rec: rec}
 }
 
 // insertRestored registers a rehydrated job and advances the ID
-// sequence past it. Caller holds s.mu.
+// sequence past it; an ID not of the form j-DIGITS leaves it as it is.
+// Caller holds s.mu.
 func (s *jobStore) insertRestored(j *Job) {
-	var n int
-	if _, err := fmt.Sscanf(j.ID, "j-%d", &n); err == nil && n > s.seq {
-		s.seq = n
+	if digits, ok := strings.CutPrefix(j.ID, "j-"); ok {
+		if n, err := strconv.ParseUint(digits, 10, 63); err == nil && int(n) > s.seq {
+			s.seq = int(n)
+		}
 	}
 	j.showLease = s.showLease
 	s.jobs[j.ID] = j
@@ -438,11 +403,9 @@ func (s *jobStore) restore(rec store.JobRecord) (*Job, bool) {
 	defer s.mu.Unlock()
 	j := fromRecord(rec)
 	lost := false
-	switch j.state {
-	case StateDone, StateFailed:
-	default:
-		j.state = StateFailed
-		j.err = "job lost in wolfd restart before analysis finished"
+	if !j.terminalLocked() {
+		j.rec.State = string(StateFailed)
+		j.rec.Error = "job lost in wolfd restart before analysis finished"
 		lost = true
 	}
 	s.insertRestored(j)
@@ -458,8 +421,8 @@ func (s *jobStore) restoreQueued(rec store.JobRecord) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := fromRecord(rec)
-	j.state = StateQueued
-	j.node = ""
+	j.rec.State = string(StateQueued)
+	j.rec.Node = ""
 	s.insertRestored(j)
 	return j
 }

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"wolf/internal/store"
 )
 
 // fakeClock is the table's clock in tests: it moves only when stepped.
@@ -364,7 +366,7 @@ func checkLeaseOps(t *testing.T, data []byte) {
 		switch op {
 		case opAdmit, opRestore:
 			id := fmt.Sprintf("j-%06d", len(jobs)+1)
-			j := &Job{ID: id, state: StateQueued}
+			j := &Job{ID: id, rec: store.JobRecord{ID: id, State: string(StateQueued)}}
 			if op == opAdmit {
 				v := tb.admit(j)
 				agree(step+" admit", v, m.admit(id))
@@ -372,9 +374,9 @@ func checkLeaseOps(t *testing.T, data []byte) {
 					continue
 				}
 			} else {
-				j.attempts = int(arg) % (cfg.MaxDeliveries + 1)
+				j.rec.Attempts = int(arg) % (cfg.MaxDeliveries + 1)
 				failed := tb.restore([]*Job{j})
-				agree(step+" restore", len(failed) == 1, m.restore(id, j.attempts))
+				agree(step+" restore", len(failed) == 1, m.restore(id, j.rec.Attempts))
 				if len(failed) > 0 {
 					ended(id)
 				}
@@ -576,7 +578,7 @@ func checkLeaseState(t *testing.T, step string, tb *leaseTable, m *leaseModel, i
 	// Gauges read the table.
 	pending := 0
 	for _, j := range tb.queue {
-		if j.attempts > 0 {
+		if j.rec.Attempts > 0 {
 			pending++
 		}
 	}

@@ -169,9 +169,9 @@ func TestCorpusSurvivesRestart(t *testing.T) {
 		t.Errorf("report tool changed across restart: %v vs %v", rep1["tool"], rep2["tool"])
 	}
 
-	// The in-memory SDG did not survive; dot says so explicitly.
-	if code := getJSON(t, ts2.URL+"/v1/jobs/"+done.ID+"/dot", nil); code != http.StatusGone {
-		t.Errorf("dot after restart = %d, want 410", code)
+	// The graph is regenerated from the corpus blob.
+	if code, body := getBody(t, ts2.URL+"/v1/jobs/"+done.ID+"/dot"); code != http.StatusOK || !strings.Contains(string(body), "digraph Gs") {
+		t.Errorf("dot after restart = %d, want 200 with a Gs: %.80s", code, body)
 	}
 
 	// The timeline is rebuilt from the corpus blob.

@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -395,10 +396,12 @@ func (s *Server) archiveTrace(ctx context.Context, j *Job, tr *trace.Trace) {
 // settle makes a finished job's verdict durable before the job reads
 // done: one fsynced journal append of its terminal record, which
 // carries the defect delta of sums, folded into the corpus right after.
-// A corpus failure never fails the job; it is logged.
-func (s *Server) settle(ctx context.Context, j *Job, rec store.JobRecord, sums []store.CycleSummary) {
+// It reports whether the journal holds the record. A corpus failure
+// never fails the job; it is logged.
+func (s *Server) settle(ctx context.Context, j *Job, rec store.JobRecord, sums []store.CycleSummary) bool {
 	updated, err := s.cfg.Store.FinishJob(ctx, rec, sums)
 	s.defectsRecorded(j.ID, j.TraceID(), updated, err)
+	return err == nil || errors.Is(err, store.ErrInvalidSummary)
 }
 
 // defectsRecorded logs a fold into the corpus and publishes a
@@ -577,46 +580,30 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 	if !s.coordinator() {
 		s.startAnalyzers()
 	}
-	s.jobEvent(evJobQueued, j, "", map[string]string{"source": j.source})
+	s.jobEvent(evJobQueued, j, "", map[string]string{"source": j.Source()})
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // handleAnalyzeSync is POST /v1/analyze: run the pipeline inline on the
 // request and return the report directly. The analysis runs under the
-// request context, so a client disconnect cancels it, and on the
-// analyzers' runner, so the per-job timeout (504), panic recovery and
-// watchdog (500) apply; other failures are 400. Concurrency is bounded
-// by Workers — when every slot is busy the request is shed with 429
-// rather than queued on the request path, where stacked analyses would
-// starve the analyzers of CPU.
+// request context, so a client disconnect cancels it, in an analysis
+// slot on the synchronous runner (runSync). Failures are counted.
 func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
-	select {
-	case s.syncSem <- struct{}{}:
-		defer func() { <-s.syncSem }()
-	default:
-		s.metrics.SyncRejected.Add(1)
-		s.event(obs.Event{Kind: evSyncShed, Msg: "all analysis slots busy"})
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "all analysis slots busy")
+	release, ok := s.analysisSlot(w)
+	if !ok {
 		return
 	}
+	defer release()
 	traceID := ingestTraceparent(w, r)
 	tr, ok := s.readTrace(w, r)
 	if !ok {
 		return
 	}
 	start := time.Now()
-	res := s.syncRunner.Analyze(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
+	res, status := s.runSync(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
 	if !res.OK {
-		reason, status := FailReason(res.Reason), http.StatusInternalServerError
-		switch reason {
-		case FailTimeout:
-			status = http.StatusGatewayTimeout
-		case FailError:
-			status = http.StatusBadRequest
-		}
-		s.metrics.Fail(reason)
+		s.metrics.Fail(FailReason(res.Reason))
 		httpError(w, status, res.Error)
 		return
 	}
@@ -632,6 +619,42 @@ func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observe(rep, time.Since(start))
 	writeJSON(w, http.StatusOK, report.FromCore(rep))
+}
+
+// analysisSlot takes one of the Workers slots that analyses on the
+// request path (POST /v1/analyze, dot) run in, and returns its release.
+// Acquiring is non-blocking: when every slot is busy it answers 429
+// rather than queue on the request path, where stacked analyses would
+// starve the analyzers of CPU.
+func (s *Server) analysisSlot(w http.ResponseWriter) (release func(), ok bool) {
+	select {
+	case s.syncSem <- struct{}{}:
+		return func() { <-s.syncSem }, true
+	default:
+		s.metrics.SyncRejected.Add(1)
+		s.event(obs.Event{Kind: evSyncShed, Msg: "all analysis slots busy"})
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, "all analysis slots busy")
+		return nil, false
+	}
+}
+
+// runSync runs one analysis on the synchronous runner, which applies
+// the per-job timeout, panic recovery and watchdog of every leased job,
+// and returns its completion with the status a failure answers: 504 on
+// a timeout, 400 on another analysis error, 500 on a panic or watchdog.
+func (s *Server) runSync(ctx context.Context, w fleet.WorkView) (fleet.CompleteRequest, int) {
+	res := s.syncRunner.Analyze(ctx, w)
+	if res.OK {
+		return res, http.StatusOK
+	}
+	switch FailReason(res.Reason) {
+	case FailTimeout:
+		return res, http.StatusGatewayTimeout
+	case FailError:
+		return res, http.StatusBadRequest
+	}
+	return res, http.StatusInternalServerError
 }
 
 // handleWorkloads is GET /v1/workloads: the shared registry.
@@ -686,9 +709,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	switch j.State() {
 	case StateDone:
 		// One wire form before and after a restart: the report as the
-		// job's journal record carries it, which a rehydrated job reads
-		// from the corpus.
-		raw := wireReport(j.Report(), j.ReportJSON())
+		// job's terminal record carries it, read from the journal unless
+		// the job kept it.
+		raw := j.keptReport()
 		if raw == nil && s.cfg.Store != nil {
 			var err error
 			if raw, err = s.cfg.Store.JobReport(j.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
@@ -712,33 +735,65 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// jobTrace returns the job's trace: decoded in memory while it waits or
+// runs, else decoded from the WTRC bytes it keeps or from its corpus
+// blob. It returns nil, and no error, when the trace is not recorded
+// yet or its blob was deleted.
+func (s *Server) jobTrace(j *Job) (*trace.Trace, error) {
+	tr, wtrc, hash := j.traceSource()
+	switch {
+	case tr != nil:
+		return tr, nil
+	case wtrc != nil:
+		return trace.ReadBinary(bytes.NewReader(wtrc))
+	case hash != "" && s.cfg.Store != nil:
+		tr, err := s.cfg.Store.GetTrace(hash)
+		if errors.Is(err, store.ErrNotFound) {
+			return nil, nil
+		}
+		return tr, err
+	}
+	return nil, nil
+}
+
 // handleDot is GET /v1/jobs/{id}/dot?signature=SIG: the synchronization
-// dependency graph of one defect as Graphviz dot. Without a signature
-// the first defect that has a graph is rendered.
+// dependency graph of one defect of a done job as Graphviz dot; without
+// a signature, the first defect that has a graph. A finished job keeps
+// no graphs: the offline stages rerun on its trace under the server's
+// analysis config, in an analysis slot on the synchronous runner, as
+// POST /v1/analyze does. 410 when the trace is gone.
 func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	rep := j.Report()
-	if rep == nil {
-		if j.State() == StateDone {
-			// The SDG lives only in the in-memory report: kept by the
-			// remote analyzer that ran the job, or lost in a restart.
-			// Re-analyze to get it back.
-			where := "not preserved across wolfd restart"
-			if j.ranRemote() {
-				where = "stays with the analyzer node that ran the job"
-			}
-			httpError(w, http.StatusGone, "graph "+where+"; replay the trace to regenerate it")
-			return
-		}
+	if j.State() != StateDone {
 		httpError(w, http.StatusConflict, "job not finished")
 		return
 	}
+	tr, err := s.jobTrace(j)
+	if err != nil {
+		s.cfg.Logger.Error("read trace", "job", j.ID, "err", err)
+		httpError(w, http.StatusInternalServerError, "trace unreadable: "+err.Error())
+		return
+	}
+	if tr == nil {
+		httpError(w, http.StatusGone, "graph unavailable: the job's trace is not stored")
+		return
+	}
+	release, ok := s.analysisSlot(w)
+	if !ok {
+		return
+	}
+	defer release()
+	res, status := s.runSync(r.Context(), fleet.WorkView{Job: j.ID, Source: "dot", TraceID: j.TraceID(), Trace: tr})
+	if !res.OK {
+		httpError(w, status, res.Error)
+		return
+	}
 	want := r.URL.Query().Get("signature")
-	for _, d := range rep.Defects {
+	for _, d := range res.Analysis.Defects {
 		if want != "" && d.Signature != want {
 			continue
 		}
@@ -759,22 +814,16 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 // handleTimeline is GET /v1/jobs/{id}/timeline: the job's recorded
 // trace rendered as Chrome trace-event JSON, loadable in Perfetto or
 // chrome://tracing. Available as soon as the trace exists (uploads:
-// immediately; workload jobs: once an in-process analyzer recorded it).
+// immediately; workload jobs: once an in-process analyzer recorded it),
+// and while the job keeps it or the corpus holds its blob.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	tr := j.Trace()
-	if tr == nil && s.cfg.Store != nil && j.TraceHash() != "" {
-		// After a restart the in-memory trace is gone, but the corpus
-		// still has the blob under the job's content address.
-		if stored, err := s.cfg.Store.GetTrace(j.TraceHash()); err == nil {
-			tr = stored
-		}
-	}
-	if tr == nil {
+	tr, err := s.jobTrace(j)
+	if err != nil || tr == nil {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusConflict, "trace not recorded yet")
 		return

@@ -9,8 +9,10 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,27 +95,35 @@ func openOnce(b *testing.B, dir string) {
 // benchJobs is how many done jobs the journal case's journal holds.
 const benchJobs = 1000
 
-// appendBenchJobs journals n jobs the way wolfd does, an admission and a
-// done record each, the done record carrying a report of about 3 KB.
+// benchJobRecords are the records of n jobs as wolfd journals them, an
+// admission and a done record each, the done record carrying a report
+// of about 3 KB.
+func benchJobRecords(n int) []JobRecord {
+	var cycles []string
+	for i := 0; i < 20; i++ {
+		cycles = append(cycles, fmt.Sprintf(`{"signature":"pkg/site.go:%d+pkg/site.go:%d","class":"confirmed","method":"steering","threads":["t1","t2"],"locks":["l%d","l%d"],"attempts":%d}`, 10+i, 40+i, i, i+1, i%5+1))
+	}
+	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	var recs []JobRecord
+	for i := 1; i <= n; i++ {
+		rec := JobRecord{ID: fmt.Sprintf("j-%06d", i), State: "queued", Source: "upload",
+			TraceHash: fakeHash(i), Created: t0.Add(time.Duration(i) * time.Second)}
+		recs = append(recs, rec)
+		rec.State, rec.Finished = "done", rec.Created.Add(time.Second)
+		rec.Report = json.RawMessage(fmt.Sprintf(`{"tool":"wolf","job":%q,"cycles":[%s]}`, rec.ID, strings.Join(cycles, ",")))
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// appendBenchJobs journals the records of n jobs (benchJobRecords).
 func appendBenchJobs(b *testing.B, dir string, n int) {
 	b.Helper()
 	s, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var cycles []string
-	for i := 0; i < 20; i++ {
-		cycles = append(cycles, fmt.Sprintf(`{"signature":"pkg/site.go:%d+pkg/site.go:%d","class":"confirmed","method":"steering","threads":["t1","t2"],"locks":["l%d","l%d"],"attempts":%d}`, 10+i, 40+i, i, i+1, i%5+1))
-	}
-	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	for i := 1; i <= n; i++ {
-		rec := JobRecord{ID: fmt.Sprintf("j-%06d", i), State: "queued", Source: "upload",
-			TraceHash: fakeHash(i), Created: t0.Add(time.Duration(i) * time.Second)}
-		if err := s.AppendJob(rec); err != nil {
-			b.Fatal(err)
-		}
-		rec.State, rec.Finished = "done", rec.Created.Add(time.Second)
-		rec.Report = json.RawMessage(fmt.Sprintf(`{"tool":"wolf","job":%q,"cycles":[%s]}`, rec.ID, strings.Join(cycles, ",")))
+	for _, rec := range benchJobRecords(n) {
 		if err := s.AppendJob(rec); err != nil {
 			b.Fatal(err)
 		}
@@ -123,47 +133,85 @@ func appendBenchJobs(b *testing.B, dir string, n int) {
 	}
 }
 
+// jsonHeaderJournal is the records of n jobs (benchJobRecords) as a
+// jobs.bin journal, whose frames have JSON headers: the three section
+// lengths, the header, the (empty) delta, the report and a CRC-32C.
+func jsonHeaderJournal(b *testing.B, n int) []byte {
+	b.Helper()
+	var out []byte
+	for _, rec := range benchJobRecords(n) {
+		report := rec.Report
+		rec.Report = nil
+		header, err := json.Marshal(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := len(out)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(header)))
+		out = binary.BigEndian.AppendUint32(out, 0)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(report)))
+		out = append(append(out, header...), report...)
+		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(out[start:], crcTable))
+	}
+	return out
+}
+
 // BenchmarkStoreOpen measures corpus open latency: warm (snapshot
 // load), cold (sharded parallel scan), flat (moving a legacy layout
-// into its shards, then the cold scan) and journal (a warm open whose
-// job journal holds benchJobs done jobs with their reports).
-// The warm/cold ratio at 100k traces is the ISSUE's >=50x acceptance
-// number.
+// into its shards, then the cold scan), journal (a warm open whose
+// job journal holds benchJobs done jobs with their reports) and
+// journal-legacy (the same journal found as a jobs.bin, which the open
+// converts). The warm/cold ratio at 100k traces is the ISSUE's >=50x
+// acceptance number.
 func BenchmarkStoreOpen(b *testing.B) {
 	n := benchCorpusSize()
 	for _, tc := range []struct {
-		name string
-		flat bool
-		warm bool
-		jobs int
+		name   string
+		flat   bool
+		warm   bool
+		jobs   int
+		legacy bool
 	}{
-		{"warm", false, true, 0},
-		{"cold", false, false, 0},
-		{"flat", true, false, 0},
-		{"journal", false, true, benchJobs},
+		{"warm", false, true, 0, false},
+		{"cold", false, false, 0, false},
+		{"flat", true, false, 0, false},
+		{"journal", false, true, benchJobs, false},
+		{"journal-legacy", false, true, benchJobs, true},
 	} {
 		b.Run(fmt.Sprintf("%s-%d", tc.name, n), func(b *testing.B) {
 			dir := b.TempDir()
 			buildBenchCorpus(b, dir, n, tc.flat)
-			if tc.jobs > 0 {
+			var legacy []byte
+			switch {
+			case tc.legacy:
+				legacy = jsonHeaderJournal(b, tc.jobs)
+			case tc.jobs > 0:
 				appendBenchJobs(b, dir, tc.jobs)
 			}
 			openOnce(b, dir) // write the snapshot once
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !tc.warm {
+				if !tc.warm || tc.legacy {
 					b.StopTimer()
 					if tc.flat {
 						flattenCorpus(b, dir) // Open moved the files last time
 					}
-					os.Remove(filepath.Join(dir, "index.bin"))
+					if tc.legacy {
+						// Open converted it last time.
+						os.Remove(filepath.Join(dir, "jobs.v3"))
+						if err := os.WriteFile(filepath.Join(dir, "jobs.bin"), legacy, 0o644); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						os.Remove(filepath.Join(dir, "index.bin"))
+					}
 					b.StartTimer()
 				}
 				s, err := Open(dir)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if warm, _ := s.OpenInfo(); warm != tc.warm {
+				if warm, _ := s.OpenInfo(); warm != tc.warm && !tc.legacy {
 					b.Fatalf("warm = %v, want %v", warm, tc.warm)
 				}
 				b.StopTimer()

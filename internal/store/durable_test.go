@@ -129,8 +129,10 @@ func decodeDurableOps(data []byte) []durableOp {
 	methods := []string{"", "steering", "fallback"}
 	var ops []durableOp
 	for len(data) > 0 && len(ops) < 24 {
+		// The low seven bits pick the kind; the top one is the running
+		// flag.
 		b := next()
-		op := durableOp{kind: b % numOps, running: b&0x80 != 0}
+		op := durableOp{kind: (b & 0x7f) % numOps, running: b&0x80 != 0}
 		switch op.kind {
 		case opJob, opSync, opBadRemote, opTornJob:
 			if x := next() % 4; x < 3 {
@@ -230,12 +232,12 @@ func (r *durableRun) keepFrames(frames []journalFrame, n int) {
 	r.t.Helper()
 	r.want = nil
 	for _, fr := range frames[:n] {
-		var h frameHeader
-		if err := json.Unmarshal([]byte(fr.header), &h); err != nil {
-			r.t.Fatal(err)
+		rec, _, ok := decodeHeader([]byte(fr.header))
+		if !ok {
+			r.t.Fatalf("frame at %d: undecodable header", fr.off)
 		}
-		if h.ID != "" {
-			r.setState(h.ID, h.State)
+		if rec.ID != "" {
+			r.setState(rec.ID, rec.State)
 		}
 	}
 }
@@ -416,18 +418,56 @@ func checkDurable(t testing.TB, ops []durableOp) {
 // are exactly those of the intact frames, and every done job's report
 // reads back byte for byte.
 func FuzzCrashEquivalence(f *testing.F) {
-	f.Add([]byte{opJob, 0, 0, 2, 0x08, 0x11, opCrash})
-	f.Add([]byte{opJob, 0, 1, 1, 0x00, opTraceWrite, opJob, 1, 0, 2, 0x18, 0x01, opCrash, opSync, 2, 3, 1, 0x28})
-	f.Add([]byte{opJob, 0, 0, 3, 0x01, 0x02, 0x03, opSync, 1, 1, 2, 0x01, 0x04, opTornSnapshot, opJob, 0, 0, 1, 0x01, opCrash})
-	f.Add([]byte{opJob | 0x80, 0, 0, 1, 0x02, opJob | 0x80, 1, 1, 1, 0x02, opSnapshot, opBadRemote, 2, 0, 1, 0x03, 0, opJob | 0x80, 2, 2, 2, 0x12, 0x03, opCrash})
-	f.Add([]byte{opTraceWrite, opSync, 3, 3, 3, 0x08, 0x08, 0x09, opTornSnapshot, opTraceWrite, opJob, 0, 0, 2, 0x1c, 0x2c, opTornSnapshot})
-	f.Add([]byte{opJob, 0, 0, 2, 0x01, 0x02, opSnapshot | 0x80, opCrash, opJob, 1, 1, 1, 0x02, opSnapshot | 0x80, opTraceWrite, opSync, 2, 0, 1, 0x03, opCrash, opTornSnapshot})
-	f.Add([]byte{opJob, 0, 0, 1, 0x01, opTornJob, 1, 1, 2, 0x01, 0x02, 0, 40, opJob, 2, 1, 1, 0x03, opTornJob, 0, 0, 0, 0, 0})
-	f.Add([]byte{opJob, 0, 0, 2, 0x01, 0x12, opSync, 1, 1, 1, 0x02, opJob, 2, 0, 1, 0x03, opFlip, 1, 0, 90, opJob, 0, 1, 1, 0x04, opCrash})
-	f.Add([]byte{opJob, 0, 0, 1, 0x01, opSnapshot, opJob, 1, 1, 1, 0x02, opFlip, 2, 0, 3, opTornJob, 2, 2, 1, 0x01, 1, 0})
+	for _, seed := range durableSeeds {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDurable(t, decodeDurableOps(data))
 	})
+}
+
+// durableSeeds are FuzzCrashEquivalence's seed corpus, each with the
+// operations it was written to run: their kinds, with 0x80 set where
+// the running flag is.
+var durableSeeds = []struct {
+	data []byte
+	ops  []int
+}{
+	{[]byte{opJob, 0, 0, 2, 0x08, 0x11, opCrash}, []int{opJob, opCrash}},
+	{[]byte{opJob, 0, 1, 1, 0x00, opTraceWrite, opJob, 1, 0, 2, 0x18, 0x01, opCrash, opSync, 2, 3, 1, 0x28},
+		[]int{opJob, opTraceWrite, opJob, opCrash, opSync}},
+	{[]byte{opJob, 0, 0, 3, 0x01, 0x02, 0x03, opSync, 1, 1, 2, 0x01, 0x04, opTornSnapshot, opJob, 0, 0, 1, 0x01, opCrash},
+		[]int{opJob, opSync, opTornSnapshot, opJob, opCrash}},
+	{[]byte{opJob | 0x80, 0, 0, 1, 0x02, opJob | 0x80, 1, 1, 1, 0x02, opSnapshot, opBadRemote, 2, 0, 1, 0x03, 0, opJob | 0x80, 2, 2, 2, 0x12, 0x03, opCrash},
+		[]int{opJob | 0x80, opJob | 0x80, opSnapshot, opBadRemote, opJob | 0x80, opCrash}},
+	{[]byte{opTraceWrite, opSync, 3, 3, 3, 0x08, 0x08, 0x09, opTornSnapshot, opTraceWrite, opJob, 0, 0, 2, 0x1c, 0x2c, opTornSnapshot},
+		[]int{opTraceWrite, opSync, opTornSnapshot, opTraceWrite, opJob, opTornSnapshot}},
+	{[]byte{opJob, 0, 0, 2, 0x01, 0x02, opSnapshot | 0x80, opCrash, opJob, 1, 1, 1, 0x02, opSnapshot | 0x80, opTraceWrite, opSync, 2, 0, 1, 0x03, opCrash, opTornSnapshot},
+		[]int{opJob, opSnapshot | 0x80, opCrash, opJob, opSnapshot | 0x80, opTraceWrite, opSync, opCrash, opTornSnapshot}},
+	{[]byte{opJob, 0, 0, 1, 0x01, opTornJob, 1, 1, 2, 0x01, 0x02, 0, 40, opJob, 2, 1, 1, 0x03, opTornJob, 0, 0, 0, 0, 0},
+		[]int{opJob, opTornJob, opJob, opTornJob}},
+	{[]byte{opJob, 0, 0, 2, 0x01, 0x12, opSync, 1, 1, 1, 0x02, opJob, 2, 0, 1, 0x03, opFlip, 1, 0, 90, opJob, 0, 1, 1, 0x04, opCrash},
+		[]int{opJob, opSync, opJob, opFlip, opJob, opCrash}},
+	{[]byte{opJob, 0, 0, 1, 0x01, opSnapshot, opJob, 1, 1, 1, 0x02, opFlip, 2, 0, 3, opTornJob, 2, 2, 1, 0x01, 1, 0},
+		[]int{opJob, opSnapshot, opJob, opFlip, opTornJob}},
+}
+
+// TestDurableSeedsDecode: every seed of FuzzCrashEquivalence decodes to
+// the operations it was written for, running flags included.
+func TestDurableSeedsDecode(t *testing.T) {
+	for i, seed := range durableSeeds {
+		var got []int
+		for _, op := range decodeDurableOps(seed.data) {
+			k := op.kind
+			if op.running {
+				k |= 0x80
+			}
+			got = append(got, k)
+		}
+		if !slices.Equal(got, seed.ops) {
+			t.Errorf("seed %d decodes to %v, want %v", i, got, seed.ops)
+		}
+	}
 }
 
 // TestSnapshotEveryBoundsReplay: the job path takes a snapshot every

@@ -1,16 +1,24 @@
 package store
 
-// The job journal, jobs.bin: one length-prefixed, checksummed frame per
-// record, appended and fsynced. All integers are big-endian:
+// The job journal, jobs.v3: one length-prefixed, checksummed frame per
+// record, appended and fsynced. All fixed-width integers are big-endian:
 //
 //	header length  uint32
 //	delta length   uint32
 //	report length  uint32
-//	header         JSON: the JobRecord without Report and Defects, plus
-//	               "seq", the Seq of the delta the frame carries
+//	header         binary: the JobRecord without Report and Defects, plus
+//	               the Seq of the delta the frame carries (appendHeader)
 //	delta          JSON DefectDelta, empty when the frame carries none
 //	report         a done job's wire report, empty otherwise
 //	CRC-32C        uint32 over every byte of the frame before it
+//
+// The header is a fixed sequence of fields: the strings ID, State,
+// Source, Trace, TraceHash, Error and Node, each a uvarint length and
+// its bytes; the times Created, Started and Finished, each the varint
+// of its Unix seconds and the uvarint of its nanoseconds; then the
+// varints Attempts, Tuples and Seq. A time decodes in UTC, the zero
+// time to the zero time. A header with bytes left over, or too few, is
+// undecodable.
 //
 // Open reads the file once, checks each frame's lengths and checksum and
 // decodes its header; a delta's JSON is decoded only when its Seq lies
@@ -22,11 +30,15 @@ package store
 // truncated away. The checksum covers the report, so a flipped bit
 // anywhere in a frame is caught.
 //
-// Journals written before the framed format are JSON lines in
-// jobs.jsonl. Open converts one into a complete jobs.bin written with
-// atomicWrite, then removes it. jobs.bin only ever appears whole and
-// nothing appends to jobs.jsonl after the conversion, so when a crash
-// leaves both files, jobs.bin is the journal and jobs.jsonl is removed.
+// The format is versioned by file name: a change to the layout takes a
+// new name, and Open converts the journal of an earlier format it finds
+// (legacyJournals). Before this layout came jobs.bin, the same frames
+// with a JSON header, and before that jobs.jsonl, JSON lines. Open
+// converts the newest one present into a complete jobs.v3 written with
+// atomicWrite, then removes every earlier file. jobs.v3 only ever
+// appears whole and nothing appends in an earlier format, so when a
+// crash leaves jobs.v3 beside an earlier file, jobs.v3 is the journal
+// and the earlier file is removed.
 
 import (
 	"bytes"
@@ -41,11 +53,24 @@ import (
 	"time"
 )
 
-// Journal file names: the framed journal and its JSON-lines predecessor.
+// Journal file names: the journal, and its earlier formats, newest
+// first.
 const (
-	jobsFile       = "jobs.bin"
-	legacyJobsFile = "jobs.jsonl"
+	jobsFile           = "jobs.v3"
+	jsonHeaderJobsFile = "jobs.bin"
+	legacyJobsFile     = "jobs.jsonl"
 )
+
+// legacyJournals are the journal's earlier formats, newest first, each
+// with the function that converts the intact records of such a file
+// into frames of the current format.
+var legacyJournals = []struct {
+	name    string
+	convert func(data []byte) ([]byte, error)
+}{
+	{jsonHeaderJobsFile, convertJSONHeaderFrames},
+	{legacyJobsFile, convertJSONLines},
+}
 
 // JobRecord is one persisted snapshot of a wolfd job. The server appends
 // a record at admission and again at completion; the latest record per
@@ -71,6 +96,9 @@ type JobRecord struct {
 	// may also carry lease_expiry; replay ignores it.)
 	Node     string `json:"node,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
+	// Tuples is the length of the job's trace in lock acquisitions, once
+	// the trace exists (0 in records from older journals).
+	Tuples int `json:"tuples,omitempty"`
 	// Report is the wire-format analysis report (report.JSONReport) of a
 	// done job, kept verbatim so it can be served after a restart. The
 	// journal stores it; Jobs never returns it (read it with JobReport).
@@ -107,13 +135,6 @@ func (d *DefectDelta) bind(rec *JobRecord) *DefectDelta {
 	return d
 }
 
-// frameHeader is a frame's header section. A record without a job ID
-// carries a job-less delta (the synchronous analysis path).
-type frameHeader struct {
-	JobRecord
-	Seq int64 `json:"seq,omitempty"`
-}
-
 // framePrefix is the three section lengths; frameTrailer the checksum.
 const (
 	framePrefix  = 12
@@ -127,37 +148,122 @@ type span struct {
 	rep, repN int64 // the report: file offset and length
 }
 
+// appendHeader appends the binary header of rec, carrying the delta
+// numbered seq (0 for none), to buf. A record without a job ID carries
+// a job-less delta (the synchronous analysis path).
+func appendHeader(buf []byte, rec *JobRecord, seq int64) []byte {
+	for _, s := range [...]string{rec.ID, rec.State, rec.Source, rec.Trace, rec.TraceHash, rec.Error, rec.Node} {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	for _, t := range [...]time.Time{rec.Created, rec.Started, rec.Finished} {
+		buf = binary.AppendVarint(buf, t.Unix())
+		buf = binary.AppendUvarint(buf, uint64(t.Nanosecond()))
+	}
+	buf = binary.AppendVarint(buf, int64(rec.Attempts))
+	buf = binary.AppendVarint(buf, int64(rec.Tuples))
+	return binary.AppendVarint(buf, seq)
+}
+
+// decodeHeader decodes a header appendHeader wrote: the record, without
+// Report and Defects, and the Seq of the delta its frame carries. Its
+// strings share one allocation.
+func decodeHeader(data []byte) (rec JobRecord, seq int64, ok bool) {
+	d := headerDecoder{data: data, s: string(data)}
+	for _, f := range [...]*string{&rec.ID, &rec.State, &rec.Source, &rec.Trace, &rec.TraceHash, &rec.Error, &rec.Node} {
+		*f = d.str()
+	}
+	for _, f := range [...]*time.Time{&rec.Created, &rec.Started, &rec.Finished} {
+		*f = d.time()
+	}
+	rec.Attempts, rec.Tuples, seq = int(d.varint()), int(d.varint()), d.varint()
+	return rec, seq, !d.bad && d.off == len(data)
+}
+
+// headerDecoder reads a header's fields in order; a field that runs
+// past the end sets bad.
+type headerDecoder struct {
+	data []byte
+	s    string // data as one string, which the decoded strings slice
+	off  int
+	bad  bool
+}
+
+func (d *headerDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.data[d.off:])
+	if n <= 0 {
+		d.bad, d.off = true, len(d.data)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *headerDecoder) varint() int64 {
+	v, n := binary.Varint(d.data[d.off:])
+	if n <= 0 {
+		d.bad, d.off = true, len(d.data)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *headerDecoder) str() string {
+	n := d.uvarint()
+	if n > uint64(len(d.data)-d.off) {
+		d.bad, d.off = true, len(d.data)
+		return ""
+	}
+	s := d.s[d.off : d.off+int(n)]
+	d.off += int(n)
+	return s
+}
+
+// time decodes Unix seconds and nanoseconds in UTC; the zero time's
+// encoding decodes to the zero time itself.
+func (d *headerDecoder) time() time.Time {
+	sec, nsec := d.varint(), d.uvarint()
+	if nsec >= 1e9 {
+		d.bad = true
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
+}
+
 // encodeFrame frames rec and reports where the report lies relative to
 // the frame's start. The report is framed verbatim, so JobReport reads
 // back exactly the bytes appended.
 func encodeFrame(rec JobRecord) ([]byte, span, error) {
-	h := frameHeader{JobRecord: rec}
-	h.Report, h.Defects = nil, nil
 	var delta []byte
-	var err error
+	var seq int64
 	if rec.Defects != nil {
-		h.Seq = rec.Defects.Seq
+		seq = rec.Defects.Seq
+		var err error
 		if delta, err = json.Marshal(rec.Defects); err != nil {
 			return nil, span{}, err
 		}
 	}
-	report := rec.Report
-	header, err := json.Marshal(h)
-	if err != nil {
-		return nil, span{}, err
+	strs := len(rec.ID) + len(rec.State) + len(rec.Source) + len(rec.Trace) + len(rec.TraceHash) + len(rec.Error) + len(rec.Node)
+	buf := make([]byte, framePrefix, framePrefix+strs+64+len(delta)+len(rec.Report)+frameTrailer)
+	return finishFrame(appendHeader(buf, &rec, seq), delta, rec.Report)
+}
+
+// finishFrame completes a frame whose buffer holds the prefix's space
+// and the header: it fills in the lengths and appends the delta, the
+// report and the checksum.
+func finishFrame(buf, delta, report []byte) ([]byte, span, error) {
+	header := len(buf) - framePrefix
+	if max(header, len(delta), len(report)) > math.MaxUint32 {
+		return nil, span{}, fmt.Errorf("journal record too large to frame")
 	}
-	if max(len(header), len(delta), len(report)) > math.MaxUint32 {
-		return nil, span{}, fmt.Errorf("record of job %q too large to frame", rec.ID)
-	}
-	buf := make([]byte, framePrefix, framePrefix+len(header)+len(delta)+len(report)+frameTrailer)
-	binary.BigEndian.PutUint32(buf[0:], uint32(len(header)))
+	binary.BigEndian.PutUint32(buf[0:], uint32(header))
 	binary.BigEndian.PutUint32(buf[4:], uint32(len(delta)))
 	binary.BigEndian.PutUint32(buf[8:], uint32(len(report)))
-	buf = append(buf, header...)
 	buf = append(buf, delta...)
 	buf = append(buf, report...)
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	rep := int64(framePrefix + len(header) + len(delta))
+	rep := int64(framePrefix + header + len(delta))
 	return buf, span{size: int64(len(buf)), rep: rep, repN: int64(len(report))}, nil
 }
 
@@ -206,7 +312,7 @@ type jobLog struct {
 	// length in records, as opposed to len(order) live jobs.
 	replayed int
 	// compacted marks that this open rewrote the journal: a compaction
-	// or the conversion of a JSON-lines journal (tests/stats).
+	// or the conversion of an earlier format (tests/stats).
 	compacted bool
 	// deltas are the defect deltas read at open past the decode floor,
 	// in journal order, until Open has folded them; data is the file as
@@ -215,9 +321,9 @@ type jobLog struct {
 	data   []byte
 }
 
-// readJobLog replays the journal in dir, converting a JSON-lines one
-// first. Only deltas with a Seq above floor are decoded; the loaded
-// defect state reflects the rest. A torn or corrupt frame and
+// readJobLog replays the journal in dir, converting one of an earlier
+// format first. Only deltas with a Seq above floor are decoded; the
+// loaded defect state reflects the rest. A torn or corrupt frame and
 // everything after it are dropped and truncated away, so the next
 // append starts on a frame boundary. A record with no job ID carries a
 // job-less delta; it is counted but joins no job.
@@ -239,21 +345,21 @@ func readJobLog(dir string, syncs *fsyncs, floor int64) (*jobLog, error) {
 		if !ok {
 			break
 		}
-		var h frameHeader
-		if err := json.Unmarshal(fr.header, &h); err != nil || (h.ID == "" && len(fr.delta) == 0) {
+		rec, seq, ok := decodeHeader(fr.header)
+		if !ok || (rec.ID == "" && len(fr.delta) == 0) {
 			break
 		}
-		if len(fr.delta) > 0 && h.Seq > floor {
+		if len(fr.delta) > 0 && seq > floor {
 			d := new(DefectDelta)
 			if err := json.Unmarshal(fr.delta, d); err != nil {
 				break
 			}
-			jl.deltas = append(jl.deltas, d.bind(&h.JobRecord))
+			jl.deltas = append(jl.deltas, d.bind(&rec))
 		}
-		if h.ID != "" {
+		if rec.ID != "" {
 			sp := fr.span
 			sp.off, sp.rep = off, off+sp.rep
-			jl.upsert(h.JobRecord, sp)
+			jl.upsert(rec, sp)
 		}
 		jl.replayed++
 		off += fr.span.size
@@ -268,57 +374,91 @@ func readJobLog(dir string, syncs *fsyncs, floor int64) (*jobLog, error) {
 	return jl, nil
 }
 
-// convertLegacyJobs rewrites a JSON-lines journal in dir as the framed
-// journal, and reports whether it did. When both files exist, the
-// framed one is a finished conversion and the legacy one is only
-// removed.
+// convertLegacyJobs converts the newest earlier-format journal in dir
+// into the journal, unless the journal exists already, and removes
+// every earlier-format file; it reports whether it converted one.
 func convertLegacyJobs(dir string, syncs *fsyncs) (bool, error) {
-	path, legacy := filepath.Join(dir, jobsFile), filepath.Join(dir, legacyJobsFile)
-	data, err := os.ReadFile(legacy)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	if _, err := os.Stat(path); err == nil {
-		// A crash between the conversion's rename and this removal; a
-		// failed removal is retried by the next Open.
-		os.Remove(legacy)
-		return false, nil
-	}
-	var buf bytes.Buffer
-	for _, rec := range readLegacyJobs(data) {
-		fr, _, err := encodeFrame(rec)
-		if err != nil {
-			return false, fmt.Errorf("store: convert job log: %w", err)
+	path := filepath.Join(dir, jobsFile)
+	_, err := os.Stat(path)
+	have, converted := err == nil, false
+	for _, lj := range legacyJournals {
+		legacy := filepath.Join(dir, lj.name)
+		data, err := os.ReadFile(legacy)
+		if errors.Is(err, os.ErrNotExist) {
+			continue
 		}
-		buf.Write(fr)
+		if err != nil {
+			return false, fmt.Errorf("store: %w", err)
+		}
+		if !have {
+			frames, err := lj.convert(data)
+			if err == nil {
+				err = syncs.atomicWrite(path, frames)
+			}
+			if err != nil {
+				return false, fmt.Errorf("store: convert job log %s: %w", lj.name, err)
+			}
+			have, converted = true, true
+		}
+		// Converted, or a crash between a conversion's rename and this
+		// removal left it: a failed removal is retried by the next Open.
+		os.Remove(legacy)
 	}
-	if err := syncs.atomicWrite(path, buf.Bytes()); err != nil {
-		return false, fmt.Errorf("store: convert job log: %w", err)
-	}
-	os.Remove(legacy) // left behind, the next Open removes it
-	return true, nil
+	return converted, nil
 }
 
-// readLegacyJobs parses a JSON-lines journal up to its first torn or
+// jsonHeader is the header of a jobs.bin frame: JSON.
+type jsonHeader struct {
+	JobRecord
+	Seq int64 `json:"seq,omitempty"`
+}
+
+// convertJSONHeaderFrames re-frames a jobs.bin journal up to its first
+// torn, corrupt or undecodable frame: the same sections, with the JSON
+// header re-encoded in binary.
+func convertJSONHeaderFrames(data []byte) ([]byte, error) {
+	var out []byte
+	for len(data) > 0 {
+		fr, ok := nextFrame(data)
+		if !ok {
+			break
+		}
+		var h jsonHeader
+		if err := json.Unmarshal(fr.header, &h); err != nil || (h.ID == "" && len(fr.delta) == 0) {
+			break
+		}
+		report := data[fr.span.rep : fr.span.rep+fr.span.repN]
+		buf, _, err := finishFrame(appendHeader(make([]byte, framePrefix), &h.JobRecord, h.Seq), fr.delta, report)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, buf...)
+		data = data[fr.span.size:]
+	}
+	return out, nil
+}
+
+// convertJSONLines frames a JSON-lines journal up to its first torn or
 // corrupt line: a final line without its newline is torn (the append
 // wrote record and newline together), and so is one that fails to
 // parse or holds neither a job ID nor a delta. Lines have no length
 // cap.
-func readLegacyJobs(data []byte) []JobRecord {
-	var recs []JobRecord
+func convertJSONLines(data []byte) ([]byte, error) {
+	var out []byte
 	for {
 		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
-			return recs
+			return out, nil
 		}
 		var rec JobRecord
 		if err := json.Unmarshal(data[:i], &rec); err != nil || (rec.ID == "" && rec.Defects == nil) {
-			return recs
+			return out, nil
 		}
-		recs = append(recs, rec)
+		buf, _, err := encodeFrame(rec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, buf...)
 		data = data[i+1:]
 	}
 }

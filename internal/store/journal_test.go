@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -189,5 +191,153 @@ func TestJournalReportWhileAppending(t *testing.T) {
 	wg.Wait()
 	if _, err := s.JobReport(jobID(20)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("report of a queued job: err = %v, want ErrNotFound", err)
+	}
+}
+
+// inUTC renders records with their times in UTC: a time the journal
+// holds decodes in UTC, whatever zone it was written in.
+func inUTC(t *testing.T, jobs []JobRecord, defects []*DefectRecord) string {
+	t.Helper()
+	for i := range jobs {
+		j := &jobs[i]
+		j.Created, j.Started, j.Finished = j.Created.UTC(), j.Started.UTC(), j.Finished.UTC()
+	}
+	for _, d := range defects {
+		d.FirstSeen, d.LastSeen = d.FirstSeen.UTC(), d.LastSeen.UTC()
+	}
+	data, err := json.Marshal(struct {
+		Jobs    []JobRecord
+		Defects []*DefectRecord
+	}{jobs, defects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestJSONHeaderJournalConversion: a corpus written when the journal's
+// frames had JSON headers (testdata/framed-corpus: done, failed and
+// leased jobs, a job-less delta, reports, index.bin and two blobs; what
+// that version's Open returned is in framed-corpus.golden.json) opens
+// with the same jobs, byte-identical reports and the same defects. The
+// conversion replaces jobs.bin with jobs.v3, the Open after the next
+// Close is warm, and a crash that leaves jobs.bin beside jobs.v3
+// reopens to jobs.v3 and removes jobs.bin.
+func TestJSONHeaderJournalConversion(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/framed-corpus")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("testdata/framed-corpus.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Jobs    []JobRecord       `json:"jobs"`
+		Reports map[string]string `json:"reports"`
+		Defects []*DefectRecord   `json:"defects"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := inUTC(t, golden.Jobs, golden.Defects)
+	check := func(s *Store, when string, warm bool) {
+		t.Helper()
+		if got, _ := s.OpenInfo(); got != warm {
+			t.Errorf("open %s: warm = %v, want %v", when, got, warm)
+		}
+		if got := inUTC(t, s.Jobs(), s.Defects()); got != want {
+			t.Errorf("jobs and defects %s:\n got %s\nwant %s", when, got, want)
+		}
+		for _, rec := range golden.Jobs {
+			rep, err := s.JobReport(rec.ID)
+			wantRep, ok := golden.Reports[rec.ID]
+			if ok && (err != nil || string(rep) != wantRep) || !ok && !errors.Is(err, ErrNotFound) {
+				t.Errorf("report of %s %s = %q (%v), want %q", rec.ID, when, rep, err, wantRep)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, jsonHeaderJobsFile)); !os.IsNotExist(err) {
+			t.Errorf("%s left %s behind", when, jsonHeaderJobsFile)
+		}
+	}
+	if len(golden.Reports) != 2 || len(golden.Jobs) != 4 || len(golden.Defects) == 0 {
+		t.Fatalf("golden holds %d jobs, %d reports, %d defects", len(golden.Jobs), len(golden.Reports), len(golden.Defects))
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after the conversion", false)
+	converted, err := os.ReadFile(filepath.Join(dir, jobsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logFrames(t, dir) // every byte an intact frame
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after a clean reopen", true)
+	s.Close()
+
+	// The crash window: the old journal still beside the new one.
+	old, err := os.ReadFile("testdata/framed-corpus/" + jsonHeaderJobsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, jsonHeaderJobsFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, "with jobs.bin beside jobs.v3", true)
+	if now, err := os.ReadFile(filepath.Join(dir, jobsFile)); err != nil || !bytes.Equal(now, converted) {
+		t.Errorf("jobs.v3 changed when jobs.bin was found beside it (%v)", err)
+	}
+}
+
+// TestHeaderRoundTrip: every field of a record survives the binary
+// header, times as the same instant in UTC and the zero time as the
+// zero time; a header cut short or with a byte left over does not
+// decode.
+func TestHeaderRoundTrip(t *testing.T) {
+	cest := time.FixedZone("CEST", 2*3600)
+	for _, rec := range []JobRecord{
+		{},
+		{ID: "j-000001", State: "done", Source: "workload:Figure4", Trace: "4bf92f3577b34da6a3ce929d0e0e4736",
+			TraceHash: fakeHash(3), Error: "ü<>\x00", Node: "n-0001", Attempts: 3, Tuples: 2267,
+			Created: time.Date(2026, 9, 1, 10, 0, 0, 999999999, cest), Started: time.Unix(0, 0),
+			Finished: time.Now()},
+		{Created: time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC), Finished: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)},
+	} {
+		data := appendHeader(nil, &rec, 42)
+		got, seq, ok := decodeHeader(data)
+		if !ok || seq != 42 {
+			t.Fatalf("decode %+v: ok=%v seq=%d", rec, ok, seq)
+		}
+		for _, tm := range []struct{ got, want time.Time }{{got.Created, rec.Created}, {got.Started, rec.Started}, {got.Finished, rec.Finished}} {
+			if !tm.got.Equal(tm.want) || tm.got.IsZero() != tm.want.IsZero() || tm.got.Location() != time.UTC {
+				t.Errorf("time %v decoded as %v", tm.want, tm.got)
+			}
+		}
+		if rec.Created.IsZero() && got.Created != (time.Time{}) {
+			t.Errorf("zero time decoded as %#v", got.Created)
+		}
+		got.Created, got.Started, got.Finished = rec.Created, rec.Started, rec.Finished
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("decoded %+v, want %+v", got, rec)
+		}
+		for n := 0; n < len(data); n++ {
+			if _, _, ok := decodeHeader(data[:n]); ok {
+				t.Errorf("header cut to %d of %d bytes decoded", n, len(data))
+			}
+		}
+		if _, _, ok := decodeHeader(append(data, 0)); ok {
+			t.Error("header with a byte left over decoded")
+		}
 	}
 }

@@ -12,17 +12,20 @@
 //	                         first address byte (shard.go)
 //	defects/ab/<fp>.json     one defect record per fingerprint, sharded
 //	                         the same way, written by full snapshots
-//	jobs.bin                 append-only job journal, one checksummed
-//	                         frame per record (jobs.go); terminal
-//	                         records carry defect deltas and reports
+//	jobs.v3                  append-only job journal, one checksummed
+//	                         frame per record with a binary header
+//	                         (jobs.go); terminal records carry defect
+//	                         deltas and reports
 //	index.bin                persistent index snapshot (index.go)
 //	index.dirty              marker: trace mutations since the last
 //	                         snapshot
 //
 // Pre-sharding corpora with blobs directly under traces/ and defects/
 // keep working: Open moves every such file into its shard before it
-// loads the index (shard.go). Likewise a JSON-lines job log (jobs.jsonl)
-// is converted into jobs.bin by the first Open that finds it (jobs.go).
+// loads the index (shard.go). Likewise a job journal of an earlier
+// format — jobs.bin, whose frames have JSON headers, or the JSON-lines
+// jobs.jsonl — is converted into jobs.v3 by the first Open that finds
+// it (jobs.go); the earlier formats are only read to be converted.
 //
 // Crash-safety invariants:
 //
@@ -37,10 +40,10 @@
 //     and a CRC-32C over all its bytes, report included. Open drops the
 //     first torn or corrupt frame and everything after it, truncating
 //     the file back to the last intact frame before appending again.
-//   - The conversion of a JSON-lines job log writes jobs.bin whole with
-//     the atomic write below, then removes jobs.jsonl; an Open that
-//     finds both (a crash in between) keeps jobs.bin and removes
-//     jobs.jsonl.
+//   - The conversion of an earlier-format job log writes jobs.v3 whole
+//     with the atomic write below, then removes the earlier files; an
+//     Open that finds jobs.v3 beside one (a crash in between) keeps
+//     jobs.v3 and removes the other.
 //   - Trace blobs, defect files and the index snapshot are written to a
 //     temp file in the same directory, fsynced, then renamed into place
 //     — a reader never observes a partial file, and a crash leaves at
@@ -87,6 +90,11 @@ import (
 // ErrNotFound is returned for lookups of traces or defects the corpus
 // does not hold.
 var ErrNotFound = errors.New("store: not found")
+
+// ErrInvalidSummary marks a fold refused whole because a cycle summary's
+// fingerprint is not a plain hex digest. FinishJob still journals the
+// job's record when it returns it.
+var ErrInvalidSummary = errors.New("store: invalid cycle summary")
 
 // traceExt is the filename extension of stored trace blobs.
 const traceExt = ".wtrc"
@@ -237,7 +245,7 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	// Sweep root-level temp files: a crash during a journal rewrite or
-	// an index snapshot leaves an orphaned ".tmp-*" next to jobs.bin.
+	// an index snapshot leaves an orphaned ".tmp-*" next to jobs.v3.
 	if entries, err := os.ReadDir(dir); err == nil {
 		for _, e := range entries {
 			if strings.HasPrefix(e.Name(), ".tmp-") {
@@ -604,7 +612,7 @@ func (s *Store) RecordSummaries(ctx context.Context, traceHash string, sums []Cy
 // verdict's durable write; the fold into the in-memory corpus follows
 // it, so once FinishJob returns, readers see the defects and a crash
 // keeps them. When a summary is invalid no defect changes, rec is still
-// appended (without a delta) and the validation error is returned.
+// appended (without a delta) and an ErrInvalidSummary is returned.
 func (s *Store) FinishJob(ctx context.Context, rec JobRecord, sums []CycleSummary) ([]string, error) {
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: job record without an ID")
@@ -624,7 +632,7 @@ func (s *Store) fold(ctx context.Context, rec JobRecord, sums []CycleSummary) ([
 	uniq := make([]CycleSummary, 0, len(sums))
 	for _, cs := range sums {
 		if !validHash(cs.Fingerprint) {
-			invalid = fmt.Errorf("store: invalid fingerprint %q", cs.Fingerprint)
+			invalid = fmt.Errorf("%w: fingerprint %q", ErrInvalidSummary, cs.Fingerprint)
 			uniq = nil
 			break
 		}
