@@ -20,6 +20,7 @@ import (
 	"wolf/internal/core"
 	"wolf/internal/httpx"
 	"wolf/internal/obs"
+	"wolf/internal/replay"
 	"wolf/internal/report"
 	"wolf/internal/store"
 	"wolf/internal/trace"
@@ -160,26 +161,7 @@ func (c httpCoordinator) Renew(ctx context.Context, req RenewRequest) (RenewView
 	return post[RenewView](ctx, c, "/v1/work/renew", req)
 }
 
-// Complete encodes the in-memory report and any self-recorded trace
-// for the wire; a result that cannot be encoded is delivered as a
-// failure.
 func (c httpCoordinator) Complete(ctx context.Context, req CompleteRequest) (CompleteView, int, error) {
-	if req.Analysis != nil {
-		var err error
-		if req.Report, err = json.Marshal(report.FromCore(req.Analysis)); err != nil {
-			req = CompleteRequest{Node: req.Node, Job: req.Job, Reason: ReasonError, Error: "encode report: " + err.Error()}
-		} else {
-			req.Summaries = store.Summarize(req.Analysis)
-		}
-	}
-	if req.Trace != nil {
-		hash, wtrc, err := store.HashTrace(req.Trace)
-		if err != nil {
-			req = CompleteRequest{Node: req.Node, Job: req.Job, Reason: ReasonError, Error: err.Error()}
-		} else {
-			req.TraceB64, req.TraceHash = base64.StdEncoding.EncodeToString(wtrc), hash
-		}
-	}
 	return post[CompleteView](ctx, c, "/v1/work/complete", req)
 }
 
@@ -375,9 +357,8 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	if ttl <= 0 {
 		ttl = a.leaseTTL
 	}
-	runCtx, cancel := context.WithTimeout(ctx, a.cfg.JobTimeout)
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	runCtx = obs.WithTrace(runCtx, w.TraceID, "")
 
 	// Lease renewal fires on a timer beside the analysis, holding mu
 	// while it runs (and mu guards tick until it is set); leaseLost flips
@@ -411,7 +392,7 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	})
 	mu.Unlock()
 
-	req := a.analyze(runCtx, log, w)
+	req, _ := a.Analyze(runCtx, w)
 	mu.Lock() // waits out a renewal in flight
 	renewing = false
 	tick.Stop()
@@ -430,61 +411,98 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	a.complete(context.WithoutCancel(ctx), log, req)
 }
 
-// Analyze runs one work item as a leased job runs, under JobTimeout and
-// the item's trace ID, and returns the completion to deliver (Node and
-// Job unset). wolfd's synchronous POST /v1/analyze runs on it.
-func (a *Analyzer) Analyze(ctx context.Context, w WorkView) CompleteRequest {
-	ctx, cancel := context.WithTimeout(ctx, a.cfg.JobTimeout)
+// Analyze materializes and analyzes one work item as a leased job runs:
+// in its own goroutine, under JobTimeout and the item's trace ID. It
+// returns the completion to deliver (Node and Job unset) and the report
+// the analysis produced, if any; wolfd's synchronous POST /v1/analyze
+// and its dot endpoint run on it. A panic fails the item, not the
+// caller; an analysis that ignores its cancelled context is abandoned
+// after JobTimeout+WatchdogGrace (its goroutine exits whenever it
+// returns: the channel is buffered).
+func (a *Analyzer) Analyze(ctx context.Context, w WorkView) (CompleteRequest, *core.Report) {
+	ctx, cancel := context.WithTimeout(obs.WithTrace(ctx, w.TraceID, ""), a.cfg.JobTimeout)
 	defer cancel()
 	log := a.cfg.Logger.With("job", w.Job, "source", w.Source, "trace", w.TraceID)
-	return a.analyze(obs.WithTrace(ctx, w.TraceID, ""), log, w)
-}
-
-// analyze materializes and analyzes one work item in its own goroutine
-// and returns the completion to deliver; ctx carries JobTimeout. A panic
-// fails the item, not the caller; an analysis that ignores its
-// cancelled context is abandoned after JobTimeout+WatchdogGrace (its
-// goroutine exits whenever it returns: the channel is buffered).
-func (a *Analyzer) analyze(ctx context.Context, log *slog.Logger, w WorkView) CompleteRequest {
 	done := make(chan CompleteRequest, 1)
+	var rep *core.Report // written before done delivers, read only after
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				log.Error("analysis panicked", "panic", fmt.Sprint(r))
 				// The stack is node-side diagnostics, not wire payload.
 				os.Stderr.Write(debug.Stack())
-				done <- CompleteRequest{Reason: ReasonPanic, Error: fmt.Sprintf("analysis panicked: %v", r)}
+				done <- failure(ReasonPanic, fmt.Sprintf("analysis panicked: %v", r))
 			}
 		}()
 		tr, recorded, err := a.materialize(w)
 		if recorded && w.Recorded != nil {
 			w.Recorded(tr)
 		}
-		var rep *core.Report
 		if err == nil {
 			rep, err = a.cfg.Analyze(ctx, tr, a.cfg.Analysis)
 		}
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
-			done <- CompleteRequest{Reason: ReasonTimeout, Error: fmt.Sprintf("analysis timed out after %v", a.cfg.JobTimeout)}
+			done <- failure(ReasonTimeout, fmt.Sprintf("analysis timed out after %v", a.cfg.JobTimeout))
 		case err != nil:
-			done <- CompleteRequest{Reason: ReasonError, Error: err.Error()}
-		case recorded:
-			done <- CompleteRequest{OK: true, Analysis: rep, Trace: tr}
+			done <- failure(ReasonError, err.Error())
 		default:
-			done <- CompleteRequest{OK: true, Analysis: rep, TraceHash: w.TraceHash}
+			done <- completion(w, tr, recorded && w.Recorded == nil, rep)
 		}
 	}()
 	watchdog := time.NewTimer(a.cfg.JobTimeout + a.cfg.WatchdogGrace)
 	defer watchdog.Stop()
 	select {
 	case req := <-done:
-		return req
+		return req, rep
 	case <-watchdog.C:
 		log.Error("analysis abandoned by watchdog", "timeout", a.cfg.JobTimeout, "grace", a.cfg.WatchdogGrace)
-		return CompleteRequest{Reason: ReasonWatchdog, Error: fmt.Sprintf(
-			"analysis ignored cancellation; abandoned by watchdog after %v", a.cfg.JobTimeout+a.cfg.WatchdogGrace)}
+		return failure(ReasonWatchdog, fmt.Sprintf("analysis ignored cancellation; abandoned by watchdog after %v",
+			a.cfg.JobTimeout+a.cfg.WatchdogGrace)), nil
 	}
+}
+
+// failure is a failed completion classified by reason.
+func failure(reason, msg string) CompleteRequest { return CompleteRequest{Reason: reason, Error: msg} }
+
+// completion renders a successful analysis of w's trace tr in wire
+// form: the report, its corpus summaries, its metrics tally and, when
+// ship is set (a trace the analyzer recorded itself with no in-process
+// hook to take it), the trace's WTRC. A report or trace that cannot be
+// encoded fails the item.
+func completion(w WorkView, tr *trace.Trace, ship bool, rep *core.Report) CompleteRequest {
+	raw, err := json.Marshal(report.FromCore(rep))
+	if err != nil {
+		return failure(ReasonError, "encode report: "+err.Error())
+	}
+	req := CompleteRequest{OK: true, Report: raw, Summaries: store.Summarize(rep), Tally: tallyOf(rep), TraceHash: w.TraceHash}
+	if ship {
+		hash, wtrc, err := store.HashTrace(tr)
+		if err != nil {
+			return failure(ReasonError, err.Error())
+		}
+		req.TraceB64, req.TraceHash = base64.StdEncoding.EncodeToString(wtrc), hash
+	}
+	return req
+}
+
+// tallyOf counts what rep adds to the verdict metrics.
+func tallyOf(rep *core.Report) Tally {
+	t := Tally{Cycles: len(rep.Cycles), Detect: rep.Timings.CycleDetect, Prune: rep.Timings.Prune, Generate: rep.Timings.Generate}
+	t.Pruned, t.Infeasible, t.Confirmed, t.Unknown = rep.CountDefects()
+	div := replay.Divergence{}
+	for _, cr := range rep.Cycles {
+		div.Merge(cr.Divergence)
+		if cr.ReplayMethod != replay.MethodNone {
+			if t.Confirmations == nil {
+				t.Confirmations = map[string]int{}
+			}
+			t.Confirmations[string(cr.ReplayMethod)]++
+		}
+		t.Faults += cr.Faults.Total()
+	}
+	t.Divergence = div.ByName()
+	return t
 }
 
 // complete delivers one result and logs the coordinator's verdict.

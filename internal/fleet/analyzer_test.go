@@ -7,6 +7,7 @@ package fleet
 // by its previous owner.
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -14,15 +15,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wolf/internal/core"
+	"wolf/internal/replay"
 	"wolf/internal/store"
 	"wolf/internal/trace"
 	"wolf/internal/workloads"
+	"wolf/sim"
 )
 
 // fig4B64 records a Figure4 detection trace and returns its base64
@@ -402,5 +406,156 @@ func TestAnalyzerAbandonsHungAnalysis(t *testing.T) {
 			t.Fatal("node did not pull again after the watchdog failure")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// inProcessCoordinator is the protocol without HTTP, as wolfd's single
+// role speaks it: it grants one job and hands each completion over as
+// the Analyzer built it.
+type inProcessCoordinator struct {
+	work      WorkView
+	granted   atomic.Bool
+	completes chan CompleteRequest
+}
+
+func (c *inProcessCoordinator) Register(context.Context, RegisterRequest) (RegisterView, int, error) {
+	return RegisterView{ID: "n-0001", Name: "local", HeartbeatMillis: ToMillis(time.Second),
+		LeaseTTLMillis: ToMillis(time.Minute)}, http.StatusOK, nil
+}
+
+func (c *inProcessCoordinator) Heartbeat(context.Context, string) (int, error) {
+	return http.StatusOK, nil
+}
+
+func (c *inProcessCoordinator) Pull(ctx context.Context, _ PullRequest) (WorkView, int, error) {
+	if c.granted.Swap(true) {
+		select { // idle: wait as a holding coordinator would
+		case <-ctx.Done():
+		case <-time.After(10 * time.Millisecond):
+		}
+		return WorkView{}, http.StatusNoContent, nil
+	}
+	w := c.work
+	w.Attempts, w.LeaseTTLMillis = 1, ToMillis(time.Minute)
+	return w, http.StatusOK, nil
+}
+
+func (c *inProcessCoordinator) Renew(_ context.Context, req RenewRequest) (RenewView, int, error) {
+	return RenewView{Job: req.Job, LeaseTTLMillis: ToMillis(time.Minute)}, http.StatusOK, nil
+}
+
+func (c *inProcessCoordinator) Complete(_ context.Context, req CompleteRequest) (CompleteView, int, error) {
+	c.completes <- req
+	return CompleteView{Job: req.Job, Result: "accepted"}, http.StatusOK, nil
+}
+
+// awaitCompletion waits for the next completion on ch.
+func awaitCompletion(t *testing.T, ch <-chan CompleteRequest) CompleteRequest {
+	t.Helper()
+	select {
+	case req := <-ch:
+		return req
+	case <-time.After(15 * time.Second):
+		t.Fatal("no completion delivered")
+		return CompleteRequest{}
+	}
+}
+
+// TestCompleteRequestSameInProcessAndOverHTTP: one analysis completed
+// through an in-process Coordinator and through the HTTP one delivers a
+// byte-identical report, equal summaries and an equal tally. A workload
+// job's recording reaches an in-process coordinator through the grant's
+// Recorded hook and a remote one as TraceB64.
+func TestCompleteRequestSameInProcessAndOverHTTP(t *testing.T) {
+	b64, hash := fig4B64(t)
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadBinary(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.AnalyzeTraceCtx(context.Background(), tr, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One report for every run, with what the tally counts beyond the
+	// offline verdicts: phase timings, a replay confirmation, divergence
+	// and faults.
+	rep.Timings = core.Timings{CycleDetect: 1500 * time.Microsecond, Prune: 20 * time.Microsecond, Generate: 3 * time.Millisecond}
+	for _, cr := range rep.Cycles {
+		if cr.Class == core.Unknown {
+			cr.Class, cr.ReplayMethod = core.Confirmed, replay.MethodFallback
+			cr.Divergence = replay.Divergence{replay.DivergenceStarved: 2}
+			cr.Faults = sim.FaultStats{Stalls: 3}
+		}
+	}
+	fixed := func(context.Context, *trace.Trace, core.Config) (*core.Report, error) { return rep, nil }
+	want := tallyOf(rep)
+	if want.Cycles == 0 || len(want.Confirmations) == 0 || len(want.Divergence) == 0 || want.Faults == 0 {
+		t.Fatalf("tally %+v leaves a family uncounted", want)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		work   WorkView
+		remote bool // the work ships a trace only to a remote node
+	}{
+		{"upload", WorkView{Job: "j-000001", Source: "upload", TraceB64: b64, TraceHash: hash}, false},
+		{"workload", WorkView{Job: "j-000001", Source: "workload:Figure4", Workload: "Figure4", SeedTries: 300}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hooked atomic.Bool
+			local := &inProcessCoordinator{work: tc.work, completes: make(chan CompleteRequest, 1)}
+			local.work.Recorded = func(*trace.Trace) { hooked.Store(true) }
+			a := NewAnalyzerFor(local, AnalyzerConfig{Name: "local", JobTimeout: 15 * time.Second, Analyze: fixed})
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); a.Run(ctx) }()
+			t.Cleanup(func() { cancel(); <-done })
+			in := awaitCompletion(t, local.completes)
+
+			fc := newFakeCoordinator(t, tc.work, time.Minute, http.StatusOK)
+			runAnalyzer(t, AnalyzerConfig{Coordinator: fc.ts.URL, Name: "t", Poll: 10 * time.Millisecond,
+				JobTimeout: 15 * time.Second, Analyze: fixed})
+			over := awaitCompletion(t, fc.completes)
+
+			if !in.OK || !over.OK {
+				t.Fatalf("completions ok=%v/%v: %s / %s", in.OK, over.OK, in.Error, over.Error)
+			}
+			if !bytes.Equal(in.Report, over.Report) {
+				t.Errorf("reports differ:\nin process %.200s\nover HTTP  %.200s", in.Report, over.Report)
+			}
+			if !reflect.DeepEqual(in.Summaries, over.Summaries) || len(in.Summaries) == 0 {
+				t.Errorf("summaries differ or are empty:\nin process %+v\nover HTTP  %+v", in.Summaries, over.Summaries)
+			}
+			if !reflect.DeepEqual(in.Tally, want) || !reflect.DeepEqual(over.Tally, want) {
+				t.Errorf("tallies differ:\nwant       %+v\nin process %+v\nover HTTP  %+v", want, in.Tally, over.Tally)
+			}
+			if in.TraceB64 != "" {
+				t.Error("an in-process completion shipped its trace")
+			}
+			if !tc.remote {
+				if in.TraceHash != hash || over.TraceHash != hash {
+					t.Errorf("trace hashes %q / %q, want the grant's %q", in.TraceHash, over.TraceHash, hash)
+				}
+				return
+			}
+			if !hooked.Load() {
+				t.Error("the in-process recording never reached the Recorded hook")
+			}
+			shipped, err := base64.StdEncoding.DecodeString(over.TraceB64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := trace.ReadBinary(bytes.NewReader(shipped))
+			if err != nil {
+				t.Fatalf("shipped trace: %v", err)
+			}
+			if got, _, err := store.HashTrace(rec); err != nil || got != over.TraceHash {
+				t.Errorf("shipped trace hashes to %q (%v), completion says %q", got, err, over.TraceHash)
+			}
+		})
 	}
 }

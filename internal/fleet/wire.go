@@ -21,17 +21,20 @@
 // holder a straggler and the job is re-offered to a second node;
 // whichever result arrives first wins, keyed on the job (and the
 // defect corpus dedupes by canonical fingerprint regardless). All
-// durations on the wire are integer milliseconds; trace blobs are
-// base64-encoded WTRC.
-// In process (wolfd's single role), traces and reports travel by
-// pointer in the json:"-" fields instead.
+// durations on the wire are integer milliseconds, except a Tally's
+// phase durations; trace blobs are base64-encoded WTRC.
+//
+// In process (wolfd's single role) a grant hands the trace over by
+// pointer, in WorkView's json:"-" fields. A completion has one form
+// whatever the transport: the analyzer renders the report, its corpus
+// summaries and its metrics tally, so the server finishes a local and
+// a remote result alike and never sees the in-memory report.
 package fleet
 
 import (
 	"encoding/json"
 	"time"
 
-	"wolf/internal/core"
 	"wolf/internal/store"
 	"wolf/internal/trace"
 )
@@ -146,22 +149,46 @@ type CompleteRequest struct {
 	Error  string `json:"error,omitempty"`
 	Reason string `json:"reason,omitempty"`
 	// Report is the wire-format analysis report (report.JSONReport) of
-	// a successful run, served verbatim by the coordinator's report
-	// endpoint.
+	// a successful run, a JSON object served verbatim by the server's
+	// report endpoint.
 	Report json.RawMessage `json:"report,omitempty"`
-	// Summaries are the per-fingerprint defect summaries the
-	// coordinator folds into its corpus (store.Summarize output).
+	// Summaries are the per-fingerprint defect summaries the server
+	// folds into its corpus (store.Summarize output).
 	Summaries []store.CycleSummary `json:"summaries,omitempty"`
-	// TraceB64 carries the analyzed trace's WTRC encoding when the
+	// Tally is what the run adds to the server's verdict metrics.
+	Tally Tally `json:"tally,omitzero"`
+	// TraceB64 carries the analyzed trace's WTRC encoding when a remote
 	// analyzer recorded it itself (workload jobs), so the corpus holds
-	// what was analyzed; TraceHash is its content address.
+	// what was analyzed; TraceHash is its content address. An
+	// in-process analyzer hands its recording over through the grant's
+	// Recorded hook instead.
 	TraceB64  string `json:"trace_b64,omitempty"`
 	TraceHash string `json:"trace_hash,omitempty"`
-	// Analysis and Trace are the report and the self-recorded trace in
-	// memory; over HTTP they travel as Report, Summaries and TraceB64.
-	Analysis *core.Report `json:"-"`
-	Trace    *trace.Trace `json:"-"`
 }
+
+// Tally is what one successful analysis adds to the server's verdict
+// metrics, counted by the analyzer from the report it holds so that the
+// server never decodes a report to count it. Phase durations travel in
+// nanoseconds: a phase often takes less than a millisecond.
+type Tally struct {
+	Cycles int `json:"cycles"`
+	// Defects by verdict class.
+	Pruned     int `json:"pruned,omitempty"`
+	Infeasible int `json:"infeasible,omitempty"`
+	Confirmed  int `json:"confirmed,omitempty"`
+	Unknown    int `json:"unknown,omitempty"`
+	// Confirmations counts confirmed cycles by replay method, Divergence
+	// failed replay attempts by reason, Faults injected perturbations.
+	Confirmations map[string]int `json:"confirmations,omitempty"`
+	Divergence    map[string]int `json:"divergence,omitempty"`
+	Faults        int            `json:"faults,omitempty"`
+	Detect        time.Duration  `json:"detect_ns"`
+	Prune         time.Duration  `json:"prune_ns"`
+	Generate      time.Duration  `json:"generate_ns"`
+}
+
+// Defects is the number of defects the tally counts.
+func (t Tally) Defects() int { return t.Pruned + t.Infeasible + t.Confirmed + t.Unknown }
 
 // CompleteView is the coordinator's verdict on a delivered result.
 type CompleteView struct {

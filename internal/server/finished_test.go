@@ -157,6 +157,49 @@ func TestDotGoneWithTrace(t *testing.T) {
 	}
 }
 
+// TestTimelineGoneWithTrace: the timeline of a finished job whose
+// corpus blob was deleted answers 410, as dot does, without a
+// Retry-After; 409 with Retry-After is kept for a queued job whose
+// trace is not recorded yet.
+func TestTimelineGoneWithTrace(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4, Store: st})
+	v := uploadAndFinish(t, ts.URL, binBody(t, fig4Trace(t)))
+	if code, body := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/timeline"); code != http.StatusOK {
+		t.Fatalf("timeline before the delete = %d: %s", code, body)
+	}
+	if err := st.DeleteTrace(v.TraceHash); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone || resp.Header.Get("Retry-After") != "" {
+		t.Errorf("timeline after the delete = %d (Retry-After %q), want 410 without one",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	// A coordinator without analyzers leaves a workload job queued, its
+	// trace not recorded yet.
+	_, coord := startServer(t, Config{Role: RoleCoordinator, QueueSize: 4})
+	code, accepted := postTrace(t, coord.URL+"/v1/workloads/Figure4", nil, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("workload job = %d", code)
+	}
+	resp, err = http.Get(coord.URL + "/v1/jobs/" + accepted["id"].(string) + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("timeline of a queued workload job = %d (Retry-After %q), want 409 with 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
 // TestFailedAppendKeepsReport: the corpus is best-effort, so a done job
 // whose terminal journal append failed keeps its wire report in memory
 // and serves it.

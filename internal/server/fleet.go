@@ -16,6 +16,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -27,13 +28,9 @@ import (
 	"strings"
 	"time"
 
-	"wolf/internal/core"
 	"wolf/internal/fingerprint"
 	"wolf/internal/fleet"
 	"wolf/internal/obs"
-	"wolf/internal/replay"
-	"wolf/internal/report"
-	"wolf/internal/store"
 	"wolf/internal/trace"
 )
 
@@ -95,55 +92,62 @@ func (s *Server) sweep(now time.Time) {
 func (s *Server) failExhausted(jobs []*Job) {
 	for _, j := range jobs {
 		s.failJob(j, FailReassign, fmt.Sprintf("delivered %d times without completion (reassign budget exhausted)",
-			j.Attempts()), "reassign budget exhausted")
+			j.Attempts()), "reassign budget exhausted", "")
 		s.cfg.Logger.Error("job failed: reassign budget exhausted", "job", j.ID,
 			"attempts", j.Attempts())
 	}
 }
 
 // failJob terminal-fails a job the table claimed under reason, journals
-// it and publishes job.failed with event as its message.
-func (s *Server) failJob(j *Job, reason FailReason, msg, event string) {
+// it and publishes job.failed with event as its message, naming node on
+// a coordinator when one delivered the failure.
+func (s *Server) failJob(j *Job, reason FailReason, msg, event, node string) {
+	s.metrics.Fail(reason) // counted before the job reads failed
 	j.fail(msg)
-	s.metrics.Fail(reason)
 	s.persistJob(j)
-	s.jobEvent(evJobFailed, j, event, map[string]string{"reason": string(reason)})
+	attrs := map[string]string{"reason": string(reason)}
+	if node != "" && s.coordinator() {
+		attrs["node"] = node
+	}
+	s.jobEvent(evJobFailed, j, event, attrs)
 }
 
-// workPayload builds the grant for one job: the trace (in memory, as
-// the WTRC an earlier grant encoded, or the corpus blob after a
-// restart) or the workload the analyzer records itself.
+// workPayload builds the grant for one job: its trace, or the workload
+// the analyzer records itself. An in-process analyzer gets the decoded
+// trace by pointer. A remote node gets base64 WTRC: the encoding an
+// earlier grant kept, the corpus blob after a restart, or the decoded
+// trace encoded now, which the job then keeps in its place for a
+// re-offer and for once it is terminal.
 func (s *Server) workPayload(j *Job) (fleet.WorkView, error) {
 	tr, wtrc, hash := j.traceSource()
-	w := fleet.WorkView{
-		Job:       j.ID,
-		Source:    j.Source(),
-		TraceID:   j.TraceID(),
-		TraceHash: hash,
-		Trace:     tr,
-	}
+	w := fleet.WorkView{Job: j.ID, Source: j.Source(), TraceID: j.TraceID(), TraceHash: hash}
 	switch {
-	case tr != nil:
+	case tr != nil && !s.coordinator():
+		w.Trace = tr
 		return w, nil
-	case wtrc != nil:
+	case tr != nil:
+		var buf bytes.Buffer
+		if err := tr.WriteBinary(&buf); err != nil {
+			return w, fmt.Errorf("encode trace: %w", err)
+		}
+		wtrc = buf.Bytes()
+		j.keepWTRC(wtrc)
+	case wtrc == nil && hash != "" && s.cfg.Store != nil:
+		if rc, _, err := s.cfg.Store.OpenTrace(hash); err == nil {
+			wtrc, err = io.ReadAll(rc)
+			rc.Close()
+			if err != nil {
+				return w, err
+			}
+		}
+	}
+	if wtrc != nil {
 		w.TraceB64 = base64.StdEncoding.EncodeToString(wtrc)
 		return w, nil
 	}
-	if w.TraceHash != "" && s.cfg.Store != nil {
-		rc, _, err := s.cfg.Store.OpenTrace(w.TraceHash)
-		if err == nil {
-			data, rerr := io.ReadAll(rc)
-			rc.Close()
-			if rerr != nil {
-				return w, rerr
-			}
-			w.TraceB64 = base64.StdEncoding.EncodeToString(data)
-			return w, nil
-		}
-	}
 	if name, ok := strings.CutPrefix(w.Source, "workload:"); ok {
 		w.Workload = name
-		w.Seed = j.WorkloadSeed()
+		w.Seed = j.wlSeed
 		w.SeedTries = s.cfg.SeedTries
 		w.Recorded = j.setTrace
 		return w, nil
@@ -211,7 +215,7 @@ func (s *Server) grant(j *Job, node string, attempts int) (fleet.WorkView, int, 
 	payload, err := s.workPayload(j)
 	if err != nil {
 		if s.table.complete(j, "", false) { // no node is charged with it
-			s.failJob(j, FailError, "undeliverable: "+err.Error(), err.Error())
+			s.failJob(j, FailError, "undeliverable: "+err.Error(), err.Error(), "")
 		}
 		return fleet.WorkView{}, http.StatusNoContent, ""
 	}
@@ -231,17 +235,6 @@ func (s *Server) grant(j *Job, node string, attempts int) (fleet.WorkView, int, 
 	s.cfg.Logger.Info("job leased", "job", j.ID, "node", node, "attempts", attempts)
 	s.jobEvent(evJobStarted, j, "leased to node",
 		map[string]string{"node": node, "attempts": fmt.Sprint(attempts)})
-	// A remote node gets the trace as base64 WTRC, with the content
-	// address stamped at admission. The job keeps the encoding in place
-	// of the decoded trace, for a re-offer and for once it is terminal.
-	if payload.Trace != nil {
-		var buf bytes.Buffer
-		if err := payload.Trace.WriteBinary(&buf); err != nil {
-			return payload, http.StatusInternalServerError, "encode trace: " + err.Error()
-		}
-		j.keepWTRC(buf.Bytes())
-		payload.TraceB64 = base64.StdEncoding.EncodeToString(buf.Bytes())
-	}
 	return payload, http.StatusOK, ""
 }
 
@@ -275,8 +268,15 @@ func (s *Server) renew(_ context.Context, req fleet.RenewRequest) (fleet.RenewVi
 // whichever node delivers first — even one whose lease already expired
 // (the work is done; discarding it would only waste the redelivery) —
 // and later arrivals get "duplicate". The winner claims the job in the
-// table and records it after. Unknown jobs are a 404.
+// table and records it after. Unknown jobs are a 404; a successful
+// result whose report is not a JSON object is a 400 and changes
+// nothing.
 func (s *Server) complete(ctx context.Context, req fleet.CompleteRequest) (fleet.CompleteView, int, string) {
+	// The request decoder validated the JSON, so its first byte tells an
+	// object from any other value.
+	if req.OK && (len(req.Report) == 0 || req.Report[0] != '{') {
+		return fleet.CompleteView{}, http.StatusBadRequest, "a successful completion carries a report, a JSON object"
+	}
 	j, found := s.jobs.get(req.Job)
 	if !found {
 		return fleet.CompleteView{}, http.StatusNotFound, "no such job"
@@ -286,14 +286,10 @@ func (s *Server) complete(ctx context.Context, req fleet.CompleteRequest) (fleet
 		s.cfg.Logger.Info("duplicate result discarded", "job", j.ID, "node", req.Node)
 		return fleet.CompleteView{Job: j.ID, Result: "duplicate"}, http.StatusOK, ""
 	}
-	switch {
-	case !req.OK:
+	if req.OK {
+		s.finish(ctx, j, &req)
+	} else {
 		s.failResult(j, &req)
-		s.persistJob(j)
-	case req.Analysis != nil:
-		s.finishLocal(ctx, j, req.Analysis, req.Trace)
-	default:
-		s.finishRemote(ctx, j, &req)
 	}
 	return fleet.CompleteView{Job: j.ID, Result: "accepted"}, http.StatusOK, ""
 }
@@ -301,95 +297,83 @@ func (s *Server) complete(ctx context.Context, req fleet.CompleteRequest) (fleet
 // failResult fails a job by an analyzer's verdict, counted under the
 // reason it carries; unknown reasons count as errors.
 func (s *Server) failResult(j *Job, req *fleet.CompleteRequest) {
-	msg := req.Error
-	if msg == "" {
-		msg = "analyzer reported failure"
-	}
+	msg := cmp.Or(req.Error, "analyzer reported failure")
 	reason := FailReason(req.Reason)
 	switch reason {
 	case FailTimeout, FailPanic, FailWatchdog:
 	default:
 		reason = FailError
 	}
-	j.fail(msg)
-	s.metrics.Fail(reason)
-	attrs := map[string]string{"reason": string(reason)}
+	s.failJob(j, reason, msg, msg, req.Node)
 	log := s.cfg.Logger.With("job", j.ID, "source", j.Source(), "trace", j.TraceID())
+	if s.coordinator() {
+		log = log.With("node", req.Node)
+	}
+	log.Warn("analysis failed", "reason", reason, "err", msg)
+}
+
+// finish records a successful result, in-process or remote alike: its
+// report verbatim in the job's terminal record, and its summaries in the
+// corpus and its tally in the metrics before the job reads done; then
+// one replay.verdict event per confirmed fingerprint.
+func (s *Server) finish(ctx context.Context, j *Job, req *fleet.CompleteRequest) {
+	s.keepTrace(ctx, j, req)
+	rec := j.doneRecord(req.Report, time.Now())
+	journaled := s.cfg.Store != nil && s.settle(ctx, j, rec, req.Summaries)
+	elapsed := rec.Finished.Sub(rec.Started)
+	s.metrics.observe(req.Tally, elapsed)
+	j.finish(rec, journaled)
+	attrs := map[string]string{
+		"cycles":  strconv.Itoa(req.Tally.Cycles),
+		"defects": strconv.Itoa(req.Tally.Defects()),
+	}
+	log := s.cfg.Logger
 	if s.coordinator() {
 		attrs["node"] = req.Node
 		log = log.With("node", req.Node)
 	}
-	log.Warn("analysis failed", "reason", reason, "err", msg)
-	s.jobEvent(evJobFailed, j, msg, attrs)
-}
-
-// finishLocal records an in-process analyzer's report, handed over by
-// pointer, and archives the trace it recorded for a workload job. The
-// wire report is rendered once, here: the terminal journal record
-// carries it, and the job keeps it only when that append did not
-// happen. Defects reach the corpus before the job reads done.
-func (s *Server) finishLocal(ctx context.Context, j *Job, rep *core.Report, recorded *trace.Trace) {
-	if recorded != nil {
-		s.archiveTrace(ctx, j, recorded)
-	}
-	raw, err := json.Marshal(report.FromCore(rep))
-	if err != nil {
-		s.cfg.Logger.Error("render report", "job", j.ID, "err", err)
-	}
-	rec := j.doneRecord(raw, time.Now())
-	journaled := s.cfg.Store != nil && s.settle(ctx, j, rec, store.Summarize(rep))
-	elapsed := j.finish(rec, journaled)
-	s.metrics.observe(rep, elapsed)
-	s.cfg.Logger.Info("job done", "job", j.ID, "source", rec.Source, "trace", rec.Trace,
-		"cycles", len(rep.Cycles), "defects", len(rep.Defects), "elapsed", elapsed)
-	for _, cr := range rep.Cycles {
-		if cr.ReplayMethod == replay.MethodNone || cr.Cycle == nil {
-			continue
+	log.Info("job done", "job", j.ID, "source", rec.Source, "trace", rec.Trace,
+		"cycles", req.Tally.Cycles, "defects", req.Tally.Defects(), "elapsed", elapsed)
+	for _, sum := range req.Summaries {
+		if sum.Confirmed {
+			s.jobEvent(evReplayVerdict, j, "cycle confirmed by replay", map[string]string{
+				"method":      sum.Method,
+				"fingerprint": fingerprint.Short(sum.Fingerprint),
+			})
 		}
-		s.jobEvent(evReplayVerdict, j, "cycle confirmed by replay", map[string]string{
-			"method":      string(cr.ReplayMethod),
-			"fingerprint": fingerprint.Short(fingerprint.Of(cr.Cycle)),
-		})
 	}
-	s.jobEvent(evJobDone, j, "", map[string]string{
-		"cycles":  strconv.Itoa(len(rep.Cycles)),
-		"defects": strconv.Itoa(len(rep.Defects)),
-	})
+	s.jobEvent(evJobDone, j, "", attrs)
 }
 
-// finishRemote records a remote analyzer's wire-form result, its
-// report verbatim. A trace the node shipped (one it recorded) is
-// archived, or kept as the job's WTRC without a corpus; one that fails
-// to decode or validate is dropped, and the verdict still counts.
-func (s *Server) finishRemote(ctx context.Context, j *Job, req *fleet.CompleteRequest) {
-	if _, wtrc, hash := j.traceSource(); req.TraceB64 != "" && wtrc == nil && hash == "" {
+// keepTrace archives a finishing job's trace the corpus lacks, or leaves
+// it for the job to keep as WTRC without a corpus: mostly a workload's
+// recording, handed over through the grant's Recorded hook in process or
+// shipped by a remote analyzer, dropped (the verdict still counts) when
+// it fails to decode or validate.
+func (s *Server) keepTrace(ctx context.Context, j *Job, req *fleet.CompleteRequest) {
+	tr, wtrc, hash := j.traceSource()
+	if hash != "" || wtrc != nil {
+		return
+	}
+	if tr == nil && req.TraceB64 != "" {
 		raw, err := base64.StdEncoding.DecodeString(req.TraceB64)
-		var tr *trace.Trace
 		if err == nil {
 			tr, err = trace.ReadBinary(bytes.NewReader(raw))
 		}
-		switch {
-		case err != nil:
+		if err != nil {
 			s.cfg.Logger.Error("shipped trace rejected, not archived", "job", j.ID, "node", req.Node,
 				"trace", j.TraceID(), "err", err)
 			s.jobEvent(evStoreTrace, j, "shipped trace rejected: "+err.Error(), map[string]string{"node": req.Node})
-		case s.cfg.Store != nil:
-			s.archiveTrace(ctx, j, tr)
-		default:
-			j.keepWTRC(raw)
+			return
 		}
+		j.setTrace(tr)
 	}
-	rec := j.doneRecord(req.Report, time.Now())
-	j.finish(rec, s.cfg.Store != nil && s.settle(ctx, j, rec, req.Summaries))
-	s.metrics.JobsCompleted.Add(1)
-	s.metrics.Analysis.Observe(time.Since(j.CreatedAt()))
-	s.cfg.Logger.Info("job done", "job", j.ID, "node", req.Node, "defect_summaries", len(req.Summaries))
-	s.jobEvent(evJobDone, j, "completed by node", map[string]string{"node": req.Node})
+	s.archiveTrace(ctx, j, tr)
 }
 
 // localCoordinator is the protocol in process, for the single role's
-// analyzers: grants and results travel by pointer, and a pull refused
-// by the drain stops the analyzer.
+// analyzers: a grant hands its trace over by pointer, a result is the
+// wire struct, and a pull refused by the drain stops the analyzer.
 type localCoordinator struct {
 	s    *Server
 	stop context.CancelFunc

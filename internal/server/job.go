@@ -56,8 +56,9 @@ type Job struct {
 	// and Defects.
 	rec store.JobRecord
 	// showLease shows the lease fields in views (coordinator role).
-	// wlSeed pins a workload job's detection schedule. claimed marks a
-	// result being recorded.
+	// wlSeed pins a workload job's detection schedule (0: the analyzer
+	// searches); both are set before the job is admitted and only read
+	// after. claimed marks a result being recorded.
 	showLease bool
 	wlSeed    int64
 	claimed   bool
@@ -158,9 +159,9 @@ func (j *Job) endTrace() []byte {
 }
 
 // finish makes the job the done record rec, whose Report is the job's
-// wire report, and returns its time since the first lease. journaled
-// says the journal holds rec: the job then keeps no report bytes.
-func (j *Job) finish(rec store.JobRecord, journaled bool) time.Duration {
+// wire report. journaled says the journal holds rec: the job then keeps
+// no report bytes.
+func (j *Job) finish(rec store.JobRecord, journaled bool) {
 	wtrc := j.endTrace()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -170,7 +171,6 @@ func (j *Job) finish(rec store.JobRecord, journaled bool) time.Duration {
 	rec.Report, rec.Defects = nil, nil
 	j.rec = rec
 	j.tr, j.wtrc = nil, wtrc
-	return rec.Finished.Sub(rec.Started)
 }
 
 // fail records a failed analysis.
@@ -217,21 +217,6 @@ func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.rec.Attempts
-}
-
-// WorkloadSeed returns the pinned detection seed of a workload job (0
-// means the analyzer searches).
-func (j *Job) WorkloadSeed() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.wlSeed
-}
-
-// setWorkloadSeed records the requested detection seed.
-func (j *Job) setWorkloadSeed(seed int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.wlSeed = seed
 }
 
 // leaseTo marks the job delivered to a node at now and returns the new

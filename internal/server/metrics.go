@@ -6,9 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wolf/internal/core"
+	"wolf/internal/fleet"
 	"wolf/internal/obs"
-	"wolf/internal/replay"
 )
 
 // FailReason labels the reason dimension of wolfd_jobs_failed_total.
@@ -127,10 +126,10 @@ type Metrics struct {
 	DefectsConfirmed  atomic.Int64
 	DefectsUnknown    atomic.Int64
 
-	// Latency distributions. The phase histograms observe the per-job
-	// core.Timings (themselves derived from obs spans); QueueWait covers
-	// admission to worker pickup; Analysis is end-to-end wall clock on
-	// the worker, including server-side workload recording.
+	// Latency distributions. The phase histograms observe each
+	// completion's tally; QueueWait covers admission to the first lease;
+	// Analysis is wall clock from a job's first lease to its verdict in
+	// either role, or a synchronous analysis's run.
 	QueueWait     obs.Histogram
 	PhaseDetect   obs.Histogram
 	PhasePrune    obs.Histogram
@@ -174,28 +173,26 @@ func (m *Metrics) JobsFailed() int64 {
 		m.JobsWatchdogged.Load() + m.JobsDrained.Load() + m.JobsReassignEx.Load()
 }
 
-// observe folds one completed analysis into the registry.
-func (m *Metrics) observe(rep *core.Report, total time.Duration) {
+// observe folds one completed analysis, its tally and its wall clock,
+// into the registry.
+func (m *Metrics) observe(t fleet.Tally, analysis time.Duration) {
 	m.JobsCompleted.Add(1)
-	m.PhaseDetect.Observe(rep.Timings.CycleDetect)
-	m.PhasePrune.Observe(rep.Timings.Prune)
-	m.PhaseGenerate.Observe(rep.Timings.Generate)
-	m.Analysis.Observe(total)
-	m.CyclesTotal.Add(int64(len(rep.Cycles)))
-	pruned, infeasible, confirmed, unknown := rep.CountDefects()
-	m.DefectsPruned.Add(int64(pruned))
-	m.DefectsInfeasible.Add(int64(infeasible))
-	m.DefectsConfirmed.Add(int64(confirmed))
-	m.DefectsUnknown.Add(int64(unknown))
-	for _, cr := range rep.Cycles {
-		for reason, n := range cr.Divergence.ByName() {
-			m.ReplayDivergence.Add(reason, int64(n))
-		}
-		if cr.ReplayMethod != replay.MethodNone {
-			m.ReplayConfirmed.Add(string(cr.ReplayMethod), 1)
-		}
-		m.FaultsInjected.Add(int64(cr.Faults.Total()))
+	m.PhaseDetect.Observe(t.Detect)
+	m.PhasePrune.Observe(t.Prune)
+	m.PhaseGenerate.Observe(t.Generate)
+	m.Analysis.Observe(analysis)
+	m.CyclesTotal.Add(int64(t.Cycles))
+	m.DefectsPruned.Add(int64(t.Pruned))
+	m.DefectsInfeasible.Add(int64(t.Infeasible))
+	m.DefectsConfirmed.Add(int64(t.Confirmed))
+	m.DefectsUnknown.Add(int64(t.Unknown))
+	for reason, n := range t.Divergence {
+		m.ReplayDivergence.Add(reason, int64(n))
 	}
+	for method, n := range t.Confirmations {
+		m.ReplayConfirmed.Add(method, int64(n))
+	}
+	m.FaultsInjected.Add(int64(t.Faults))
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
@@ -261,7 +258,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, c tableCounts, coordinator bool) 
 	m.PhaseDetect.WritePrometheus(w, "wolfd_phase_detect_seconds", "Per-job cycle-detection latency.", "")
 	m.PhasePrune.WritePrometheus(w, "wolfd_phase_prune_seconds", "Per-job pruner latency.", "")
 	m.PhaseGenerate.WritePrometheus(w, "wolfd_phase_generate_seconds", "Per-job generator latency.", "")
-	m.Analysis.WritePrometheus(w, "wolfd_analysis_seconds", "Per-job end-to-end analysis latency.", "")
+	m.Analysis.WritePrometheus(w, "wolfd_analysis_seconds", "Per-job time from first lease to verdict.", "")
 	m.StreamBytes.WritePrometheusValues(w, "wolfd_stream_bytes", "Total bytes per ingestion stream, observed at stream end.", "")
 
 	bi := obs.ReadBuildInfo()

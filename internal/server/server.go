@@ -53,7 +53,6 @@ import (
 	"wolf/internal/fingerprint"
 	"wolf/internal/fleet"
 	"wolf/internal/obs"
-	"wolf/internal/report"
 	"wolf/internal/store"
 	"wolf/internal/trace"
 	"wolf/internal/workloads"
@@ -251,7 +250,7 @@ func New(cfg Config) *Server {
 			// the analyzer records itself) goes back to the fleet instead
 			// of being failed. Everything else takes the single-process
 			// path: terminal jobs restore as-is, unrecoverable ones fail.
-			if s.coordinator() && !terminalRecord(rec) && recoverableRecord(rec, cfg.Store) {
+			if s.coordinator() && requeueable(rec, cfg.Store) {
 				j := s.jobs.restoreQueued(rec)
 				requeued = append(requeued, j)
 				s.persistJob(j)
@@ -346,24 +345,16 @@ func (s *Server) collectGarbage(now time.Time) {
 	}})
 }
 
-// terminalRecord reports whether a persisted job record is done or
-// failed.
-func terminalRecord(rec store.JobRecord) bool {
+// requeueable reports whether a restarted coordinator sends a persisted
+// job back to the fleet: it never finished, and its work is still
+// deliverable, as a trace blob in the corpus or a workload the analyzer
+// records itself.
+func requeueable(rec store.JobRecord, st *store.Store) bool {
 	switch JobState(rec.State) {
 	case StateDone, StateFailed:
-		return true
+		return false
 	}
-	return false
-}
-
-// recoverableRecord reports whether a restarted coordinator can still
-// deliver the job's work: the trace blob is in the corpus, or the job
-// is a workload an analyzer records itself.
-func recoverableRecord(rec store.JobRecord, st *store.Store) bool {
-	if rec.TraceHash != "" && st.HasTrace(rec.TraceHash) {
-		return true
-	}
-	return strings.HasPrefix(rec.Source, "workload:")
+	return rec.TraceHash != "" && st.HasTrace(rec.TraceHash) || strings.HasPrefix(rec.Source, "workload:")
 }
 
 // persistJob appends the job's current state to the corpus job log. A
@@ -431,7 +422,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	for _, j := range s.table.close() {
-		s.failJob(j, FailDrained, "server draining: job was queued but never started", "drained")
+		s.failJob(j, FailDrained, "server draining: job was queued but never started", "drained", "")
 		s.cfg.Logger.Info("job drained", "job", j.ID, "source", j.Source(), "trace", j.TraceID())
 	}
 	s.stopOnce.Do(func() { close(s.stop) })
@@ -468,7 +459,7 @@ func (s *Server) readTrace(w http.ResponseWriter, r *http.Request) (*trace.Trace
 			return nil, false
 		}
 		defer zr.Close()
-		in = http.MaxBytesReader(w, readCloser{zr}, s.cfg.MaxUploadBytes)
+		in = http.MaxBytesReader(w, io.NopCloser(zr), s.cfg.MaxUploadBytes)
 	}
 	tr, err := trace.Decode(in)
 	if err != nil {
@@ -510,12 +501,6 @@ func (s *Server) rejectTrace(w http.ResponseWriter, err error, ss *streamSession
 	httpError(w, status, msg)
 }
 
-// readCloser adapts a gzip reader for MaxBytesReader (which wants a
-// ReadCloser).
-type readCloser struct{ *gzip.Reader }
-
-func (rc readCloser) Close() error { return rc.Reader.Close() }
-
 // handleUpload is POST /v1/traces: decode, archive in the corpus,
 // enqueue, 202. The traceparent header (minted when absent) becomes the
 // job's causal identity and is echoed in the response.
@@ -551,7 +536,7 @@ func (s *Server) handleWorkloadJob(w http.ResponseWriter, r *http.Request) {
 		seed = parsed
 	}
 	j := s.jobs.add("workload:"+name, traceID, nil)
-	j.setWorkloadSeed(seed)
+	j.wlSeed = seed
 	s.admit(w, j)
 }
 
@@ -586,9 +571,10 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 }
 
 // handleAnalyzeSync is POST /v1/analyze: run the pipeline inline on the
-// request and return the report directly. The analysis runs under the
-// request context, so a client disconnect cancels it, in an analysis
-// slot on the synchronous runner (runSync). Failures are counted.
+// request and return the report directly, in the compact form GET
+// /v1/jobs/{id}/report serves. The analysis runs under the request
+// context, so a client disconnect cancels it, in an analysis slot on
+// the synchronous runner (runSync). Failures are counted.
 func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.analysisSlot(w)
 	if !ok {
@@ -601,24 +587,23 @@ func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, status := s.runSync(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
+	res, _, status := s.runSync(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
 	if !res.OK {
 		s.metrics.Fail(FailReason(res.Reason))
 		httpError(w, status, res.Error)
 		return
 	}
-	rep := res.Analysis
 	if s.cfg.Store != nil {
 		if hash, _, perr := s.cfg.Store.PutTrace(r.Context(), tr); perr == nil {
 			// No job: the delta is journaled as a record of its own.
-			updated, err := s.cfg.Store.Record(r.Context(), hash, rep, "", time.Now())
+			updated, err := s.cfg.Store.RecordSummaries(r.Context(), hash, res.Summaries, "", time.Now())
 			s.defectsRecorded("", "", updated, err)
 		} else {
 			s.cfg.Logger.Error("archive trace", "source", "sync", "trace", traceID, "err", perr)
 		}
 	}
-	s.metrics.observe(rep, time.Since(start))
-	writeJSON(w, http.StatusOK, report.FromCore(rep))
+	s.metrics.observe(res.Tally, time.Since(start))
+	writeRaw(w, res.Report)
 }
 
 // analysisSlot takes one of the Workers slots that analyses on the
@@ -641,20 +626,21 @@ func (s *Server) analysisSlot(w http.ResponseWriter) (release func(), ok bool) {
 
 // runSync runs one analysis on the synchronous runner, which applies
 // the per-job timeout, panic recovery and watchdog of every leased job,
-// and returns its completion with the status a failure answers: 504 on
-// a timeout, 400 on another analysis error, 500 on a panic or watchdog.
-func (s *Server) runSync(ctx context.Context, w fleet.WorkView) (fleet.CompleteRequest, int) {
-	res := s.syncRunner.Analyze(ctx, w)
+// and returns its completion, the report it renders when it succeeded,
+// and the status a failure answers: 504 on a timeout, 400 on another
+// analysis error, 500 on a panic or watchdog.
+func (s *Server) runSync(ctx context.Context, w fleet.WorkView) (fleet.CompleteRequest, *core.Report, int) {
+	res, rep := s.syncRunner.Analyze(ctx, w)
 	if res.OK {
-		return res, http.StatusOK
+		return res, rep, http.StatusOK
 	}
 	switch FailReason(res.Reason) {
 	case FailTimeout:
-		return res, http.StatusGatewayTimeout
+		return res, nil, http.StatusGatewayTimeout
 	case FailError:
-		return res, http.StatusBadRequest
+		return res, nil, http.StatusBadRequest
 	}
-	return res, http.StatusInternalServerError
+	return res, nil, http.StatusInternalServerError
 }
 
 // handleWorkloads is GET /v1/workloads: the shared registry.
@@ -721,9 +707,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if raw != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(raw)
+			writeRaw(w, raw)
 			return
 		}
 		httpError(w, http.StatusGone, "report not preserved across wolfd restart")
@@ -737,23 +721,35 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // jobTrace returns the job's trace: decoded in memory while it waits or
 // runs, else decoded from the WTRC bytes it keeps or from its corpus
-// blob. It returns nil, and no error, when the trace is not recorded
-// yet or its blob was deleted.
-func (s *Server) jobTrace(j *Job) (*trace.Trace, error) {
+// blob. Without one it answers why and reports false: 500 when the
+// trace is unreadable, 410 once the job is finished without a stored
+// trace, and 409 with Retry-After while the trace is not recorded yet.
+func (s *Server) jobTrace(w http.ResponseWriter, j *Job) (*trace.Trace, bool) {
+	finished := j.terminal() // first: a finished job's trace stays put
 	tr, wtrc, hash := j.traceSource()
+	var err error
 	switch {
 	case tr != nil:
-		return tr, nil
 	case wtrc != nil:
-		return trace.ReadBinary(bytes.NewReader(wtrc))
+		tr, err = trace.ReadBinary(bytes.NewReader(wtrc))
 	case hash != "" && s.cfg.Store != nil:
-		tr, err := s.cfg.Store.GetTrace(hash)
-		if errors.Is(err, store.ErrNotFound) {
-			return nil, nil
+		if tr, err = s.cfg.Store.GetTrace(hash); errors.Is(err, store.ErrNotFound) {
+			err = nil
 		}
-		return tr, err
 	}
-	return nil, nil
+	switch {
+	case err != nil:
+		s.cfg.Logger.Error("read trace", "job", j.ID, "err", err)
+		httpError(w, http.StatusInternalServerError, "trace unreadable: "+err.Error())
+	case tr != nil:
+		return tr, true
+	case finished:
+		httpError(w, http.StatusGone, "the job's trace is not stored")
+	default:
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusConflict, "trace not recorded yet")
+	}
+	return nil, false
 }
 
 // handleDot is GET /v1/jobs/{id}/dot?signature=SIG: the synchronization
@@ -772,14 +768,8 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job not finished")
 		return
 	}
-	tr, err := s.jobTrace(j)
-	if err != nil {
-		s.cfg.Logger.Error("read trace", "job", j.ID, "err", err)
-		httpError(w, http.StatusInternalServerError, "trace unreadable: "+err.Error())
-		return
-	}
-	if tr == nil {
-		httpError(w, http.StatusGone, "graph unavailable: the job's trace is not stored")
+	tr, ok := s.jobTrace(w, j)
+	if !ok {
 		return
 	}
 	release, ok := s.analysisSlot(w)
@@ -787,13 +777,13 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, status := s.runSync(r.Context(), fleet.WorkView{Job: j.ID, Source: "dot", TraceID: j.TraceID(), Trace: tr})
+	res, rep, status := s.runSync(r.Context(), fleet.WorkView{Job: j.ID, Source: "dot", TraceID: j.TraceID(), Trace: tr})
 	if !res.OK {
 		httpError(w, status, res.Error)
 		return
 	}
 	want := r.URL.Query().Get("signature")
-	for _, d := range res.Analysis.Defects {
+	for _, d := range rep.Defects {
 		if want != "" && d.Signature != want {
 			continue
 		}
@@ -815,17 +805,16 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 // trace rendered as Chrome trace-event JSON, loadable in Perfetto or
 // chrome://tracing. Available as soon as the trace exists (uploads:
 // immediately; workload jobs: once an in-process analyzer recorded it),
-// and while the job keeps it or the corpus holds its blob.
+// and while the job keeps it or the corpus holds its blob; jobTrace
+// answers otherwise, as for dot.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	tr, err := s.jobTrace(j)
-	if err != nil || tr == nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusConflict, "trace not recorded yet")
+	tr, ok := s.jobTrace(w, j)
+	if !ok {
 		return
 	}
 	tl := obs.NewTimeline()
@@ -1088,6 +1077,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// writeRaw answers 200 with a JSON body already encoded.
+func writeRaw(w http.ResponseWriter, raw []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(raw)
 }
 
 // httpError renders a JSON error body.

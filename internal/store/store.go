@@ -551,16 +551,16 @@ type CycleSummary struct {
 	Method    string `json:"method,omitempty"`
 }
 
-// Summarize distills a report into the per-fingerprint summaries Record
-// would fold in: false positives are excluded (refuted, not defects)
+// Summarize distills a report into the per-fingerprint summaries the
+// corpus folds in: false positives are excluded (refuted, not defects)
 // and each fingerprint appears once no matter how many cycles collapse
-// to it, with the first cycle providing the summary — exactly the
-// dedup Record has always applied.
+// to it, with the first cycle providing the summary. A cycle report
+// without a cycle has nothing to fingerprint and is skipped.
 func Summarize(rep *core.Report) []CycleSummary {
 	seen := make(map[string]bool)
 	var out []CycleSummary
 	for _, cr := range rep.Cycles {
-		if cr.Class.IsFalse() {
+		if cr.Class.IsFalse() || cr.Cycle == nil {
 			continue
 		}
 		fp := fingerprint.Of(cr.Cycle)
@@ -582,37 +582,27 @@ func Summarize(rep *core.Report) []CycleSummary {
 	return out
 }
 
-// Record folds one analysis into the defect corpus without a job: every
-// confirmed or still-candidate cycle of rep (false positives are
-// excluded — they are refuted, not defects) is fingerprinted and merged
-// into its defect record. One analysis contributes at most one
-// occurrence per fingerprint no matter how many of its cycles collapse
-// to it. source tags the defect with the workload that produced the
-// trace ("workload:NAME" or a bare name; empty adds nothing). The fold
-// is journaled as a record of its own before Record returns; it reports
-// the fingerprints it touched.
-func (s *Store) Record(ctx context.Context, traceHash string, rep *core.Report, source string, now time.Time) ([]string, error) {
-	return s.RecordSummaries(ctx, traceHash, Summarize(rep), source, now)
-}
-
-// RecordSummaries is Record over pre-distilled cycle summaries.
-// Fingerprints are untrusted wire input and become filenames, so a call
-// with any summary whose fingerprint is not a plain hex digest is
-// rejected whole. Duplicate fingerprints within one call are collapsed
-// (first wins), matching Summarize's dedup for callers that bypass it.
+// RecordSummaries folds one analysis's Summarize output into the defect
+// corpus without a job, journaled as a record of its own before it
+// returns, and reports the fingerprints it touched. source tags the
+// defects with the workload that produced the trace ("workload:NAME" or
+// a bare name; empty adds nothing). Fingerprints are untrusted wire
+// input that become filenames: a call with any that is not a plain hex
+// digest is rejected whole. Duplicates collapse, first wins, so one
+// analysis adds at most one occurrence per fingerprint.
 func (s *Store) RecordSummaries(ctx context.Context, traceHash string, sums []CycleSummary, source string, now time.Time) ([]string, error) {
 	return s.fold(ctx, JobRecord{TraceHash: traceHash, Source: source, Finished: now}, sums)
 }
 
 // FinishJob appends rec, a job's terminal record, carrying the defect
-// delta of sums: the summaries of the remote-completion path or
-// Summarize of a local report, validated as RecordSummaries validates
-// them, folded with rec.TraceHash as the trace, rec.Source as the
-// source and rec.Finished as the time. That one fsynced append is the
-// verdict's durable write; the fold into the in-memory corpus follows
-// it, so once FinishJob returns, readers see the defects and a crash
-// keeps them. When a summary is invalid no defect changes, rec is still
-// appended (without a delta) and an ErrInvalidSummary is returned.
+// delta of sums, a completion's Summarize output, validated as
+// RecordSummaries validates them, folded with rec.TraceHash as the
+// trace, rec.Source as the source and rec.Finished as the time. That
+// one fsynced append is the verdict's durable write; the fold into the
+// in-memory corpus follows it, so once FinishJob returns, readers see
+// the defects and a crash keeps them. When a summary is invalid no
+// defect changes, rec is still appended (without a delta) and an
+// ErrInvalidSummary is returned.
 func (s *Store) FinishJob(ctx context.Context, rec JobRecord, sums []CycleSummary) ([]string, error) {
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: job record without an ID")

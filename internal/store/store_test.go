@@ -159,10 +159,10 @@ func TestRecordAggregatesByFingerprint(t *testing.T) {
 	}
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	t1 := t0.Add(time.Hour)
-	if _, err := s.Record(ctx, h1, rep1, "workload:figure4", t0); err != nil {
+	if _, err := s.RecordSummaries(ctx, h1, Summarize(rep1), "workload:figure4", t0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Record(ctx, h2, rep2, "workload:figure4", t1); err != nil {
+	if _, err := s.RecordSummaries(ctx, h2, Summarize(rep2), "workload:figure4", t1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +189,7 @@ func TestRecordAggregatesByFingerprint(t *testing.T) {
 
 	// Re-recording the same trace's analysis counts another occurrence
 	// but does not duplicate the trace hash.
-	if _, err := s.Record(ctx, h1, rep1, "workload:figure4", t1.Add(time.Hour)); err != nil {
+	if _, err := s.RecordSummaries(ctx, h1, Summarize(rep1), "workload:figure4", t1.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	d2, ok := s.Defect(d.Fingerprint)
@@ -212,7 +212,7 @@ func TestRecordSkipsFalsePositives(t *testing.T) {
 	for _, cr := range rep.Cycles {
 		cr.Class = core.FalseByPruner
 	}
-	updated, err := s.Record(context.Background(), "", rep, "", time.Now())
+	updated, err := s.RecordSummaries(context.Background(), "", Summarize(rep), "", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestReopenRebuildsIndexByScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := analyze(t, tr)
-	if _, err := s.Record(ctx, hash, rep, "upload", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, Summarize(rep), "upload", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendJob(JobRecord{ID: "j-000001", State: "done", Source: "upload", TraceHash: hash}); err != nil {
@@ -357,7 +357,7 @@ func TestPutTraceEmitsSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := analyze(t, tr)
-	if _, err := s.Record(ctx, hash, rep, "upload", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, Summarize(rep), "upload", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Count("store.put-trace") != 1 {
