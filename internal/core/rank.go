@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "sort"
 
 // Rank orders the report's defects for human triage, implementing the
 // ranking the paper proposes in Section 4.4: instead of discarding
@@ -61,30 +57,4 @@ func minGs(d *DefectReport) int {
 		}
 	}
 	return best
-}
-
-// ScoreDefect is the corpus-level triage score of one defect record:
-// the cross-run counterpart of Report.Rank, which only orders the
-// cycles of a single analysis. A confirmed reproduction dominates
-// everything (the paper's replay oracle is the strongest evidence
-// available), occurrence count contributes logarithmically (a defect
-// seen in 100 runs is more urgent than one seen twice, but not 50x),
-// and recency adds a decaying bonus with a one-week half-life so
-// actively-recurring defects surface above historical ones.
-func ScoreDefect(confirmed bool, occurrences int, lastSeen, now time.Time) float64 {
-	var score float64
-	if confirmed {
-		score += 1000
-	}
-	if occurrences > 0 {
-		score += 10 * math.Log2(1+float64(occurrences))
-	}
-	if !lastSeen.IsZero() {
-		ageDays := now.Sub(lastSeen).Hours() / 24
-		if ageDays < 0 {
-			ageDays = 0
-		}
-		score += 5 * math.Exp2(-ageDays/7)
-	}
-	return score
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRankOrder: confirmed defects first, unknowns by ascending Gs,
 // generator refutations above pruner refutations.
@@ -63,50 +59,5 @@ func TestRankOnRealPipeline(t *testing.T) {
 	}
 	if ranked[2].Class != FalseByGenerator {
 		t.Fatalf("bottom rank = %v, want false(generator)", ranked[2].Class)
-	}
-}
-
-// TestScoreDefect pins the corpus triage score's ordering properties:
-// confirmation dominates, occurrences are monotone, and recency decays
-// with a one-week half-life.
-func TestScoreDefect(t *testing.T) {
-	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	fresh := now.Add(-time.Hour)
-
-	// A confirmed singleton outranks any unconfirmed record, no matter
-	// how often or recently the latter recurred.
-	confirmed := ScoreDefect(true, 1, now.Add(-365*24*time.Hour), now)
-	hotCandidate := ScoreDefect(false, 1_000_000, now, now)
-	if confirmed <= hotCandidate {
-		t.Fatalf("confirmed %f <= hot candidate %f", confirmed, hotCandidate)
-	}
-
-	// More occurrences never score lower.
-	prev := -1.0
-	for _, occ := range []int{0, 1, 2, 10, 100, 10_000} {
-		s := ScoreDefect(false, occ, fresh, now)
-		if s <= prev {
-			t.Fatalf("score not monotone in occurrences: occ=%d score=%f prev=%f", occ, s, prev)
-		}
-		prev = s
-	}
-
-	// Recency: newer last-seen scores higher, and a week of age halves
-	// the recency component.
-	recent := ScoreDefect(false, 5, fresh, now)
-	stale := ScoreDefect(false, 5, now.Add(-30*24*time.Hour), now)
-	if recent <= stale {
-		t.Fatalf("recent %f <= stale %f", recent, stale)
-	}
-	base := ScoreDefect(false, 5, time.Time{}, now)
-	weekOld := ScoreDefect(false, 5, now.Add(-7*24*time.Hour), now)
-	atNow := ScoreDefect(false, 5, now, now)
-	if got, want := weekOld-base, (atNow-base)/2; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("one-week decay = %f, want half of %f", got, atNow-base)
-	}
-
-	// A clock-skewed future last-seen clamps instead of exploding.
-	if skew := ScoreDefect(false, 5, now.Add(time.Hour), now); skew != atNow {
-		t.Fatalf("future last-seen = %f, want clamped to %f", skew, atNow)
 	}
 }

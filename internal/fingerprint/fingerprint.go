@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"wolf/internal/detect"
-	"wolf/internal/trace"
 )
 
 // version salts the hash so a future change to the abstraction cannot
@@ -58,28 +57,19 @@ func (e Edge) canon() string {
 	return e.Thread + "\x1f" + e.Lock + "\x1f" + e.Site + "\x1f" + strings.Join(e.Stack, "\x1e")
 }
 
-// Abstract maps one Dσ tuple to its edge abstraction.
-func Abstract(tp *trace.Tuple) Edge {
-	e := Edge{
-		Thread: ThreadAbs(tp.Thread),
-		Lock:   LockAbs(tp.Lock),
-		Site:   tp.Site,
-	}
-	if len(tp.Held) > 0 {
-		e.Stack = make([]string, len(tp.Held))
-		for i, h := range tp.Held {
-			e.Stack[i] = h.Site
-		}
-	}
-	return e
-}
-
-// Edges abstracts every edge of the cycle and sorts them canonically, so
-// the result is invariant under cycle rotation and thread renaming.
+// Edges abstracts every edge of the cycle (see Edge) and sorts them
+// canonically, so the result is invariant under cycle rotation and
+// thread renaming.
 func Edges(c *detect.Cycle) []Edge {
 	out := make([]Edge, len(c.Tuples))
 	for i, tp := range c.Tuples {
-		out[i] = Abstract(tp)
+		out[i] = Edge{Thread: ThreadAbs(tp.Thread), Lock: LockAbs(tp.Lock), Site: tp.Site}
+		if len(tp.Held) > 0 {
+			out[i].Stack = make([]string, len(tp.Held))
+			for j, h := range tp.Held {
+				out[i].Stack[j] = h.Site
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].canon() < out[j].canon() })
 	return out
@@ -89,10 +79,14 @@ func Edges(c *detect.Cycle) []Edge {
 // abstractions, hex encoded. Per-run identities — thread ordinals, lock
 // instances, execution indices, occurrence counters, tuple order — do
 // not influence the hash.
-func Of(c *detect.Cycle) string {
+func Of(c *detect.Cycle) string { return Hash(Edges(c)) }
+
+// Hash returns the fingerprint of a cycle whose sorted edge
+// abstractions (Edges) are edges.
+func Hash(edges []Edge) string {
 	h := sha256.New()
 	h.Write([]byte(version))
-	for _, e := range Edges(c) {
+	for _, e := range edges {
 		h.Write([]byte{'\n'})
 		h.Write([]byte(e.canon()))
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"wolf/internal/core"
 	"wolf/internal/httpx"
 	"wolf/internal/obs"
-	"wolf/internal/replay"
 	"wolf/internal/report"
 	"wolf/internal/store"
 	"wolf/internal/trace"
@@ -466,16 +466,18 @@ func (a *Analyzer) Analyze(ctx context.Context, w WorkView) (CompleteRequest, *c
 func failure(reason, msg string) CompleteRequest { return CompleteRequest{Reason: reason, Error: msg} }
 
 // completion renders a successful analysis of w's trace tr in wire
-// form: the report, its corpus summaries, its metrics tally and, when
-// ship is set (a trace the analyzer recorded itself with no in-process
-// hook to take it), the trace's WTRC. A report or trace that cannot be
-// encoded fails the item.
+// form: the report, the corpus summaries and metrics tally read off it
+// before it is marshalled and, when ship is set (a trace the analyzer
+// recorded itself with no in-process hook to take it), the trace's
+// WTRC. A report or trace that cannot be encoded fails the item.
 func completion(w WorkView, tr *trace.Trace, ship bool, rep *core.Report) CompleteRequest {
-	raw, err := json.Marshal(report.FromCore(rep))
+	jr := report.FromCore(rep)
+	raw, err := json.Marshal(jr)
 	if err != nil {
 		return failure(ReasonError, "encode report: "+err.Error())
 	}
-	req := CompleteRequest{OK: true, Report: raw, Summaries: store.Summarize(rep), Tally: tallyOf(rep), TraceHash: w.TraceHash}
+	req := CompleteRequest{OK: true, Report: raw, TraceHash: w.TraceHash}
+	req.Summaries, req.Tally = verdicts(jr)
 	if ship {
 		hash, wtrc, err := store.HashTrace(tr)
 		if err != nil {
@@ -486,23 +488,52 @@ func completion(w WorkView, tr *trace.Trace, ship bool, rep *core.Report) Comple
 	return req
 }
 
-// tallyOf counts what rep adds to the verdict metrics.
-func tallyOf(rep *core.Report) Tally {
-	t := Tally{Cycles: len(rep.Cycles), Detect: rep.Timings.CycleDetect, Prune: rep.Timings.Prune, Generate: rep.Timings.Generate}
-	t.Pruned, t.Infeasible, t.Confirmed, t.Unknown = rep.CountDefects()
-	div := replay.Divergence{}
-	for _, cr := range rep.Cycles {
-		div.Merge(cr.Divergence)
-		if cr.ReplayMethod != replay.MethodNone {
+// verdicts reads off jr what a completion carries beside it: the corpus
+// summaries, one per fingerprint from its first cycle that is not a
+// refuted false positive, and the metrics tally. Verdict classes are
+// read by their wire names, "confirmed", "false(pruner)" and so on.
+func verdicts(jr *report.JSONReport) (sums []store.CycleSummary, t Tally) {
+	t = Tally{Cycles: len(jr.Cycles), Detect: time.Duration(jr.Timings.CycleDetectNs),
+		Prune: time.Duration(jr.Timings.PruneNs), Generate: time.Duration(jr.Timings.GenerateNs)}
+	for _, d := range jr.Defects {
+		switch d.Class {
+		case "false(pruner)":
+			t.Pruned++
+		case "false(generator)", "false(data)":
+			t.Infeasible++
+		case "confirmed":
+			t.Confirmed++
+		default:
+			t.Unknown++
+		}
+	}
+	seen := make(map[string]bool)
+	for i := range jr.Cycles {
+		c := &jr.Cycles[i]
+		if c.ReplayMethod != "" {
 			if t.Confirmations == nil {
 				t.Confirmations = map[string]int{}
 			}
-			t.Confirmations[string(cr.ReplayMethod)]++
+			t.Confirmations[c.ReplayMethod]++
 		}
-		t.Faults += cr.Faults.Total()
+		for reason, n := range c.Divergence {
+			if t.Divergence == nil {
+				t.Divergence = map[string]int{}
+			}
+			t.Divergence[reason] += n
+		}
+		t.Faults += c.Faults
+		if c.Fingerprint == "" || seen[c.Fingerprint] || strings.HasPrefix(c.Class, "false(") {
+			continue
+		}
+		seen[c.Fingerprint] = true
+		cs := store.CycleSummary{Fingerprint: c.Fingerprint, Signature: c.Signature, Edges: c.Edges()}
+		if c.Class == "confirmed" {
+			cs.Confirmed, cs.Method = true, c.ReplayMethod
+		}
+		sums = append(sums, cs)
 	}
-	t.Divergence = div.ByName()
-	return t
+	return sums, t
 }
 
 // complete delivers one result and logs the coordinator's verdict.

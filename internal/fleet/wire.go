@@ -153,7 +153,8 @@ type CompleteRequest struct {
 	// report endpoint.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Summaries are the per-fingerprint defect summaries the server
-	// folds into its corpus (store.Summarize output).
+	// folds into its corpus, read off Report's cycles: the first
+	// unrefuted cycle of each fingerprint.
 	Summaries []store.CycleSummary `json:"summaries,omitempty"`
 	// Tally is what the run adds to the server's verdict metrics.
 	Tally Tally `json:"tally,omitzero"`
@@ -167,9 +168,10 @@ type CompleteRequest struct {
 }
 
 // Tally is what one successful analysis adds to the server's verdict
-// metrics, counted by the analyzer from the report it holds so that the
-// server never decodes a report to count it. Phase durations travel in
-// nanoseconds: a phase often takes less than a millisecond.
+// metrics, counted by the analyzer from the wire report before it is
+// marshalled, so that the server never decodes a report to count it.
+// Phase durations travel in nanoseconds: a phase often takes less than
+// a millisecond.
 type Tally struct {
 	Cycles int `json:"cycles"`
 	// Defects by verdict class.

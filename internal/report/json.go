@@ -1,8 +1,6 @@
 package report
 
 import (
-	"time"
-
 	"wolf/internal/core"
 	"wolf/internal/fingerprint"
 )
@@ -72,7 +70,15 @@ type JSONCycle struct {
 	// Faults counts injected scheduling perturbations, when the analysis
 	// ran under fault injection.
 	Faults int `json:"faults,omitempty"`
+
+	// edges are the sorted edge abstractions Fingerprint hashes. They
+	// are not part of the wire form: a decoded report has none.
+	edges []fingerprint.Edge
 }
+
+// Edges returns the sorted edge abstractions the cycle's fingerprint
+// hashes, as FromCore computed them; nil for a decoded report.
+func (c *JSONCycle) Edges() []fingerprint.Edge { return c.edges }
 
 // JSONTimings mirrors core.Timings in nanoseconds.
 type JSONTimings struct {
@@ -85,6 +91,9 @@ type JSONTimings struct {
 }
 
 // FromCore converts a pipeline report into its wire representation.
+// Each cycle's edge abstractions are computed once, hashed into its
+// fingerprint and kept on the cycle (JSONCycle.Edges), so a completion
+// reads its corpus summaries off the result.
 func FromCore(rep *core.Report) *JSONReport {
 	out := &JSONReport{
 		Tool:    rep.Tool,
@@ -120,8 +129,13 @@ func FromCore(rep *core.Report) *JSONReport {
 			Faults:           cr.Faults.Total(),
 		}
 		if c := cr.Cycle; c != nil {
-			jc.Threads, jc.Locks, jc.Sites = c.Threads(), cycleLocks(cr), c.Sites()
-			jc.Signature, jc.Fingerprint = c.Signature(), fingerprint.Of(c)
+			n := len(c.Tuples)
+			jc.Threads, jc.Locks, jc.Sites = make([]string, n), make([]string, n), make([]string, n)
+			for i, tp := range c.Tuples {
+				jc.Threads[i], jc.Locks[i], jc.Sites[i] = tp.Thread, tp.Lock, tp.Site
+			}
+			jc.edges = fingerprint.Edges(c)
+			jc.Signature, jc.Fingerprint = c.Signature(), fingerprint.Hash(jc.edges)
 		}
 		if cr.PruneReason != nil {
 			jc.PruneRule = cr.PruneReason.Rule
@@ -129,19 +143,4 @@ func FromCore(rep *core.Report) *JSONReport {
 		out.Cycles = append(out.Cycles, jc)
 	}
 	return out
-}
-
-// cycleLocks lists the locks being acquired, in cycle order.
-func cycleLocks(cr *core.CycleReport) []string {
-	out := make([]string, len(cr.Cycle.Tuples))
-	for i, tp := range cr.Cycle.Tuples {
-		out[i] = tp.Lock
-	}
-	return out
-}
-
-// Analysis is the total offline analysis time (detect + prune +
-// generate) as a duration, for clients and tests.
-func (t JSONTimings) Analysis() time.Duration {
-	return time.Duration(t.CycleDetectNs + t.PruneNs + t.GenerateNs)
 }

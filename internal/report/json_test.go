@@ -3,9 +3,11 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"wolf/internal/core"
+	"wolf/internal/fingerprint"
 	"wolf/internal/workloads"
 )
 
@@ -63,7 +65,53 @@ func TestFromCoreFigure4(t *testing.T) {
 	if back.Tool != jr.Tool || len(back.Defects) != len(jr.Defects) || len(back.Cycles) != len(jr.Cycles) {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-	if back.Timings.Analysis() <= 0 {
+	if back.Timings != jr.Timings || back.Timings == (JSONTimings{}) {
 		t.Fatal("timings lost")
+	}
+}
+
+// TestFromCoreKeepsEdges: each wire cycle keeps the sorted edge
+// abstractions its fingerprint hashes, off the wire: the report bytes
+// carry no edges, and a decoded report re-encodes to the same bytes.
+func TestFromCoreKeepsEdges(t *testing.T) {
+	w, ok := workloads.ByName("Jigsaw")
+	if !ok {
+		t.Fatal("Jigsaw not registered")
+	}
+	seed, ok := workloads.FindTerminatingSeed(w.New, 300)
+	if !ok {
+		t.Fatal("no terminating seed")
+	}
+	rep := core.AnalyzeTrace(core.Record(w.New, seed, 0), core.Config{})
+	jr := FromCore(rep)
+	if len(jr.Cycles) == 0 {
+		t.Fatal("no cycles")
+	}
+	for i := range jr.Cycles {
+		c, cyc := &jr.Cycles[i], rep.Cycles[i].Cycle
+		if !reflect.DeepEqual(c.Edges(), fingerprint.Edges(cyc)) {
+			t.Fatalf("cycle %d edges = %+v, want %+v", i, c.Edges(), fingerprint.Edges(cyc))
+		}
+		if fp := fingerprint.Of(cyc); c.Fingerprint != fp || fingerprint.Hash(c.Edges()) != fp {
+			t.Fatalf("cycle %d fingerprint = %s, its edges hash to %s, want %s", i, c.Fingerprint, fingerprint.Hash(c.Edges()), fp)
+		}
+	}
+	raw, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JSONReport
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Cycles[0].Edges() != nil {
+		t.Fatal("a decoded report carries edges")
+	}
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, again) {
+		t.Fatalf("report bytes changed across a round trip:\n%.300s\n%.300s", raw, again)
 	}
 }

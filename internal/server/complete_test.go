@@ -54,6 +54,17 @@ func parityAnalyze(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core
 	return rep, nil
 }
 
+// completionSummaries analyzes tr as an analyzer does and returns the
+// corpus summaries its completion carries.
+func completionSummaries(t *testing.T, tr *trace.Trace) []store.CycleSummary {
+	t.Helper()
+	req, _ := fleet.NewAnalyzerFor(nil, fleet.AnalyzerConfig{}).Analyze(context.Background(), fleet.WorkView{Trace: tr})
+	if !req.OK {
+		t.Fatalf("analysis failed: %s", req.Error)
+	}
+	return req.Summaries
+}
+
 // metricSeries reads every sample of /metrics, keyed by series.
 func metricSeries(t *testing.T, base string) map[string]float64 {
 	t.Helper()

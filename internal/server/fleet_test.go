@@ -142,11 +142,7 @@ func TestFleetAnalyzerEndToEnd(t *testing.T) {
 	}
 
 	// The corpus must hold exactly what a local analysis records.
-	rep, err := core.AnalyzeTraceCtx(context.Background(), fig4Trace(t), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := store.Summarize(rep)
+	want := completionSummaries(t, fig4Trace(t))
 	if len(want) == 0 {
 		t.Fatal("local analysis found no defects to compare")
 	}
@@ -652,12 +648,8 @@ func TestCoordinatorRestartRequeuesLeased(t *testing.T) {
 
 	// Finish it like a real analyzer: analyze the shipped blob and
 	// deliver the summaries, which must land in the corpus.
-	rep, err := core.AnalyzeTraceCtx(context.Background(), tr, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := okComplete(fresh, id)
-	req.Summaries = store.Summarize(rep)
+	req.Summaries = completionSummaries(t, tr)
 	req.TraceHash = w2.TraceHash
 	var verdict fleet.CompleteView
 	if code := fleetPost(t, ts2.URL+"/v1/work/complete", req, &verdict); code != http.StatusOK || verdict.Result != "accepted" {

@@ -332,8 +332,9 @@ func TestQueueFull(t *testing.T) {
 	body := buf.Bytes()
 
 	// 1 job parks on the worker; 2 fill the queue. Subsequent uploads
-	// must bounce. (The parked job may or may not have been picked up
-	// yet, so fill to capacity + 1 first.)
+	// must bounce. The worker starts with the first admitted job, which
+	// holds a queue slot until it is leased, so the two that fill the
+	// queue wait for that lease.
 	ids := []string{}
 	for i := 0; i < 3; i++ {
 		code, out := postTrace(t, ts.URL+"/v1/traces", body, nil)
@@ -341,6 +342,12 @@ func TestQueueFull(t *testing.T) {
 			t.Fatalf("upload %d = %d", i, code)
 		}
 		ids = append(ids, out["id"].(string))
+		if i == 0 {
+			deadline := time.Now().Add(5 * time.Second)
+			for s.table.counts().leased == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 	// Wait until the worker has dequeued the first job so exactly
 	// QueueSize slots are occupied.

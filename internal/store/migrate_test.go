@@ -59,7 +59,7 @@ func seedCorpus(t *testing.T, dir string) (hash string, defects int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RecordSummaries(ctx, hash, Summarize(analyze(t, tr)), "workload:Figure4", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, summarize(analyze(t, tr)), "workload:Figure4", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	defects = len(s.Defects())
@@ -143,7 +143,7 @@ func TestOpenMovesFlatLayout(t *testing.T) {
 				}
 				rep := analyze(t, tr)
 				for i := 0; i < 2; i++ {
-					if _, err := s.RecordSummaries(ctx, hash, Summarize(rep), "workload:"+wl, time.Now()); err != nil {
+					if _, err := s.RecordSummaries(ctx, hash, summarize(rep), "workload:"+wl, time.Now()); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -17,11 +17,10 @@ package store
 // records, not the corpus.
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"time"
-
-	"wolf/internal/core"
 )
 
 // QueryOptions selects and orders defect records. Zero values mean
@@ -218,7 +217,7 @@ func (s *Store) Query(opts QueryOptions) QueryResult {
 	s.mu.Unlock()
 
 	for i := range page {
-		page[i].Rank = core.ScoreDefect(page[i].Class == ClassConfirmed, page[i].Occurrences, page[i].LastSeen, now)
+		page[i].Rank = scoreDefect(page[i].Class == ClassConfirmed, page[i].Occurrences, page[i].LastSeen, now)
 	}
 	sortDefects(page, opts.Sort)
 	total := len(page)
@@ -233,6 +232,32 @@ func (s *Store) Query(opts QueryOptions) QueryResult {
 		page = page[:opts.Limit]
 	}
 	return QueryResult{Defects: page, Total: total}
+}
+
+// scoreDefect is the corpus-level triage score of one defect record:
+// the cross-run counterpart of core's Report.Rank, which only orders the
+// cycles of a single analysis. A confirmed reproduction dominates
+// everything (the paper's replay oracle is the strongest evidence
+// available), occurrence count contributes logarithmically (a defect
+// seen in 100 runs is more urgent than one seen twice, but not 50x),
+// and recency adds a decaying bonus with a one-week half-life so
+// actively-recurring defects surface above historical ones.
+func scoreDefect(confirmed bool, occurrences int, lastSeen, now time.Time) float64 {
+	var score float64
+	if confirmed {
+		score += 1000
+	}
+	if occurrences > 0 {
+		score += 10 * math.Log2(1+float64(occurrences))
+	}
+	if !lastSeen.IsZero() {
+		ageDays := now.Sub(lastSeen).Hours() / 24
+		if ageDays < 0 {
+			ageDays = 0
+		}
+		score += 5 * math.Exp2(-ageDays/7)
+	}
+	return score
 }
 
 func matchDefect(rec *DefectRecord, opts QueryOptions) bool {

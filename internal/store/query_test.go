@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -209,5 +210,50 @@ func TestQueryEqualityUsesPostings(t *testing.T) {
 	s.mu.Unlock()
 	if len(cands) >= total {
 		t.Errorf("workload posting did not narrow candidates: %d of %d", len(cands), total)
+	}
+}
+
+// TestScoreDefect pins the corpus triage score's ordering properties:
+// confirmation dominates, occurrences are monotone, and recency decays
+// with a one-week half-life.
+func TestScoreDefect(t *testing.T) {
+	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	fresh := now.Add(-time.Hour)
+
+	// A confirmed singleton outranks any unconfirmed record, no matter
+	// how often or recently the latter recurred.
+	confirmed := scoreDefect(true, 1, now.Add(-365*24*time.Hour), now)
+	hotCandidate := scoreDefect(false, 1_000_000, now, now)
+	if confirmed <= hotCandidate {
+		t.Fatalf("confirmed %f <= hot candidate %f", confirmed, hotCandidate)
+	}
+
+	// More occurrences never score lower.
+	prev := -1.0
+	for _, occ := range []int{0, 1, 2, 10, 100, 10_000} {
+		s := scoreDefect(false, occ, fresh, now)
+		if s <= prev {
+			t.Fatalf("score not monotone in occurrences: occ=%d score=%f prev=%f", occ, s, prev)
+		}
+		prev = s
+	}
+
+	// Recency: newer last-seen scores higher, and a week of age halves
+	// the recency component.
+	recent := scoreDefect(false, 5, fresh, now)
+	stale := scoreDefect(false, 5, now.Add(-30*24*time.Hour), now)
+	if recent <= stale {
+		t.Fatalf("recent %f <= stale %f", recent, stale)
+	}
+	base := scoreDefect(false, 5, time.Time{}, now)
+	weekOld := scoreDefect(false, 5, now.Add(-7*24*time.Hour), now)
+	atNow := scoreDefect(false, 5, now, now)
+	if got, want := weekOld-base, (atNow-base)/2; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("one-week decay = %f, want half of %f", got, atNow-base)
+	}
+
+	// A clock-skewed future last-seen clamps instead of exploding.
+	if skew := scoreDefect(false, 5, now.Add(time.Hour), now); skew != atNow {
+		t.Fatalf("future last-seen = %f, want clamped to %f", skew, atNow)
 	}
 }

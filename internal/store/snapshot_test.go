@@ -230,7 +230,7 @@ func TestSnapshotRoundTripsWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RecordSummaries(ctx, hash, Summarize(analyze(t, tr)), "workload:Figure4", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, summarize(analyze(t, tr)), "workload:Figure4", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(s.Defects())

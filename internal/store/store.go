@@ -81,7 +81,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wolf/internal/core"
 	"wolf/internal/fingerprint"
 	"wolf/internal/obs"
 	"wolf/internal/trace"
@@ -146,8 +145,8 @@ type DefectRecord struct {
 	// Workloads lists the workload names whose recordings exhibited the
 	// defect, in first-seen order, deduplicated.
 	Workloads []string `json:"workloads,omitempty"`
-	// Rank is the corpus triage score (core.ScoreDefect), computed at
-	// query time and never persisted.
+	// Rank is the corpus triage score (scoreDefect), computed at query
+	// time and never persisted.
 	Rank float64 `json:"rank,omitempty"`
 
 	// seq is the last delta folded into the record (defectFile.Seq).
@@ -535,9 +534,9 @@ func (s *Store) HasTrace(hash string) bool {
 }
 
 // CycleSummary is the defect-relevant distillation of one analyzed
-// cycle: just enough to merge into a DefectRecord without the full
-// *core.Report. It is what fleet analyzers ship back to the
-// coordinator, so its JSON form is wire format.
+// cycle: just enough to merge into a DefectRecord. An analyzer reads it
+// off the cycle's entry in the wire report and ships it back in its
+// completion, so its JSON form is wire format.
 type CycleSummary struct {
 	// Fingerprint is the canonical cycle identity (fingerprint.Of).
 	Fingerprint string `json:"fingerprint"`
@@ -551,38 +550,7 @@ type CycleSummary struct {
 	Method    string `json:"method,omitempty"`
 }
 
-// Summarize distills a report into the per-fingerprint summaries the
-// corpus folds in: false positives are excluded (refuted, not defects)
-// and each fingerprint appears once no matter how many cycles collapse
-// to it, with the first cycle providing the summary. A cycle report
-// without a cycle has nothing to fingerprint and is skipped.
-func Summarize(rep *core.Report) []CycleSummary {
-	seen := make(map[string]bool)
-	var out []CycleSummary
-	for _, cr := range rep.Cycles {
-		if cr.Class.IsFalse() || cr.Cycle == nil {
-			continue
-		}
-		fp := fingerprint.Of(cr.Cycle)
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		cs := CycleSummary{
-			Fingerprint: fp,
-			Signature:   cr.Cycle.Signature(),
-			Edges:       fingerprint.Edges(cr.Cycle),
-		}
-		if cr.Class == core.Confirmed {
-			cs.Confirmed = true
-			cs.Method = string(cr.ReplayMethod)
-		}
-		out = append(out, cs)
-	}
-	return out
-}
-
-// RecordSummaries folds one analysis's Summarize output into the defect
+// RecordSummaries folds one analysis's cycle summaries into the defect
 // corpus without a job, journaled as a record of its own before it
 // returns, and reports the fingerprints it touched. source tags the
 // defects with the workload that produced the trace ("workload:NAME" or
@@ -595,7 +563,7 @@ func (s *Store) RecordSummaries(ctx context.Context, traceHash string, sums []Cy
 }
 
 // FinishJob appends rec, a job's terminal record, carrying the defect
-// delta of sums, a completion's Summarize output, validated as
+// delta of sums, a completion's cycle summaries, validated as
 // RecordSummaries validates them, folded with rec.TraceHash as the
 // trace, rec.Source as the source and rec.Finished as the time. That
 // one fsynced append is the verdict's durable write; the fold into the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wolf/internal/core"
+	"wolf/internal/fingerprint"
 	"wolf/internal/obs"
 	"wolf/internal/trace"
 	"wolf/internal/workloads"
@@ -45,6 +46,30 @@ func analyze(t *testing.T, tr *trace.Trace) *core.Report {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// summarize distills a report into the per-fingerprint summaries an
+// analyzer's completion carries: refuted cycles are skipped and each
+// fingerprint is summarized once, by its first cycle.
+func summarize(rep *core.Report) []CycleSummary {
+	seen := make(map[string]bool)
+	var out []CycleSummary
+	for _, cr := range rep.Cycles {
+		if cr.Class.IsFalse() || cr.Cycle == nil {
+			continue
+		}
+		fp := fingerprint.Of(cr.Cycle)
+		if seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		cs := CycleSummary{Fingerprint: fp, Signature: cr.Cycle.Signature(), Edges: fingerprint.Edges(cr.Cycle)}
+		if cr.Class == core.Confirmed {
+			cs.Confirmed, cs.Method = true, string(cr.ReplayMethod)
+		}
+		out = append(out, cs)
+	}
+	return out
 }
 
 func TestPutTraceDedupAndRoundTrip(t *testing.T) {
@@ -159,10 +184,10 @@ func TestRecordAggregatesByFingerprint(t *testing.T) {
 	}
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	t1 := t0.Add(time.Hour)
-	if _, err := s.RecordSummaries(ctx, h1, Summarize(rep1), "workload:figure4", t0); err != nil {
+	if _, err := s.RecordSummaries(ctx, h1, summarize(rep1), "workload:figure4", t0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RecordSummaries(ctx, h2, Summarize(rep2), "workload:figure4", t1); err != nil {
+	if _, err := s.RecordSummaries(ctx, h2, summarize(rep2), "workload:figure4", t1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +214,7 @@ func TestRecordAggregatesByFingerprint(t *testing.T) {
 
 	// Re-recording the same trace's analysis counts another occurrence
 	// but does not duplicate the trace hash.
-	if _, err := s.RecordSummaries(ctx, h1, Summarize(rep1), "workload:figure4", t1.Add(time.Hour)); err != nil {
+	if _, err := s.RecordSummaries(ctx, h1, summarize(rep1), "workload:figure4", t1.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	d2, ok := s.Defect(d.Fingerprint)
@@ -212,7 +237,7 @@ func TestRecordSkipsFalsePositives(t *testing.T) {
 	for _, cr := range rep.Cycles {
 		cr.Class = core.FalseByPruner
 	}
-	updated, err := s.RecordSummaries(context.Background(), "", Summarize(rep), "", time.Now())
+	updated, err := s.RecordSummaries(context.Background(), "", summarize(rep), "", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +259,7 @@ func TestReopenRebuildsIndexByScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := analyze(t, tr)
-	if _, err := s.RecordSummaries(ctx, hash, Summarize(rep), "upload", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, summarize(rep), "upload", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendJob(JobRecord{ID: "j-000001", State: "done", Source: "upload", TraceHash: hash}); err != nil {
@@ -357,7 +382,7 @@ func TestPutTraceEmitsSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := analyze(t, tr)
-	if _, err := s.RecordSummaries(ctx, hash, Summarize(rep), "upload", time.Now()); err != nil {
+	if _, err := s.RecordSummaries(ctx, hash, summarize(rep), "upload", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Count("store.put-trace") != 1 {
