@@ -11,7 +11,7 @@ import (
 	"wolf/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite timeline golden files")
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // checkGolden validates got as trace-event JSON and compares it against
 // the named golden file (rewritten under -update).
