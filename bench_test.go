@@ -99,9 +99,10 @@ func BenchmarkFig8(b *testing.B) {
 			seed = seedFor(b, w)
 			rep := core.Analyze(w.New, core.Config{DetectSeeds: []int64{seed}, ReplayAttempts: 5})
 			cr := firstConfirmed(b, rep)
+			g := cr.Graph()
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				out := replay.Attempt(w.New, cr.Gs, cr.Cycle, int64(i), 0)
+				out := replay.Attempt(w.New, g, cr.Cycle, int64(i), 0)
 				if replay.Hit(out, cr.Cycle) {
 					hits++
 				}
@@ -130,7 +131,7 @@ func firstConfirmed(b *testing.B, rep *core.Report) *core.CycleReport {
 	b.Helper()
 	var fallback *core.CycleReport
 	for _, cr := range rep.Cycles {
-		if cr.Class != core.Confirmed || cr.Gs == nil {
+		if cr.Class != core.Confirmed || cr.Graph() == nil {
 			continue
 		}
 		sites := cr.Cycle.Sites()
@@ -229,7 +230,7 @@ func BenchmarkAblationNoContextEdges(b *testing.B) {
 			var target *core.CycleReport
 			for _, cr := range rep.Cycles {
 				sites := cr.Cycle.Sites()
-				if cr.Gs != nil && !cr.Class.IsFalse() && len(sites) == 2 && sites[0] != sites[1] {
+				if cr.Graph() != nil && !cr.Class.IsFalse() && len(sites) == 2 && sites[0] != sites[1] {
 					target = cr
 					break
 				}
@@ -237,9 +238,10 @@ func BenchmarkAblationNoContextEdges(b *testing.B) {
 			if target == nil {
 				b.Fatal("no asymmetric cycle")
 			}
+			g := target.Graph()
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				out := replay.Attempt(w.New, target.Gs, target.Cycle, int64(i), 0)
+				out := replay.Attempt(w.New, g, target.Cycle, int64(i), 0)
 				if replay.Hit(out, target.Cycle) {
 					hits++
 				}

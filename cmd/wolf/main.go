@@ -186,8 +186,8 @@ func main() {
 				continue
 			}
 			for _, cr := range d.Cycles {
-				if cr.Gs != nil {
-					fmt.Print(cr.Gs.DOT(d.Signature))
+				if g := cr.Graph(); g != nil {
+					fmt.Print(g.DOT(d.Signature))
 					return
 				}
 			}

@@ -167,9 +167,10 @@ type CycleReport struct {
 	Class Classification
 	// PruneReason explains a FalseByPruner verdict.
 	PruneReason *pruner.Explain
-	// Gs is the synchronization dependency graph (nil when pruned).
-	Gs *sdg.Graph
-	// GsSize is the paper's Vs statistic for this cycle.
+	// Kinds are the edge kinds Gs was built with, zero when it was not
+	// (pruned, or not reached); the report keeps no graph, see Graph.
+	Kinds sdg.Kind
+	// GsSize is the paper's Vs statistic for this cycle (0 without Gs).
 	GsSize int
 	// ReplayAttempts counts steered reproduction runs performed.
 	ReplayAttempts int
@@ -186,6 +187,16 @@ type CycleReport struct {
 	// Faults aggregates the scheduling perturbations injected across this
 	// cycle's replay attempts (zero when injection is disabled).
 	Faults sim.FaultStats
+}
+
+// Graph rebuilds the cycle's Gs from Cycle, Trace and Kinds as the
+// Generator built it, for what needs it after the analysis (hit rates,
+// timelines, dot); nil when the Generator built none.
+func (cr *CycleReport) Graph() *sdg.Graph {
+	if cr.Kinds == 0 {
+		return nil
+	}
+	return sdg.BuildKinds(cr.Cycle, cr.Trace, cr.Kinds)
 }
 
 // DefectReport aggregates the cycles sharing one source-location
@@ -533,31 +544,30 @@ func pruneCycles(ctx context.Context, cycles []*CycleReport) {
 
 // generateCycles runs the Generator (Algorithm 3) over the cycles that
 // survived pruning, fanning out across a worker pool bounded by
-// cfg.EffectiveParallelism(). Each worker writes only the fields of its
-// own *CycleReport, the recorded traces (and their lazily built shared
-// index) are immutable once recording ends, and obs spans record into
-// the context's mutex-protected recorder — so the fan-out is race-free
-// and the report is independent of worker scheduling: results land in
-// the report in original cycle order and every field is a pure function
-// of (cycle, trace, cfg). Cancellation stops workers between cycles;
-// cycles not reached keep their zero (Unknown) class.
-func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
-	gen := func(cr *CycleReport) {
+// cfg.EffectiveParallelism(), and stores each cycle's Gs in graphs at
+// the cycle's index. Each worker writes only its own *CycleReport and
+// graph slot, the recorded traces (and their lazily built shared index)
+// are immutable once recording ends, and obs spans record into the
+// context's mutex-protected recorder — so the fan-out is race-free and
+// the report is independent of worker scheduling: results land in the
+// report in original cycle order and every field is a pure function of
+// (cycle, trace, cfg). Cancellation stops workers between cycles;
+// cycles not reached keep their zero (Unknown) class and no graph.
+func generateCycles(ctx context.Context, cycles []*CycleReport, graphs []*sdg.Graph, cfg *Config) {
+	kinds := cfg.edgeKinds()
+	gen := func(i int) {
+		cr := cycles[i]
 		if cr.Class == FalseByPruner {
 			return
 		}
-		cr.Gs = sdg.BuildKindsCtx(ctx, cr.Cycle, cr.Trace, cfg.edgeKinds())
-		cr.GsSize = cr.Gs.Size()
-		if !cfg.DisableGenerator && cr.Gs.Cyclic() {
+		g := sdg.BuildKindsCtx(ctx, cr.Cycle, cr.Trace, kinds)
+		graphs[i], cr.Kinds, cr.GsSize = g, kinds, g.Size()
+		if !cfg.DisableGenerator && g.Cyclic(kinds) {
 			cr.Class = FalseByGenerator
-			if cfg.DataDependency {
-				// Attribute the refutation: if the graph is acyclic
-				// without the V edges, only the data dependency proves
-				// infeasibility.
-				base := sdg.BuildKindsCtx(ctx, cr.Cycle, cr.Trace, cfg.edgeKinds()&^sdg.V)
-				if !base.Cyclic() {
-					cr.Class = FalseByData
-				}
+			// Attribute the refutation: if the graph is acyclic without
+			// its V edges, only the data dependency proves infeasibility.
+			if cfg.DataDependency && !g.Cyclic(kinds&^sdg.V) {
+				cr.Class = FalseByData
 			}
 		}
 	}
@@ -566,11 +576,11 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 		workers = len(cycles)
 	}
 	if workers <= 1 {
-		for _, cr := range cycles {
+		for i := range cycles {
 			if ctx.Err() != nil {
-				return
+				break
 			}
-			gen(cr)
+			gen(i)
 		}
 		return
 	}
@@ -585,7 +595,7 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 				if i >= len(cycles) || ctx.Err() != nil {
 					return
 				}
-				gen(cycles[i])
+				gen(i)
 			}
 		}()
 	}
@@ -595,11 +605,13 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 // refute is WOLF's trace-only half: the Pruner (Algorithm 2, batched per
 // recorded trace) and the Generator (Algorithm 3, optionally with the
 // value-flow extension, fanned out across the configured worker pool),
-// each inside its phase span. It stops before a phase once ctx is
-// cancelled; cycles not reached keep their Unknown class.
-func refute(ctx context.Context, cycles []*CycleReport, cfg *Config) {
+// each inside its phase span. It returns each cycle's Gs at its index,
+// for reproduce. It stops before a phase once ctx is cancelled; cycles
+// not reached keep their Unknown class and no graph.
+func refute(ctx context.Context, cycles []*CycleReport, cfg *Config) []*sdg.Graph {
+	graphs := make([]*sdg.Graph, len(cycles))
 	if ctx.Err() != nil {
-		return
+		return graphs
 	}
 	_, sp := obs.Start(ctx, "prune")
 	if !cfg.DisablePruner {
@@ -607,22 +619,24 @@ func refute(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 	}
 	sp.End()
 	if ctx.Err() != nil {
-		return
+		return graphs
 	}
 	_, sp = obs.Start(ctx, "generate")
-	generateCycles(ctx, cycles, cfg)
+	generateCycles(ctx, cycles, graphs, cfg)
 	sp.End()
+	return graphs
 }
 
 // reproduce is WOLF's Replayer (Algorithm 4): every cycle still Unknown
-// is re-executed under its Gs.
-func reproduce(ctx context.Context, f sim.Factory, cycles []*CycleReport, cfg *Config) {
+// is re-executed under its Gs, graphs[i] as refute returned it; a cycle
+// the Generator never reached has none and is not replayed.
+func reproduce(ctx context.Context, f sim.Factory, cycles []*CycleReport, graphs []*sdg.Graph, cfg *Config) {
 	_, sp := obs.Start(ctx, "replay")
-	for _, cr := range cycles {
-		if cr.Class != Unknown {
+	for i, cr := range cycles {
+		if cr.Class != Unknown || graphs[i] == nil {
 			continue
 		}
-		res := replay.ReproduceCtx(ctx, f, cr.Gs, cr.Cycle, replay.Config{
+		res := replay.ReproduceCtx(ctx, f, graphs[i], cr.Cycle, replay.Config{
 			Attempts:         cfg.ReplayAttempts,
 			BaseSeed:         cfg.ReplaySeed,
 			MaxSteps:         cfg.MaxSteps,
@@ -693,8 +707,8 @@ func AnalyzeCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
 	return run(ctx, "wolf", func(ctx context.Context, rep *Report) {
 		rep.Timings.Uninstrumented = baseline(ctx, f, &cfg)
 		rep.Cycles = detectAll(ctx, f, &cfg, true)
-		refute(ctx, rep.Cycles, &cfg)
-		reproduce(ctx, f, rep.Cycles, &cfg)
+		graphs := refute(ctx, rep.Cycles, &cfg)
+		reproduce(ctx, f, rep.Cycles, graphs, &cfg)
 	})
 }
 

@@ -252,3 +252,21 @@ func TestDeadlockedDetectionRun(t *testing.T) {
 		t.Log("deadlocked trace contained no complete cycle — acceptable")
 	}
 }
+
+// TestAnalyzeCtxCancelledBeforeGenerator: a cycle the Generator never
+// reached has no Gs, so the Replayer skips it and it stays unknown;
+// replaying it used to dereference a nil graph.
+func TestAnalyzeCtxCancelledBeforeGenerator(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep := AnalyzeCtx(ctx, fig4Factory, Config{ReplayAttempts: 2})
+	if len(rep.Cycles) == 0 {
+		t.Fatal("no cycles detected")
+	}
+	for _, cr := range rep.Cycles {
+		if cr.Class != Unknown || cr.ReplayAttempts != 0 || cr.Graph() != nil {
+			t.Errorf("%s: class %v, %d replay attempts, graph %v; want unknown, unreplayed, no graph",
+				cr.Cycle.Signature(), cr.Class, cr.ReplayAttempts, cr.Graph() != nil)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"wolf/internal/explore"
+	"wolf/internal/obs"
+	"wolf/internal/sdg"
+	"wolf/internal/workloads"
 	"wolf/sim"
 )
 
@@ -125,4 +129,51 @@ func TestDataExtensionKeepsRealDeadlock(t *testing.T) {
 	if got := ext.Defects[0].Class; got != Confirmed {
 		t.Fatalf("class = %v, want confirmed (extension must not refute a real deadlock)", got)
 	}
+}
+
+// TestMaskedCheckMatchesSecondBuild: the Generator attributes a
+// refutation to the value-flow edges by asking its one Gs again with V
+// masked out. On every cycle it refutes with DataDependency, across the
+// registry, that answer equals the two-build attribution it replaced: a
+// fresh build without V. And it builds Gs once per unpruned cycle.
+func TestMaskedCheckMatchesSecondBuild(t *testing.T) {
+	refuted, byData := 0, 0
+	for _, w := range workloads.Registry() {
+		seed, ok := workloads.FindTerminatingSeed(w.New, 300)
+		if !ok {
+			seed = 1
+		}
+		rec := obs.NewRecorder()
+		rep, err := AnalyzeTraceCtx(obs.WithRecorder(context.Background(), rec), Record(w.New, seed, 0), Config{DataDependency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpruned := 0
+		for _, cr := range rep.Cycles {
+			if cr.Class != FalseByPruner {
+				unpruned++
+			}
+			if cr.Class != FalseByGenerator && cr.Class != FalseByData {
+				continue
+			}
+			refuted++
+			if cr.Class == FalseByData {
+				byData++
+			}
+			base := cr.Kinds &^ sdg.V
+			masked := cr.Graph().Cyclic(base)
+			fresh := sdg.BuildKinds(cr.Cycle, cr.Trace, base).Cyclic(sdg.AllWithData)
+			if masked != fresh || fresh != (cr.Class == FalseByGenerator) {
+				t.Errorf("%s %s: %v, masked check cyclic %v, build without V cyclic %v",
+					w.Name, cr.Cycle.Signature(), cr.Class, masked, fresh)
+			}
+		}
+		if n := rec.Count("sdg.build"); n != unpruned {
+			t.Errorf("%s: %d Gs builds for %d unpruned cycles", w.Name, n, unpruned)
+		}
+	}
+	if refuted == 0 || byData == 0 || byData == refuted {
+		t.Fatalf("%d refuted, %d by data: the registry must exercise both attributions", refuted, byData)
+	}
+	t.Logf("%d refuted cycles, %d by data", refuted, byData)
 }

@@ -56,7 +56,7 @@ func TestGsGolden(t *testing.T) {
 			run := gsRun{Workload: w.Name, DataDependency: data, Cycles: []gsCycle{}}
 			for _, cr := range rep.Cycles {
 				c := gsCycle{Class: cr.Class.String(), GsSize: cr.GsSize}
-				if g := cr.Gs; g != nil {
+				if g := cr.Graph(); g != nil {
 					sum := sha256.Sum256([]byte(g.String()))
 					c.GsSHA256 = hex.EncodeToString(sum[:])
 				}

@@ -253,7 +253,7 @@ func BuildTimeline(f sim.Factory, cfg Config, rep *Report) *obs.Timeline {
 		}
 		replaySeed := cfg.ReplaySeed + int64(cr.ReplayAttempts-1)
 		tl.Process(2, fmt.Sprintf("replay %s seed=%d", cr.Cycle.Signature(), replaySeed))
-		ReplayTimeline(f, cr.Gs, cr.Cycle, replaySeed, cfg.MaxSteps, tl, 2)
+		ReplayTimeline(f, cr.Graph(), cr.Cycle, replaySeed, cfg.MaxSteps, tl, 2)
 		break
 	}
 	return tl

@@ -192,7 +192,7 @@ func TestReplayTimelinePauses(t *testing.T) {
 		seed := cfg.ReplaySeed + int64(cr.ReplayAttempts-1)
 		tl := obs.NewTimeline()
 		tl.Process(1, "replay")
-		out := ReplayTimeline(fig4Factory, cr.Gs, cr.Cycle, seed, cfg.MaxSteps, tl, 1)
+		out := ReplayTimeline(fig4Factory, cr.Graph(), cr.Cycle, seed, cfg.MaxSteps, tl, 1)
 		if !out.Deadlocked() {
 			t.Fatalf("replay outcome = %v, want Deadlocked", out.Kind)
 		}

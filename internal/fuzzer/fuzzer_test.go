@@ -169,7 +169,7 @@ func TestFigure9(t *testing.T) {
 	target := cycleBySig(t, cycles, "1567+1570")
 
 	g := sdg.Build(target, tr)
-	if g.Cyclic() {
+	if g.Cyclic(sdg.AllKinds) {
 		t.Fatalf("target Gs cyclic:\n%v", g)
 	}
 	wolfHits, dfHits := 0, 0

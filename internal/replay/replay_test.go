@@ -179,7 +179,7 @@ func TestInfeasibleCycleDoesNotHang(t *testing.T) {
 	tr, cycles := analyze(t, figure2Factory)
 	c := cycleBySig(t, cycles, "522+522")
 	g := sdg.Build(c, tr)
-	if !g.Cyclic() {
+	if !g.Cyclic(sdg.AllKinds) {
 		t.Fatal("θ4 Gs should be cyclic")
 	}
 	for seed := int64(0); seed < 10; seed++ {

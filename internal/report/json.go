@@ -121,7 +121,7 @@ func FromCore(rep *core.Report) *JSONReport {
 		jc := JSONCycle{
 			Class:            cr.Class.String(),
 			GsSize:           cr.GsSize,
-			HasGraph:         cr.Gs != nil,
+			HasGraph:         cr.GsSize > 0,
 			ReplayAttempts:   cr.ReplayAttempts,
 			ReplayMethod:     string(cr.ReplayMethod),
 			FallbackAttempts: cr.FallbackAttempts,

@@ -101,7 +101,7 @@ func MeasureHitRates(results []*Result, cfg Config) {
 		var wolfSum, dfSum float64
 		for sig := range confirmed {
 			if cr := viableCycle(r.Wolf, sig); cr != nil {
-				wolfSum += replay.HitRate(r.Workload.New, cr.Gs, cr.Cycle, cfg.HitRateRuns, replay.Config{})
+				wolfSum += replay.HitRate(r.Workload.New, cr.Graph(), cr.Cycle, cfg.HitRateRuns, replay.Config{})
 			}
 			if cr := viableCycle(r.DF, sig); cr != nil {
 				dfSum += fuzzer.HitRate(r.Workload.New, cr.Cycle, cfg.HitRateRuns, fuzzer.Config{})
@@ -127,7 +127,7 @@ func confirmedSignatures(r *Result) map[string]bool {
 }
 
 // viableCycle returns the defect's first non-false cycle report with a
-// usable Gs (for WOLF) or any non-false cycle (for DF).
+// Gs (for WOLF) or any non-false cycle (for DF).
 func viableCycle(rep *core.Report, sig string) *core.CycleReport {
 	for _, d := range rep.Defects {
 		if d.Signature != sig {
@@ -137,7 +137,7 @@ func viableCycle(rep *core.Report, sig string) *core.CycleReport {
 			if cr.Class.IsFalse() {
 				continue
 			}
-			if rep.Tool == "wolf" && cr.Gs == nil {
+			if rep.Tool == "wolf" && cr.GsSize == 0 {
 				continue
 			}
 			return cr

@@ -93,7 +93,7 @@ func TestViableCycleSkipsFalse(t *testing.T) {
 				t.Errorf("%s: no viable cycle for confirmed defect %s", r.Workload.Name, d.Signature)
 				continue
 			}
-			if cr.Class.IsFalse() || cr.Gs == nil {
+			if cr.Class.IsFalse() || cr.Graph() == nil {
 				t.Errorf("%s: viable cycle is unusable", r.Workload.Name)
 			}
 		}

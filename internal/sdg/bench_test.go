@@ -82,7 +82,7 @@ func BenchmarkCyclicCheck(b *testing.B) {
 	g := Build(cycles[0], tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g.Cyclic() {
+		if g.Cyclic(AllKinds) {
 			b.Fatal("unexpected cycle")
 		}
 	}

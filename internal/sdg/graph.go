@@ -158,61 +158,41 @@ func (g *Graph) HasEdge(u, v trace.Key, mask Kind) bool {
 	return false
 }
 
-// Cyclic reports whether Gs contains a cycle, which proves the
-// associated potential deadlock is a false positive (Algorithm 3,
-// line 30).
-func (g *Graph) Cyclic() bool { return len(g.FindCycle()) > 0 }
-
-// FindCycle returns the vertices of one cycle in order, or nil if the
-// graph is acyclic.
-func (g *Graph) FindCycle() []trace.Key {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
+// Cyclic reports whether Gs contains a cycle through live edges with a
+// kind in mask, which proves the associated potential deadlock is a
+// false positive (Algorithm 3, line 30). Every type-V edge touches a
+// data vertex, and data vertices carry no other kind, so Cyclic(k&^V)
+// on a graph built with k answers what a build with k&^V would: one
+// build decides whether the value-flow edges caused a refutation.
+func (g *Graph) Cyclic(mask Kind) bool {
+	const white, gray, black = 0, 1, 2
 	color := make([]int8, len(g.verts))
-	parent := make([]int, len(g.verts))
-	var cycle []trace.Key
-
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = gray
 		for ei := g.outHead[u]; ei >= 0; ei = g.edges[ei].next {
-			v := int(g.edges[ei].to)
-			if g.dead[v] {
+			e := g.edges[ei]
+			if e.kind&mask == 0 || g.dead[e.to] {
 				continue
 			}
-			switch color[v] {
+			switch color[e.to] {
+			case gray:
+				return true // back edge: a cycle
 			case white:
-				parent[v] = u
-				if dfs(v) {
+				if dfs(int(e.to)) {
 					return true
 				}
-			case gray:
-				// Back edge u → v closes a cycle v … u.
-				var ids []int
-				ids = append(ids, v)
-				for x := u; x != v; x = parent[x] {
-					ids = append(ids, x)
-				}
-				for i := len(ids) - 1; i >= 0; i-- {
-					cycle = append(cycle, g.verts[ids[i]].Key)
-				}
-				return true
 			}
 		}
 		color[u] = black
 		return false
 	}
-	for _, u := range g.sortedIDs() {
-		if color[u] == white {
-			if dfs(u) {
-				return cycle
-			}
+	for u := range g.verts {
+		if color[u] == white && !g.dead[u] && dfs(u) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // sortedIDs returns live vertex ids in deterministic key order.

@@ -102,7 +102,7 @@ func TestFigure7aEdges(t *testing.T) {
 	if g.Edges() != len(want) {
 		t.Errorf("edges = %d, want %d\n%v", g.Edges(), len(want), g)
 	}
-	if g.Cyclic() {
+	if g.Cyclic(AllKinds) {
 		t.Errorf("Figure 7(a) graph must be acyclic:\n%v", g)
 	}
 }
@@ -160,7 +160,7 @@ func TestFigure7bCyclicGs(t *testing.T) {
 	verdicts := make(map[string]bool)
 	for _, c := range cycles {
 		g := Build(c, tr)
-		verdicts[c.Signature()] = g.Cyclic()
+		verdicts[c.Signature()] = g.Cyclic(AllKinds)
 	}
 	if !verdicts["522+522"] {
 		t.Error("θ4 (522+522) Gs must be cyclic (paper Figure 7(b))")
@@ -327,5 +327,57 @@ func TestDOTRendering(t *testing.T) {
 	}
 	if !strings.Contains(dot, "33#1") {
 		t.Error("surviving vertex not rendered")
+	}
+}
+
+// TestCycleOnlyThroughV: a watcher inverts the publisher's lock order
+// only after loading the flag the publisher stores once it is done with
+// both locks. The D/C/P graph is acyclic; the value-flow edges close
+// the publisher's blocked acquisition → its store → the watcher's load
+// → the watcher's first acquisition → (type-D) back to the publisher.
+// Masking V out of that one graph answers what a build without V does.
+func TestCycleOnlyThroughV(t *testing.T) {
+	var x, y *sim.Lock
+	var flag *sim.Var
+	opts := sim.Options{Setup: func(w *sim.World) {
+		x, y = w.NewLock("X"), w.NewLock("Y")
+		flag = w.NewVar("ready", false)
+	}}
+	prog := func(th *sim.Thread) {
+		pub := th.Go("pub", func(u *sim.Thread) {
+			u.Lock(x, "pub:1")
+			u.Lock(y, "pub:2")
+			u.Unlock(y, "pub:3")
+			u.Unlock(x, "pub:4")
+			u.Store(flag, true, "pub:5")
+		}, "m1")
+		wat := th.Go("wat", func(u *sim.Thread) {
+			if u.LoadBool(flag, "wat:poll") {
+				u.Lock(y, "wat:1")
+				u.Lock(x, "wat:2")
+				u.Unlock(x, "wat:3")
+				u.Unlock(y, "wat:4")
+			}
+		}, "m2")
+		th.Join(pub, "m3")
+		th.Join(wat, "m4")
+	}
+	tr := record(t, prog, opts, sim.FirstEnabled{})
+	cycles := detect.Cycles(tr, detect.Config{})
+	if len(cycles) != 1 {
+		t.Fatalf("cycles = %d, want the one inversion", len(cycles))
+	}
+	g := BuildKinds(cycles[0], tr, AllWithData)
+	if !g.Cyclic(AllWithData) {
+		t.Fatalf("Gs with V edges must be cyclic:\n%v", g)
+	}
+	if g.Cyclic(AllKinds) {
+		t.Fatalf("Gs masked to D|C|P must be acyclic:\n%v", g)
+	}
+	if g.Cyclic(V) {
+		t.Fatalf("the V edges alone form no cycle:\n%v", g)
+	}
+	if base := BuildKinds(cycles[0], tr, AllKinds); base.Cyclic(AllWithData) {
+		t.Fatalf("a build without V must be acyclic:\n%v", base)
 	}
 }

@@ -788,9 +788,9 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		for _, cr := range d.Cycles {
-			if cr.Gs != nil {
+			if g := cr.Graph(); g != nil {
 				w.Header().Set("Content-Type", "text/vnd.graphviz")
-				fmt.Fprint(w, cr.Gs.DOT(d.Signature))
+				fmt.Fprint(w, g.DOT(d.Signature))
 				return
 			}
 		}

@@ -100,14 +100,13 @@ func AnalyzeDeadlockFuzzer(factory sim.Factory, cfg Config) *Report {
 
 // HitRate replays one analyzed cycle `runs` times and returns the
 // fraction of runs that deadlocked at the recorded source locations —
-// the paper's Figure 8 statistic. The cycle report must come from
-// Analyze (it carries the synchronization dependency graph); pruned
-// cycles return 0.
+// the paper's Figure 8 statistic. It steers by CycleReport.Graph, so the
+// cycle report must come from Analyze; pruned cycles return 0.
 func HitRate(factory sim.Factory, cr *CycleReport, runs int) float64 {
-	if cr.Gs == nil {
-		return 0
+	if g := cr.Graph(); g != nil {
+		return replay.HitRate(factory, g, cr.Cycle, runs, replay.Config{})
 	}
-	return replay.HitRate(factory, cr.Gs, cr.Cycle, runs, replay.Config{})
+	return 0
 }
 
 // BaselineHitRate is HitRate for the DeadlockFuzzer baseline, which
