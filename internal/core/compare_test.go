@@ -63,3 +63,30 @@ func sameVerdicts(t *testing.T, got, want *Report) {
 		}
 	}
 }
+
+// TestSearchReturnsDistinctCycles: one trace's cycle search never
+// returns two cycles with an equal cycleKey, on any registry workload
+// over detection seeds 1 to 8. detectAll relies on it to skip the
+// dedup keys when it records a single seed.
+func TestSearchReturnsDistinctCycles(t *testing.T) {
+	ctx := context.Background()
+	var cfg Config
+	total := 0
+	for _, w := range workloads.Registry() {
+		for seed := int64(1); seed <= 8; seed++ {
+			seen := map[string]bool{}
+			for _, c := range search(ctx, record(ctx, w.New, seed, 0, false), &cfg) {
+				key := cycleKey(c)
+				if seen[key] {
+					t.Fatalf("%s seed %d: two cycles with key %s", w.Name, seed, key)
+				}
+				seen[key] = true
+			}
+			total += len(seen)
+		}
+	}
+	t.Logf("%d cycles, all distinct within their trace", total)
+	if total == 0 {
+		t.Fatal("no cycle found")
+	}
+}

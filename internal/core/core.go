@@ -465,18 +465,26 @@ func search(ctx context.Context, tr *trace.Trace, cfg *Config) []*detect.Cycle {
 // detectAll records one execution per detection seed, searches each
 // trace for cycles and deduplicates them across seeds. Detection never
 // reads taus or clocks, so the cycles are the same with and without
-// timestamps; only the Pruner needs them.
+// timestamps; only the Pruner needs them. One trace's search never
+// returns two cycles with an equal cycleKey, so a single seed skips the
+// keys.
 func detectAll(ctx context.Context, f sim.Factory, cfg *Config, timestamps bool) []*CycleReport {
-	seen := make(map[string]bool)
+	seeds := cfg.detectSeeds()
+	var seen map[string]bool
+	if len(seeds) > 1 {
+		seen = make(map[string]bool)
+	}
 	var out []*CycleReport
-	for _, seed := range cfg.detectSeeds() {
+	for _, seed := range seeds {
 		tr := record(ctx, f, seed, cfg.MaxSteps, timestamps)
 		for _, c := range search(ctx, tr, cfg) {
-			key := cycleKey(c)
-			if seen[key] {
-				continue
+			if seen != nil {
+				key := cycleKey(c)
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
 			}
-			seen[key] = true
 			out = append(out, &CycleReport{Cycle: c, Trace: tr})
 		}
 	}

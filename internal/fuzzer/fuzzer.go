@@ -63,16 +63,16 @@ type component struct {
 }
 
 // matches reports whether thread t, about to acquire l at site, is "in
-// position" for the component. The checks run cheapest first: the site
-// is a plain comparison, and ThreadAbs allocates.
-func (c *component) matches(t *sim.Thread, l *sim.Lock, site string) bool {
-	if site != c.site || LockAbs(l.Name()) != c.want || ThreadAbs(t.Name()) != c.thread {
+// position" for component c. The checks run cheapest first: the site is
+// a plain comparison, and the abstractions come from s's per-run caches.
+func (s *strategy) matches(c *component, t *sim.Thread, l *sim.Lock, site string) bool {
+	if site != c.site || s.lockAbs(l) != c.want || s.threadAbs(t) != c.thread {
 		return false
 	}
 	for _, h := range c.held {
 		found := false
 		for _, hl := range t.Held() {
-			if LockAbs(hl.Name()) == h {
+			if s.lockAbs(hl) == h {
 				found = true
 				break
 			}
@@ -82,6 +82,31 @@ func (c *component) matches(t *sim.Thread, l *sim.Lock, site string) bool {
 		}
 	}
 	return true
+}
+
+// threadAbs returns ThreadAbs of t's name, computed once per run.
+func (s *strategy) threadAbs(t *sim.Thread) string {
+	return cachedAbs(&s.threadAbsOf, int(t.ID()), t.Name(), ThreadAbs)
+}
+
+// lockAbs returns LockAbs of l's name, computed once per run.
+func (s *strategy) lockAbs(l *sim.Lock) string {
+	return cachedAbs(&s.lockAbsOf, int(l.ID()), l.Name(), LockAbs)
+}
+
+// cachedAbs returns abs(name) from cache, indexed by the per-run dense
+// id of name's thread or lock, computing it on first use. An empty
+// entry is unset.
+func cachedAbs(cache *[]string, id int, name string, abs func(string) string) string {
+	for len(*cache) <= id {
+		*cache = append(*cache, "")
+	}
+	a := (*cache)[id]
+	if a == "" {
+		a = abs(name)
+		(*cache)[id] = a
+	}
+	return a
 }
 
 // PauseProbability is the chance that an in-position thread is actually
@@ -104,6 +129,11 @@ type strategy struct {
 	decided map[*sim.Thread]pauseDecision
 	// thrashes counts forced releases when everything was paused.
 	thrashes int
+	// buf backs Pick's candidate and victim lists, reused every step.
+	buf []*sim.Thread
+	// threadAbsOf and lockAbsOf cache the abstractions of the run's
+	// threads and locks, indexed by their IDs.
+	threadAbsOf, lockAbsOf []string
 }
 
 // pauseDecision caches one coin flip.
@@ -115,7 +145,7 @@ type pauseDecision struct {
 // Pick pauses in-position threads until every component is covered, then
 // releases the pack into the deadlock; otherwise it schedules randomly.
 func (s *strategy) Pick(_ *sim.World, enabled []*sim.Thread) *sim.Thread {
-	var candidates []*sim.Thread
+	candidates := s.buf[:0]
 	for _, t := range enabled {
 		if _, isPaused := s.paused[t]; isPaused {
 			if s.released {
@@ -144,15 +174,14 @@ func (s *strategy) Pick(_ *sim.World, enabled []*sim.Thread) *sim.Thread {
 		// Thrash avoidance: every runnable thread is paused; release a
 		// random one and unfill its component.
 		s.thrashes++
-		victims := make([]*sim.Thread, 0, len(s.paused))
-		for t := range s.paused {
-			for _, e := range enabled {
-				if e == t {
-					victims = append(victims, t)
-					break
-				}
+		// Victims in enabled order, so the draw below is deterministic.
+		victims := candidates
+		for _, e := range enabled {
+			if _, isPaused := s.paused[e]; isPaused {
+				victims = append(victims, e)
 			}
 		}
+		s.buf = victims
 		if len(victims) == 0 {
 			// Paused threads are all sim-blocked; nothing to do but run
 			// an arbitrary enabled thread (there are none — cannot
@@ -166,6 +195,7 @@ func (s *strategy) Pick(_ *sim.World, enabled []*sim.Thread) *sim.Thread {
 		delete(s.paused, t)
 		return t
 	}
+	s.buf = candidates
 	return candidates[s.rng.Intn(len(candidates))]
 }
 
@@ -184,7 +214,7 @@ func (s *strategy) shouldPause(t *sim.Thread) bool {
 // for, or -1.
 func (s *strategy) match(t *sim.Thread, op sim.Op) int {
 	for i, c := range s.comps {
-		if c.matches(t, op.Lock, op.Site) {
+		if s.matches(c, t, op.Lock, op.Site) {
 			return i
 		}
 	}
@@ -205,6 +235,14 @@ func (s *strategy) checkAllFilled() {
 // Attempt performs one DeadlockFuzzer-style re-execution targeting cycle.
 func Attempt(f sim.Factory, cycle *detect.Cycle, seed int64, maxSteps int) *sim.Outcome {
 	prog, opts := f()
+	if maxSteps > 0 {
+		opts.MaxSteps = maxSteps
+	}
+	return sim.Run(prog, newStrategy(cycle, seed), opts)
+}
+
+// newStrategy returns the scheduler of one run targeting cycle.
+func newStrategy(cycle *detect.Cycle, seed int64) *strategy {
 	st := &strategy{
 		rng:     sim.NewRand(seed),
 		paused:  make(map[*sim.Thread]int),
@@ -222,10 +260,7 @@ func Attempt(f sim.Factory, cycle *detect.Cycle, seed int64, maxSteps int) *sim.
 		}
 		st.comps = append(st.comps, c)
 	}
-	if maxSteps > 0 {
-		opts.MaxSteps = maxSteps
-	}
-	return sim.Run(prog, st, opts)
+	return st
 }
 
 // Hit applies the same exact-location criterion as the WOLF Replayer.

@@ -273,3 +273,23 @@ func TestReproduceAndHitRate(t *testing.T) {
 		t.Fatalf("hit rate = %v, want >= 0.8", hr)
 	}
 }
+
+// TestPickAllocatesNothing: once a run's thread and lock abstractions
+// are cached, a DeadlockFuzzer scheduling step allocates nothing. The
+// probe measures Pick at the first step with two enabled threads.
+func TestPickAllocatesNothing(t *testing.T) {
+	_, cycles := analyze(t, simpleFactory)
+	st := newStrategy(cycleBySig(t, cycles, "L2+R2"), 1)
+	allocs := -1.0
+	probe := sim.StrategyFunc(func(w *sim.World, en []*sim.Thread) *sim.Thread {
+		if allocs < 0 && len(en) > 1 {
+			allocs = testing.AllocsPerRun(100, func() { st.Pick(w, en) })
+		}
+		return st.Pick(w, en)
+	})
+	prog, opts := simpleFactory()
+	sim.Run(prog, probe, opts)
+	if allocs != 0 {
+		t.Fatalf("allocs per Pick = %v, want 0 (-1: no step had two enabled threads)", allocs)
+	}
+}

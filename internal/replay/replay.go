@@ -129,6 +129,9 @@ type strategy struct {
 	tlPid  int64
 	paused map[string]bool
 	tids   map[string]int64
+	// allowedBuf and pausedBuf back Pick's thread lists, reused every
+	// step.
+	allowedBuf, pausedBuf []*sim.Thread
 }
 
 // pauseMark records thread t's steering state flip — the paused map
@@ -171,7 +174,7 @@ func (s *strategy) pausedCount() int {
 // released at random.
 func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 	ts := int64(w.Step())
-	var allowed, paused []*sim.Thread
+	allowed, paused := s.allowedBuf[:0], s.pausedBuf[:0]
 	for _, t := range enabled {
 		if op := t.Pending(); s.inCycle[t.Name()] && isSteerable(op) && !(isAcquire(op) && t.Holds(op.Lock)) {
 			if s.g.Blocked(s.keys.Get(t.Name()).NextKey(op.Site)) {
@@ -183,6 +186,7 @@ func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 		s.pauseMark(t, "", ts, false)
 		allowed = append(allowed, t)
 	}
+	s.allowedBuf, s.pausedBuf = allowed, paused
 	if len(allowed) == 0 {
 		// Algorithm 4 lines 5-7: release a random paused thread so the
 		// run cannot get stuck on unsatisfiable dependencies.
@@ -274,8 +278,8 @@ func AttemptCtx(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycl
 }
 
 // cancelStrategy halts the run (Pick returns nil) once ctx is done,
-// delegating to inner otherwise. Sim scheduling points are dominated by
-// channel handoffs, so the per-pick Err check is noise.
+// delegating to inner otherwise. It checks ctx once per scheduling
+// point.
 type cancelStrategy struct {
 	ctx   context.Context
 	inner sim.Strategy
@@ -318,19 +322,7 @@ func AttemptObserved(f Factory, g *sdg.Graph, cycle *detect.Cycle, seed int64, m
 // observability, classified.
 func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, seed int64, maxSteps int, o Observer, faults sim.FaultConfig) AttemptResult {
 	prog, opts := f()
-	st := &strategy{
-		g:       g.Clone(),
-		inCycle: make(map[string]bool, len(cycle.Tuples)),
-		rng:     sim.NewRand(seed),
-		keys:    make(trace.Threads),
-		tl:      o.Timeline,
-		tlPid:   o.Pid,
-		paused:  make(map[string]bool),
-		tids:    make(map[string]int64),
-	}
-	for _, tp := range cycle.Tuples {
-		st.inCycle[tp.Thread] = true
-	}
+	st := newStrategy(g, cycle, seed, o)
 	opts.Listeners = append(opts.Listeners, st)
 	opts.Listeners = append(opts.Listeners, o.Listeners...)
 	if maxSteps > 0 {
@@ -378,6 +370,25 @@ func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, 
 	}
 	res.Reason = classify(out, res.Hit, res.Forced, res.Remaining, res.PausedAtEnd)
 	return res
+}
+
+// newStrategy returns the steering of one run toward cycle on a clone
+// of g, with o's timeline markers.
+func newStrategy(g *sdg.Graph, cycle *detect.Cycle, seed int64, o Observer) *strategy {
+	st := &strategy{
+		g:       g.Clone(),
+		inCycle: make(map[string]bool, len(cycle.Tuples)),
+		rng:     sim.NewRand(seed),
+		keys:    make(trace.Threads),
+		tl:      o.Timeline,
+		tlPid:   o.Pid,
+		paused:  make(map[string]bool),
+		tids:    make(map[string]int64),
+	}
+	for _, tp := range cycle.Tuples {
+		st.inCycle[tp.Thread] = true
+	}
+	return st
 }
 
 // Hit reports whether out reproduced the cycle: the run deadlocked and

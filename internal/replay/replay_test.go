@@ -357,3 +357,25 @@ func TestReplayCycleThreadMissing(t *testing.T) {
 		}
 	}
 }
+
+// TestPickAllocatesNothing: once a run's cycle threads have key
+// builders, a steered scheduling step allocates nothing. The probe
+// measures Pick at the first step with two enabled threads.
+func TestPickAllocatesNothing(t *testing.T) {
+	tr, cycles := analyze(t, fig4Factory)
+	c := cycleBySig(t, cycles, "19+33")
+	st := newStrategy(sdg.Build(c, tr), c, 1, Observer{})
+	allocs := -1.0
+	probe := sim.StrategyFunc(func(w *sim.World, en []*sim.Thread) *sim.Thread {
+		if allocs < 0 && len(en) > 1 {
+			allocs = testing.AllocsPerRun(100, func() { st.Pick(w, en) })
+		}
+		return st.Pick(w, en)
+	})
+	prog, opts := fig4Factory()
+	opts.Listeners = append(opts.Listeners, st)
+	sim.Run(prog, probe, opts)
+	if allocs != 0 {
+		t.Fatalf("allocs per Pick = %v, want 0 (-1: no step had two enabled threads)", allocs)
+	}
+}

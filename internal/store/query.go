@@ -72,6 +72,9 @@ type postings struct {
 	// re-sorted lazily on the next windowed query.
 	byLastSeen []string
 	sorted     bool
+
+	// adds counts posting insertions, the work a fold spends here.
+	adds int
 }
 
 func newPostings() *postings {
@@ -82,10 +85,12 @@ func newPostings() *postings {
 	}
 }
 
-func addPosting(m map[string]map[string]bool, key, fp string) {
+// add inserts fp into m's set for key; an empty key posts nothing.
+func (p *postings) add(m map[string]map[string]bool, key, fp string) {
 	if key == "" {
 		return
 	}
+	p.adds++
 	set, ok := m[key]
 	if !ok {
 		set = make(map[string]bool)
@@ -103,10 +108,12 @@ func dropPosting(m map[string]map[string]bool, key, fp string) {
 	}
 }
 
-// indexDefectLocked (re-)registers a record in the postings after any
-// mutation. Dimension values only ever accrete on a record (class moves
-// candidate->confirmed, workloads append), so stale keys are dropped by
-// diffing against the record's current values. Caller holds s.mu.
+// indexDefectLocked (re-)registers a record's class and method in the
+// postings after any mutation, and all its workloads when the record is
+// new; a fold posts only the workload it appends. Class moves
+// candidate->confirmed and method is set once, so stale keys are
+// dropped by diffing against the record's current values. Caller holds
+// s.mu.
 func (s *Store) indexDefectLocked(rec *DefectRecord, isNew bool) {
 	fp := rec.Fingerprint
 	if isNew {
@@ -126,10 +133,12 @@ func (s *Store) indexDefectLocked(rec *DefectRecord, isNew bool) {
 			}
 		}
 	}
-	addPosting(s.postings.class, rec.Class, fp)
-	addPosting(s.postings.method, rec.Method, fp)
-	for _, w := range rec.Workloads {
-		addPosting(s.postings.workload, w, fp)
+	s.postings.add(s.postings.class, rec.Class, fp)
+	s.postings.add(s.postings.method, rec.Method, fp)
+	if isNew {
+		for _, w := range rec.Workloads {
+			s.postings.add(s.postings.workload, w, fp)
+		}
 	}
 }
 
@@ -315,11 +324,16 @@ func sortDefects(recs []DefectRecord, order string) {
 	sort.Slice(recs, less)
 }
 
-// workloadFromSource extracts the workload name from a job source tag
-// ("workload:NAME" or bare NAME); empty sources index nothing.
+// workloadFromSource extracts the workload name from a job source tag:
+// NAME for "workload:NAME", the door's name "stream" for every
+// "stream:ID" (as uploads index under "upload"), else the tag itself.
+// Empty sources index nothing.
 func workloadFromSource(source string) string {
 	if w, ok := strings.CutPrefix(source, "workload:"); ok {
 		return w
+	}
+	if strings.HasPrefix(source, "stream:") {
+		return "stream"
 	}
 	return source
 }

@@ -151,11 +151,14 @@ type DefectRecord struct {
 
 	// seq is the last delta folded into the record (defectFile.Seq).
 	seq int64
+	// inTraces holds Traces as a set, built at the record's first fold.
+	inTraces map[string]bool
 }
 
 // clone deep-copies the record so callers can't mutate the index.
 func (d *DefectRecord) clone() DefectRecord {
 	c := *d
+	c.inTraces = nil
 	c.Edges = append([]fingerprint.Edge(nil), d.Edges...)
 	c.Traces = append([]string(nil), d.Traces...)
 	c.Workloads = append([]string(nil), d.Workloads...)
@@ -664,11 +667,23 @@ func (s *Store) applyLocked(d *DefectDelta, cs *CycleSummary) {
 			rec.Method = cs.Method
 		}
 	}
-	if d.trace != "" && !containsString(rec.Traces, d.trace) {
-		rec.Traces = append(rec.Traces, d.trace)
+	if d.trace != "" {
+		if rec.inTraces == nil {
+			rec.inTraces = make(map[string]bool, len(rec.Traces)+1)
+			for _, h := range rec.Traces {
+				rec.inTraces[h] = true
+			}
+		}
+		if !rec.inTraces[d.trace] {
+			rec.inTraces[d.trace] = true
+			rec.Traces = append(rec.Traces, d.trace)
+		}
 	}
 	if d.workload != "" && !containsString(rec.Workloads, d.workload) {
 		rec.Workloads = append(rec.Workloads, d.workload)
+		if ok { // a new record's workloads are posted with it below
+			s.postings.add(s.postings.workload, d.workload, rec.Fingerprint)
+		}
 	}
 	rec.seq = d.Seq
 	s.unsaved[cs.Fingerprint] = true

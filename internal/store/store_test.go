@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -390,5 +391,50 @@ func TestPutTraceEmitsSpans(t *testing.T) {
 	}
 	if rec.Count("store.record-defects") != 1 {
 		t.Error("missing store.record-defects span")
+	}
+}
+
+// TestStreamJobsShareOneWorkload: every stream job indexes under the
+// door's name "stream", as uploads index under "upload", so N stream
+// folds of one defect leave one workload on its record, and the
+// postings work of a fold does not grow with the number of folds
+// before it. Trace membership stays exact: each fold's trace is listed
+// once, in first-seen order.
+func TestStreamJobsShareOneWorkload(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	fp := fakeHash(7)
+	at := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	const n = 100
+	var perFold []int
+	for i := 0; i < n; i++ {
+		// Every other fold re-ships the previous trace.
+		h := fakeHash(1000 + i/2)
+		before := s.postings.adds
+		src := fmt.Sprintf("stream:s-%06d", i+1)
+		if _, err := s.RecordSummaries(ctx, h, []CycleSummary{{Fingerprint: fp, Signature: "a+b"}}, src, at.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		perFold = append(perFold, s.postings.adds-before)
+	}
+	rec, ok := s.Defect(fp)
+	if !ok {
+		t.Fatal("no defect record")
+	}
+	if strings.Join(rec.Workloads, ",") != "stream" {
+		t.Errorf("workloads = %v, want [stream]", rec.Workloads)
+	}
+	if len(rec.Traces) != n/2 || rec.Traces[0] != fakeHash(1000) || rec.Traces[n/2-1] != fakeHash(1000+n/2-1) {
+		t.Errorf("traces = %d, want the %d distinct ones in first-seen order", len(rec.Traces), n/2)
+	}
+	if got := s.Query(QueryOptions{Workload: "stream"}); got.Total != 1 {
+		t.Errorf("workload=stream query matched %d records, want 1", got.Total)
+	}
+	if perFold[1] != perFold[n-1] {
+		t.Errorf("postings added by fold 2 = %d, by fold %d = %d", perFold[1], n, perFold[n-1])
 	}
 }

@@ -12,14 +12,19 @@ const maxIdleRunners = 256
 
 // runner is a coroutine that runs simulated thread bodies, one at a
 // time. The world switches into it with next and the thread switches
-// back by yielding from announce, so a scheduling step is one coroutine
-// switch each way. Between threads it parks idle on the free list and
-// keeps its grown stack for the next run.
+// back by yielding from announce, so a step that changes threads is one
+// coroutine switch each way; a step that keeps its thread runs on this
+// coroutine with no switch. Between threads it parks idle on the free
+// list and keeps its grown stack for the next run.
 type runner struct {
 	t     *Thread // the assigned thread
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+	// ended is set once the coroutine has returned, normally or by a
+	// runtime.Goexit a Strategy or Listener called on it; an ended
+	// runner is never pooled.
+	ended bool
 }
 
 // idle is the free list of parked runners, shared by every world. It is
@@ -55,6 +60,7 @@ func getRunner(t *Thread) *runner {
 // unwind.
 func (r *runner) loop(yield func(struct{}) bool) {
 	r.yield = yield
+	defer func() { r.ended = true }()
 	for {
 		r.t.run()
 		if !yield(struct{}{}) {
@@ -64,9 +70,12 @@ func (r *runner) loop(yield func(struct{}) bool) {
 }
 
 // release returns a parked runner to the free list, or stops it when
-// the list is full.
+// the list is full. An ended runner is dropped: its goroutine is gone.
 func (r *runner) release() {
 	r.t = nil
+	if r.ended {
+		return
+	}
 	idle.Lock()
 	if len(idle.runners) < maxIdleRunners {
 		idle.runners = append(idle.runners, r)

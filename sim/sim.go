@@ -10,16 +10,28 @@
 //
 // Execution model. Every simulated thread runs on a pooled coroutine
 // (an iter.Pull runner) and only one thread executes at a time. Before
-// each visible operation the thread parks, publishes the pending
-// operation and switches straight back to the World; the World applies
-// the operation's effect centrally once a Strategy picks the thread, then
-// switches to it. This "announce before execute" protocol is what lets a
-// replayer pause a thread immediately before a lock acquisition, and
-// makes runtime deadlock detection exact: when no thread is enabled and
-// some are blocked on locks or joins, the run has deadlocked. Runners
-// outlive runs: an exited thread's runner returns to a bounded free list,
-// and a run that ends early unwinds its parked threads, deferred calls
-// included, before Run returns.
+// each visible operation the thread parks and publishes the pending
+// operation; nothing executes until a Strategy picks the thread. This
+// "announce before execute" protocol is what lets a replayer pause a
+// thread immediately before a lock acquisition, and makes runtime
+// deadlock detection exact: when no thread is enabled and some are
+// blocked on locks or joins, the run has deadlocked.
+//
+// The announcing thread makes the next scheduling decision itself, on
+// its own coroutine, with the same code the World's loop runs. When the
+// Strategy picks that same thread, the operation's effect and the
+// listeners run right there and the body continues with no switch.
+// Otherwise the thread leaves the decision (another thread, or the
+// run's ending) to the World and switches to it once; the World applies
+// it without deciding again and switches to the picked thread. The
+// Strategy sees the same enabled lists and listeners the same events,
+// in the same order, on either path. A thread's OpBegin and OpExit
+// always execute on the World's goroutine, the caller's of Run. A
+// panic or runtime.Goexit from a Strategy or Listener surfaces from Run
+// on that goroutine, wherever it was raised; it is never taken for a
+// program panic. Runners outlive runs: an exited thread's runner returns
+// to a bounded free list, and a run that ends early unwinds its parked
+// threads, deferred calls included, before Run returns.
 //
 // Identity. Threads, locks and operations have stable identities that are
 // reproducible across schedules as long as per-thread control flow is

@@ -8,6 +8,11 @@ import "math/rand"
 // The world reuses enabled's backing array on the next step, so it is
 // valid only during the call: Pick must neither keep nor modify it.
 //
+// Pick runs on the goroutine of Run's caller or on the coroutine of the
+// thread that just announced its operation (see the package doc's
+// Execution model), always serialized with program execution. A panic
+// or runtime.Goexit in Pick surfaces from Run either way.
+//
 // Strategies are the extension point the WOLF Replayer and the
 // DeadlockFuzzer baseline plug into: both steer the schedule by choosing
 // (or refusing to choose) threads that are about to acquire locks.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 )
 
 // ThreadID is the dense per-run identifier of a thread, assigned in
@@ -102,16 +103,21 @@ func (t *Thread) nextIndex() Index {
 	return Index{Thread: t.name, Seq: t.seq}
 }
 
-// announce parks the thread on op, switches to the world, and returns
-// once the world has executed the operation's effect. If the world
-// aborted the run while the thread was parked, announce unwinds the
-// thread body via worldStopped.
+// announce parks the thread on op and returns once the operation's
+// effect has executed. It first decides the next step itself
+// (World.carryOn): when the strategy picks this thread, the operation
+// executes here and the body continues without a switch. Otherwise the
+// thread yields to the world with that decision. If the world aborted
+// the run while the thread was parked, announce unwinds the thread body
+// via worldStopped.
 func (t *Thread) announce(op Op) {
 	t.pending = op
 	t.state = stateParked
-	t.r.yield(struct{}{})
-	if t.w.stopped {
-		panic(worldStopped{})
+	if !t.w.carryOn(t) {
+		t.r.yield(struct{}{})
+		if t.w.stopped {
+			panic(worldStopped{})
+		}
 	}
 	t.state = stateRunning
 }
@@ -159,7 +165,7 @@ func (t *Thread) Go(name string, prog Program, site string) *Thread {
 	}
 	n := t.children[name]
 	t.children[name] = n + 1
-	child := t.w.newThread(fmt.Sprintf("%s/%s.%d", t.name, name, n), t, prog)
+	child := t.w.newThread(t.name+"/"+name+"."+strconv.Itoa(n), t, prog)
 	t.announce(Op{Kind: OpStart, Child: child, Site: site})
 	return child
 }
@@ -234,7 +240,7 @@ func (t *Thread) NewLock(name string) *Lock {
 	}
 	n := t.lockSeq[name]
 	t.lockSeq[name] = n + 1
-	return t.w.newLock(fmt.Sprintf("%s@%s.%d", name, t.name, n))
+	return t.w.newLock(name + "@" + t.name + "." + strconv.Itoa(n))
 }
 
 // done marks the thread terminated and returns its runner, parked at

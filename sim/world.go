@@ -44,6 +44,17 @@ type World struct {
 	step    int
 	stopped bool
 	outcome *Outcome
+
+	// What a thread's coroutine leaves the world when it yields after
+	// running scheduling decisions itself (see carryOn): the next thread
+	// to execute or the run's ending, or a panic a Strategy or Listener
+	// raised there. All are nil when the thread's body returned instead.
+	next  *Thread
+	end   *Outcome
+	fault any
+	// resumes counts the world's switches into a thread other than its
+	// first (OpBegin), for tests of same-thread continuation.
+	resumes int
 }
 
 // Factory produces a fresh program and options for one run. Analyses
@@ -167,7 +178,7 @@ func (w *World) enabled() []*Thread {
 
 // canExecute reports whether t's pending operation would not block.
 func (w *World) canExecute(t *Thread) bool {
-	switch op := t.pending; op.Kind {
+	switch op := &t.pending; op.Kind {
 	case OpLock:
 		return op.Lock.owner == nil || op.Lock.owner == t
 	case OpJoin:
@@ -187,42 +198,123 @@ func (w *World) canExecute(t *Thread) bool {
 // limit, then unwinds any surviving threads.
 func (w *World) run() *Outcome {
 	defer w.unwind()
+	t, out := w.decide()
+	for out == nil {
+		begin := t.pending.Kind == OpBegin
+		var resume bool
+		if resume, out = w.apply(t); out != nil {
+			break
+		}
+		if !resume {
+			t, out = w.decide()
+			continue
+		}
+		if !begin {
+			w.resumes++
+		}
+		t, out = w.switchTo(t)
+	}
+	return w.finish(out)
+}
+
+// decide makes one scheduling decision: the thread whose pending
+// operation executes next, or the outcome that ends the run. The world
+// loop and an announcing thread (carryOn) both decide through it.
+func (w *World) decide() (*Thread, *Outcome) {
+	enabled := w.enabled()
+	if len(enabled) == 0 {
+		if w.allDone() {
+			return nil, &Outcome{Kind: Terminated, Steps: w.step}
+		}
+		return nil, &Outcome{Kind: Deadlocked, Steps: w.step, Blocked: w.blocked()}
+	}
+	if w.step >= w.maxSteps {
+		return nil, &Outcome{Kind: StepLimit, Steps: w.step, Blocked: w.blocked()}
+	}
+	t := w.strategy.Pick(w, enabled)
+	if t == nil {
+		// The strategy halts the run at this scheduling point.
+		out := &Outcome{Kind: Halted, Steps: w.step}
+		for _, e := range enabled {
+			out.EnabledAtHalt = append(out.EnabledAtHalt, e.name)
+		}
+		return nil, out
+	}
+	if t.state != stateParked || !w.canExecute(t) {
+		return nil, &Outcome{
+			Kind:  ProgramError,
+			Steps: w.step,
+			Err:   fmt.Errorf("strategy picked an unschedulable thread %v", t),
+		}
+	}
+	return t, nil
+}
+
+// switchTo runs t's body from its last announcement until its coroutine
+// yields, and returns the decision the thread left. When it left none
+// (its body returned, so OpExit or OpPanic is pending) the world decides
+// here; a Strategy or Listener panic the thread caught is raised again
+// on the world's goroutine.
+func (w *World) switchTo(t *Thread) (*Thread, *Outcome) {
+	t.r.next()
+	if p := w.fault; p != nil {
+		panic(p)
+	}
+	next, end := w.next, w.end
+	w.next, w.end = nil, nil
+	if next == nil && end == nil {
+		return w.decide()
+	}
+	return next, end
+}
+
+// carryOn runs scheduling decisions on t's own coroutine right after t
+// announced its pending operation. While the strategy picks t, the
+// operation's effect and the listeners run here and carryOn returns
+// true: t's body continues with no switch. Otherwise it leaves the
+// decision (another thread, or the run's ending) in w.next or w.end and
+// returns false, and t yields to the world, which applies it.
+//
+// A Strategy or Listener panic is caught here and left in w.fault, so
+// the thread body never takes it for a program panic. runtime.Goexit
+// cannot be caught: carryOn stops the world so the body's deferred
+// operations unwind, and the Goexit ends the coroutine, which iter.Pull
+// repeats on the world's goroutine.
+func (w *World) carryOn(t *Thread) (cont bool) {
+	settled := false
+	defer func() {
+		if settled {
+			return
+		}
+		if p := recover(); p != nil {
+			w.fault = p
+			return
+		}
+		w.stopped = true
+	}()
 	for {
-		enabled := w.enabled()
-		if len(enabled) == 0 {
-			if w.allDone() {
-				return w.finish(&Outcome{Kind: Terminated, Steps: w.step})
+		u, out := w.decide()
+		if u == t {
+			var resume bool
+			if resume, out = w.apply(t); out == nil {
+				if resume {
+					settled = true
+					return true
+				}
+				continue // OpWait: t stays parked, so decide again
 			}
-			return w.finish(&Outcome{Kind: Deadlocked, Steps: w.step, Blocked: w.blocked()})
+			u = nil
 		}
-		if w.step >= w.maxSteps {
-			return w.finish(&Outcome{Kind: StepLimit, Steps: w.step, Blocked: w.blocked()})
-		}
-		t := w.strategy.Pick(w, enabled)
-		if t == nil {
-			// The strategy halts the run at this scheduling point.
-			out := &Outcome{Kind: Halted, Steps: w.step}
-			for _, e := range enabled {
-				out.EnabledAtHalt = append(out.EnabledAtHalt, e.name)
-			}
-			return w.finish(out)
-		}
-		if t.state != stateParked || !w.canExecute(t) {
-			return w.finish(&Outcome{
-				Kind:  ProgramError,
-				Steps: w.step,
-				Err:   fmt.Errorf("strategy picked an unschedulable thread %v", t),
-			})
-		}
-		if out := w.execute(t); out != nil {
-			return w.finish(out)
-		}
+		w.next, w.end = u, out
+		settled = true
+		return false
 	}
 }
 
-// execute applies t's pending operation, notifies listeners, and switches
-// to t until its next announcement. A non-nil return aborts the run.
-func (w *World) execute(t *Thread) *Outcome {
+// apply executes t's pending operation and notifies listeners. It
+// reports whether t's body resumes after the operation; a non-nil
+// outcome aborts the run.
+func (w *World) apply(t *Thread) (resume bool, _ *Outcome) {
 	op := t.pending
 	ev := Event{Op: op, Thread: t, Step: w.step}
 	w.step++
@@ -236,7 +328,7 @@ func (w *World) execute(t *Thread) *Outcome {
 		ev.Index = t.nextIndex()
 		reentrant, err := op.Lock.release(t)
 		if err != nil {
-			return &Outcome{Kind: ProgramError, Steps: w.step, Err: err}
+			return false, &Outcome{Kind: ProgramError, Steps: w.step, Err: err}
 		}
 		ev.Reentrant = reentrant
 	case OpStart:
@@ -271,7 +363,7 @@ func (w *World) execute(t *Thread) *Outcome {
 		for _, ln := range w.listeners {
 			ln.OnEvent(ev)
 		}
-		return nil // the thread remains parked until notified
+		return false, nil // the thread remains parked until notified
 	case OpWaitResume:
 		ev.Index = t.nextIndex()
 		l := op.Lock
@@ -297,7 +389,7 @@ func (w *World) execute(t *Thread) *Outcome {
 		t.done()
 		t.pending = Op{}
 		if len(t.held) > 0 {
-			return &Outcome{
+			return false, &Outcome{
 				Kind:  ProgramError,
 				Steps: w.step,
 				Err:   fmt.Errorf("thread %s exited holding %d lock(s)", t.name, len(t.held)),
@@ -306,23 +398,22 @@ func (w *World) execute(t *Thread) *Outcome {
 	case OpPanic:
 		t.done()
 		t.pending = Op{}
-		return &Outcome{
+		return false, &Outcome{
 			Kind:  ProgramError,
 			Steps: w.step,
 			Err:   fmt.Errorf("thread %s panicked: %v", t.name, op.panicVal),
 		}
 	default:
-		return &Outcome{Kind: ProgramError, Steps: w.step, Err: fmt.Errorf("invalid pending op %v", op)}
+		return false, &Outcome{Kind: ProgramError, Steps: w.step, Err: fmt.Errorf("invalid pending op %v", op)}
 	}
 	for _, ln := range w.listeners {
 		ln.OnEvent(ev)
 	}
-	if op.Kind == OpExit || op.Kind == OpPanic {
-		return nil // the thread body has already returned
+	if op.Kind == OpExit {
+		return false, nil // the thread body has already returned
 	}
 	t.pending = Op{}
-	t.r.next()
-	return nil
+	return true, nil
 }
 
 // allDone reports whether every thread has terminated.
@@ -341,14 +432,20 @@ func (w *World) blocked() []BlockedThread {
 	var bs []BlockedThread
 	for _, t := range w.active {
 		if t.state == stateParked && !w.canExecute(t) && t.pending.Kind != OpNone {
+			if bs == nil {
+				bs = make([]BlockedThread, 0, len(w.active))
+			}
 			b := BlockedThread{
 				Thread: t.name,
 				Op:     t.pending,
 				// NextIndex is the index the operation would get.
 				NextIndex: Index{Thread: t.name, Seq: t.seq + 1},
 			}
-			for _, l := range t.held {
-				b.Holding = append(b.Holding, l.Name())
+			if len(t.held) > 0 {
+				b.Holding = make([]string, len(t.held))
+				for i, l := range t.held {
+					b.Holding[i] = l.Name()
+				}
 			}
 			bs = append(bs, b)
 		}
