@@ -83,16 +83,10 @@ func main() {
 
 	if *offline != "" {
 		f, err := os.Open(*offline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
 		tr, err := trace.Decode(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		check(err)
 		rep := core.AnalyzeTrace(tr, core.Config{DataDependency: *data})
 		fmt.Printf("offline analysis of %s (seed %d, %d tuples)\n", *offline, tr.Seed, len(tr.Tuples))
 		fmt.Print(rep)
@@ -118,10 +112,7 @@ func main() {
 	if *record != "" {
 		tr := core.Record(w.New, s, 0)
 		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
 		// The binary format is the wolfd ingest hot path; JSON stays the
 		// default for greppability. -trace sniffs the format either way.
@@ -129,10 +120,7 @@ func main() {
 		if strings.HasSuffix(*record, ".bin") || strings.HasSuffix(*record, ".wtrc") {
 			write = tr.WriteBinary
 		}
-		if err := write(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		check(write(f))
 		fmt.Printf("recorded %d tuples (%d steps) from %s seed %d to %s\n",
 			len(tr.Tuples), tr.Steps, w.Name, s, *record)
 		return
@@ -166,30 +154,16 @@ func main() {
 		tl.Process(3, "pipeline")
 		rec.WriteTimeline(tl, 3)
 		out, err := os.Create(*timeline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := tl.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := out.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		check(err)
+		check(tl.WriteJSON(out))
+		check(out.Close())
 		fmt.Printf("timeline: %d events written to %s\n", tl.Len(), *timeline)
 	}
 	if *dot != "" {
-		for _, d := range rep.Defects {
-			if d.Signature != *dot {
-				continue
-			}
-			for _, cr := range d.Cycles {
-				if g := cr.Graph(); g != nil {
-					fmt.Print(g.DOT(d.Signature))
-					return
-				}
+		if d, cr := rep.GsCycle(*dot); cr != nil {
+			if g := cr.Graph(); g != nil {
+				fmt.Print(g.DOT(d.Signature))
+				return
 			}
 		}
 		fmt.Fprintf(os.Stderr, "no graph for signature %q (pruned, or unknown signature)\n", *dot)
@@ -231,5 +205,13 @@ func main() {
 			}
 			fmt.Println()
 		}
+	}
+}
+
+// check exits with err unless it is nil.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 }

@@ -103,7 +103,6 @@ func main() {
 		strBudget = flag.Int64("stream-budget", 16, "per-stream decoder memory budget in MiB")
 		data      = flag.Bool("data", false, "enable the value-flow (data dependency) extension")
 		flight    = flag.Int("flight-recorder", 4096, "flight-recorder ring capacity (lifecycle events kept for /v1/debug/events)")
-		par       = flag.Int("analysis-parallelism", 0, "per-job Generator worker pool size (0 = GOMAXPROCS, capped; output is identical at any value)")
 		dataDir   = flag.String("data-dir", "", "persist traces, jobs and defect records in this directory")
 		maxCorpus = flag.Int64("max-corpus-bytes", 0, "trace GC: total stored-trace byte budget (0 = unbounded); unreferenced blobs are pruned oldest-first")
 		traceTTL  = flag.Duration("trace-ttl", 0, "trace GC: expire unreferenced trace blobs older than this (0 = never)")
@@ -171,7 +170,7 @@ func main() {
 			Poll:          *poll,
 			JobTimeout:    *timeout,
 			WatchdogGrace: *grace,
-			Analysis:      core.Config{DataDependency: *data, Parallelism: *par},
+			Analysis:      core.Config{DataDependency: *data},
 		})
 		return
 	default:
@@ -205,7 +204,7 @@ func main() {
 		StreamIdleTimeout:  *strIdle,
 		StreamMemBudget:    *strBudget << 20,
 		FlightRecorderSize: *flight,
-		Analysis:           core.Config{DataDependency: *data, Parallelism: *par},
+		Analysis:           core.Config{DataDependency: *data},
 		Logger:             log,
 		Store:              st,
 		MaxCorpusBytes:     *maxCorpus,

@@ -111,33 +111,15 @@ type Config struct {
 	// when every steered replay diverges (replay.DefaultFallbackAttempts
 	// when zero; negative disables the fallback pass).
 	FallbackAttempts int
-	// Parallelism bounds the worker pool the Generator phase fans
-	// cycles out on (zero means runtime.GOMAXPROCS(0), capped at
-	// MaxParallelism). Every worker writes only its own cycle's report
-	// slot, so the report is byte-identical at any setting; 1 forces the
-	// sequential path.
-	Parallelism int
 }
 
-// MaxParallelism caps Config.Parallelism: beyond this the per-cycle
-// work units are too coarse for extra workers to help, and an
-// accidental huge flag value must not spawn thousands of goroutines.
+// MaxParallelism caps the Generator's worker pool: beyond this the
+// per-cycle work units are too coarse for extra workers to help.
 const MaxParallelism = 64
 
-// EffectiveParallelism resolves Config.Parallelism: zero or negative
-// defaults to runtime.GOMAXPROCS(0), and the result never exceeds
-// MaxParallelism. wolfd reports this resolved value as the
-// wolfd_analysis_parallelism gauge.
-func (cfg *Config) EffectiveParallelism() int {
-	p := cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > MaxParallelism {
-		p = MaxParallelism
-	}
-	return p
-}
+// GeneratorPool is the Generator's widest worker pool, GOMAXPROCS capped
+// at MaxParallelism; wolfd reports it as wolfd_analysis_parallelism.
+func GeneratorPool() int { return min(runtime.GOMAXPROCS(0), MaxParallelism) }
 
 func (cfg *Config) detectSeeds() []int64 {
 	if len(cfg.DetectSeeds) == 0 {
@@ -192,11 +174,14 @@ type CycleReport struct {
 // Graph rebuilds the cycle's Gs from Cycle, Trace and Kinds as the
 // Generator built it, for what needs it after the analysis (hit rates,
 // timelines, dot); nil when the Generator built none.
-func (cr *CycleReport) Graph() *sdg.Graph {
+func (cr *CycleReport) Graph() *sdg.Graph { return cr.graph(context.Background()) }
+
+// graph is Graph with the build's "sdg.build" span on ctx's recorder.
+func (cr *CycleReport) graph(ctx context.Context) *sdg.Graph {
 	if cr.Kinds == 0 {
 		return nil
 	}
-	return sdg.BuildKinds(cr.Cycle, cr.Trace, cr.Kinds)
+	return sdg.BuildKindsCtx(ctx, cr.Cycle, cr.Trace, cr.Kinds)
 }
 
 // DefectReport aggregates the cycles sharing one source-location
@@ -384,6 +369,23 @@ func (r *Report) AvgGsSize() float64 {
 	return float64(sum) / float64(n)
 }
 
+// GsCycle picks the cycle whose Gs dot draws: in the first defect with
+// signature sig (any defect when sig is empty) that has a cycle the
+// Pruner did not refute, the first such cycle; nil when none qualifies.
+func (r *Report) GsCycle(sig string) (*DefectReport, *CycleReport) {
+	for _, d := range r.Defects {
+		if sig != "" && d.Signature != sig {
+			continue
+		}
+		for _, cr := range d.Cycles {
+			if cr.Class != FalseByPruner {
+				return d, cr
+			}
+		}
+	}
+	return nil, nil
+}
+
 // String renders a human-readable summary.
 func (r *Report) String() string {
 	var sb strings.Builder
@@ -551,8 +553,8 @@ func pruneCycles(ctx context.Context, cycles []*CycleReport) {
 }
 
 // generateCycles runs the Generator (Algorithm 3) over the cycles that
-// survived pruning, fanning out across a worker pool bounded by
-// cfg.EffectiveParallelism(), and stores each cycle's Gs in graphs at
+// survived pruning, fanning out across a worker pool of at most
+// GeneratorPool() workers, and stores each cycle's Gs in graphs at
 // the cycle's index. Each worker writes only its own *CycleReport and
 // graph slot, the recorded traces (and their lazily built shared index)
 // are immutable once recording ends, and obs spans record into the
@@ -579,40 +581,33 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, graphs []*sdg.Gr
 			}
 		}
 	}
-	workers := cfg.EffectiveParallelism()
-	if workers > len(cycles) {
-		workers = len(cycles)
-	}
-	if workers <= 1 {
-		for i := range cycles {
-			if ctx.Err() != nil {
-				break
+	// The calling goroutine is one of the workers, so a single worker
+	// runs the cycles in order on it.
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(cycles) || ctx.Err() != nil {
+				return
 			}
 			gen(i)
 		}
-		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(GeneratorPool(), len(cycles)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cycles) || ctx.Err() != nil {
-					return
-				}
-				gen(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
 // refute is WOLF's trace-only half: the Pruner (Algorithm 2, batched per
 // recorded trace) and the Generator (Algorithm 3, optionally with the
-// value-flow extension, fanned out across the configured worker pool),
+// value-flow extension, fanned out across the Generator's worker pool),
 // each inside its phase span. It returns each cycle's Gs at its index,
 // for reproduce. It stops before a phase once ctx is cancelled; cycles
 // not reached keep their Unknown class and no graph.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"wolf/internal/sdg"
 	"wolf/internal/trace"
 	"wolf/sim"
 )
@@ -34,6 +35,28 @@ func AnalyzeTraceCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*Report,
 		refute(ctx, rep.Cycles, &cfg)
 	})
 	return rep, ctx.Err()
+}
+
+// DefectGraph draws one defect's Gs from a recorded trace by detection
+// alone: the cycle search, the Pruner (unless DisablePruner) and one
+// build with cfg's edge kinds, of the cycle Report.GsCycle picks, which
+// is the graph AnalyzeTrace's report rebuilds for it. It returns the
+// defect's signature and Gs, nil when none qualifies, or ctx's error.
+func DefectGraph(ctx context.Context, tr *trace.Trace, cfg Config, signature string) (string, *sdg.Graph, error) {
+	rep := &Report{}
+	for _, c := range search(ctx, tr, &cfg) {
+		rep.Cycles = append(rep.Cycles, &CycleReport{Cycle: c, Trace: tr})
+	}
+	if !cfg.DisablePruner {
+		pruneCycles(ctx, rep.Cycles)
+	}
+	rep.group()
+	d, cr := rep.GsCycle(signature)
+	if cr == nil || ctx.Err() != nil {
+		return "", nil, ctx.Err()
+	}
+	cr.Kinds = cfg.edgeKinds()
+	return d.Signature, cr.graph(ctx), nil
 }
 
 // Record performs one instrumented run with the given seed and returns

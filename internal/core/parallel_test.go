@@ -1,18 +1,19 @@
 package core_test
 
 // The determinism contract of the Generator fan-out: the JSON report
-// produced at any Config.Parallelism must be byte-identical to the
-// sequential Parallelism=1 run. Wall-clock phase timings can never be
-// byte-stable across runs, so the test first asserts they are populated
-// and then zeroes them before comparing; everything else — cycle order,
-// verdicts, graph sizes, prune reasons, defect grouping — must match
-// exactly. Run under -race (CI does) this also proves the worker pool
-// is data-race free.
+// produced at any GOMAXPROCS, which sets the pool's width, must be
+// byte-identical to the sequential GOMAXPROCS=1 run. Wall-clock phase
+// timings can never be byte-stable across runs, so the test first
+// asserts they are populated and then zeroes them before comparing;
+// everything else — cycle order, verdicts, graph sizes, prune reasons,
+// defect grouping — must match exactly. Run under -race (CI does) this
+// also proves the worker pool is data-race free.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"wolf/internal/core"
@@ -141,13 +142,14 @@ func TestAnalyzeTraceParallelDeterminism(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.Config{DataDependency: true, Parallelism: 1}
+			cfg := core.Config{DataDependency: true}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			want := normalizedReport(t, core.AnalyzeTrace(tc.tr, cfg))
 			for _, par := range []int{2, 4, 8} {
-				cfg.Parallelism = par
+				runtime.GOMAXPROCS(par)
 				got := normalizedReport(t, core.AnalyzeTrace(tc.tr, cfg))
 				if !bytes.Equal(want, got) {
-					t.Fatalf("Parallelism=%d report differs from sequential:\n--- p1 ---\n%s\n--- p%d ---\n%s",
+					t.Fatalf("GOMAXPROCS=%d report differs from sequential:\n--- p1 ---\n%s\n--- p%d ---\n%s",
 						par, want, par, got)
 				}
 			}

@@ -105,7 +105,8 @@ func BenchmarkAnalyzeTrace(b *testing.B) {
 		for _, par := range pars {
 			name := fmt.Sprintf("%s/p%d", sz.name, par)
 			b.Run(name, func(b *testing.B) {
-				cfg := Config{DataDependency: true, Parallelism: par}
+				cfg := Config{DataDependency: true}
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					rep := AnalyzeTrace(tr, cfg)

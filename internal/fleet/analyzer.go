@@ -392,7 +392,7 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	})
 	mu.Unlock()
 
-	req, _ := a.Analyze(runCtx, w)
+	req := a.Analyze(runCtx, w)
 	mu.Lock() // waits out a renewal in flight
 	renewing = false
 	tick.Stop()
@@ -413,18 +413,16 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 
 // Analyze materializes and analyzes one work item as a leased job runs:
 // in its own goroutine, under JobTimeout and the item's trace ID. It
-// returns the completion to deliver (Node and Job unset) and the report
-// the analysis produced, if any; wolfd's synchronous POST /v1/analyze
-// and its dot endpoint run on it. A panic fails the item, not the
-// caller; an analysis that ignores its cancelled context is abandoned
+// returns the completion to deliver (Node and Job unset); wolfd's
+// synchronous POST /v1/analyze runs on it. A panic fails the item, not
+// the caller; an analysis that ignores its cancelled context is abandoned
 // after JobTimeout+WatchdogGrace (its goroutine exits whenever it
 // returns: the channel is buffered).
-func (a *Analyzer) Analyze(ctx context.Context, w WorkView) (CompleteRequest, *core.Report) {
+func (a *Analyzer) Analyze(ctx context.Context, w WorkView) CompleteRequest {
 	ctx, cancel := context.WithTimeout(obs.WithTrace(ctx, w.TraceID, ""), a.cfg.JobTimeout)
 	defer cancel()
 	log := a.cfg.Logger.With("job", w.Job, "source", w.Source, "trace", w.TraceID)
 	done := make(chan CompleteRequest, 1)
-	var rep *core.Report // written before done delivers, read only after
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -438,40 +436,42 @@ func (a *Analyzer) Analyze(ctx context.Context, w WorkView) (CompleteRequest, *c
 		if recorded && w.Recorded != nil {
 			w.Recorded(tr)
 		}
-		if err == nil {
-			rep, err = a.cfg.Analyze(ctx, tr, a.cfg.Analysis)
+		if err != nil {
+			done <- failure(ReasonError, err.Error())
+			return
 		}
+		rep, err := a.cfg.Analyze(ctx, tr, a.cfg.Analysis)
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			done <- failure(ReasonTimeout, fmt.Sprintf("analysis timed out after %v", a.cfg.JobTimeout))
 		case err != nil:
 			done <- failure(ReasonError, err.Error())
 		default:
-			done <- completion(w, tr, recorded && w.Recorded == nil, rep)
+			done <- completion(w, tr, recorded && w.Recorded == nil, report.FromCore(rep))
 		}
 	}()
 	watchdog := time.NewTimer(a.cfg.JobTimeout + a.cfg.WatchdogGrace)
 	defer watchdog.Stop()
 	select {
 	case req := <-done:
-		return req, rep
+		return req
 	case <-watchdog.C:
 		log.Error("analysis abandoned by watchdog", "timeout", a.cfg.JobTimeout, "grace", a.cfg.WatchdogGrace)
 		return failure(ReasonWatchdog, fmt.Sprintf("analysis ignored cancellation; abandoned by watchdog after %v",
-			a.cfg.JobTimeout+a.cfg.WatchdogGrace)), nil
+			a.cfg.JobTimeout+a.cfg.WatchdogGrace))
 	}
 }
 
 // failure is a failed completion classified by reason.
 func failure(reason, msg string) CompleteRequest { return CompleteRequest{Reason: reason, Error: msg} }
 
-// completion renders a successful analysis of w's trace tr in wire
-// form: the report, the corpus summaries and metrics tally read off it
-// before it is marshalled and, when ship is set (a trace the analyzer
-// recorded itself with no in-process hook to take it), the trace's
-// WTRC. A report or trace that cannot be encoded fails the item.
-func completion(w WorkView, tr *trace.Trace, ship bool, rep *core.Report) CompleteRequest {
-	jr := report.FromCore(rep)
+// completion renders jr, the report of a successful analysis of w's
+// trace tr, in wire form: the report, the corpus summaries and metrics
+// tally read off it before it is marshalled and, when ship is set (a
+// trace the analyzer recorded itself with no in-process hook to take
+// it), the trace's WTRC. A report or trace that cannot be encoded fails
+// the item.
+func completion(w WorkView, tr *trace.Trace, ship bool, jr *report.JSONReport) CompleteRequest {
 	raw, err := json.Marshal(jr)
 	if err != nil {
 		return failure(ReasonError, "encode report: "+err.Error())

@@ -73,7 +73,7 @@ func registryCompletions(t *testing.T) []goldenCompletion {
 		if !ok {
 			seed = 1
 		}
-		req, _ := a.Analyze(context.Background(), WorkView{Job: "j-000001", Source: "workload:" + w.Name, Trace: core.Record(w.New, seed, 0)})
+		req := a.Analyze(context.Background(), WorkView{Job: "j-000001", Source: "workload:" + w.Name, Trace: core.Record(w.New, seed, 0)})
 		if !req.OK {
 			t.Fatalf("%s: completion failed: %s", w.Name, req.Error)
 		}

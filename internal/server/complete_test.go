@@ -58,7 +58,7 @@ func parityAnalyze(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core
 // corpus summaries its completion carries.
 func completionSummaries(t *testing.T, tr *trace.Trace) []store.CycleSummary {
 	t.Helper()
-	req, _ := fleet.NewAnalyzerFor(nil, fleet.AnalyzerConfig{}).Analyze(context.Background(), fleet.WorkView{Trace: tr})
+	req := fleet.NewAnalyzerFor(nil, fleet.AnalyzerConfig{}).Analyze(context.Background(), fleet.WorkView{Trace: tr})
 	if !req.OK {
 		t.Fatalf("analysis failed: %s", req.Error)
 	}

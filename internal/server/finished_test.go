@@ -1,12 +1,16 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wolf/internal/core"
 	"wolf/internal/store"
@@ -154,6 +158,84 @@ func TestDotGoneWithTrace(t *testing.T) {
 	}
 	if code, _ := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/report"); code != http.StatusOK {
 		t.Errorf("report after the delete = %d, want 200", code)
+	}
+}
+
+// TestDotRunsNoAnalysis: dot draws a done job's Gs from detection
+// alone, so several dot requests, with and without a signature, leave
+// the Analyze hook at the one call the job's own analysis made.
+func TestDotRunsNoAnalysis(t *testing.T) {
+	var calls atomic.Int64
+	count := func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+		calls.Add(1)
+		return core.AnalyzeTraceCtx(ctx, tr, cfg)
+	}
+	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4, Analyze: count})
+	v := uploadAndFinish(t, ts.URL, binBody(t, fig4Trace(t)))
+	if v.State != string(StateDone) {
+		t.Fatalf("job = %+v", v)
+	}
+	for _, q := range []string{"", "?signature=19%2B33", "", "?signature=19%2B33"} {
+		if code, body := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/dot"+q); code != http.StatusOK || !strings.Contains(string(body), "digraph Gs") {
+			t.Fatalf("dot%s = %d, want 200 with a Gs: %.200s", q, code, body)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("Analyze hook called %d times, want 1 (the job's own analysis)", n)
+	}
+}
+
+// TestDotJobStates: dot answers 409 with Retry-After while a job runs,
+// and 422 with the job's error once it failed, as report does: a failed
+// job never gets a graph, so a client must not retry.
+func TestDotJobStates(t *testing.T) {
+	release := make(chan struct{})
+	running := make(chan struct{}, 1)
+	hook := func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+		running <- struct{}{}
+		<-release
+		return nil, errors.New("synthetic analysis failure")
+	}
+	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4, Analyze: hook})
+	code, accepted := postTrace(t, ts.URL+"/v1/traces", binBody(t, fig4Trace(t)), nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("upload = %d", code)
+	}
+	id := accepted["id"].(string)
+	<-running
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("dot of a running job = %d (Retry-After %q), want 409 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	close(release)
+	if v := pollJob(t, ts.URL, id); v.State != string(StateFailed) {
+		t.Fatalf("job = %+v, want failed", v)
+	}
+	if code, body := getBody(t, ts.URL+"/v1/jobs/"+id+"/dot"); code != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(body), "synthetic analysis failure") {
+		t.Errorf("dot of a failed job = %d: %s, want 422 with the job's error", code, body)
+	}
+}
+
+// TestDotTimeout: dot runs under JobTimeout and answers 504 when it
+// expires. The job's own analysis ignores its context here, so the job
+// finishes although the timeout is a nanosecond.
+func TestDotTimeout(t *testing.T) {
+	deaf := func(_ context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+		return core.AnalyzeTrace(tr, cfg), nil
+	}
+	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4, JobTimeout: time.Nanosecond, Analyze: deaf})
+	v := uploadAndFinish(t, ts.URL, binBody(t, fig4Trace(t)))
+	if v.State != string(StateDone) {
+		t.Fatalf("job = %+v", v)
+	}
+	if code, body := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/dot"); code != http.StatusGatewayTimeout {
+		t.Errorf("dot = %d, want 504: %s", code, body)
 	}
 }
 

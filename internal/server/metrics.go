@@ -77,8 +77,8 @@ type Metrics struct {
 	// SyncRejected counts synchronous analyses shed because every worker
 	// slot was busy.
 	SyncRejected atomic.Int64
-	// AnalysisParallelism is the resolved per-job Generator worker pool
-	// size (core.Config.EffectiveParallelism), set once at startup.
+	// AnalysisParallelism is the widest per-job Generator worker pool
+	// (core.GeneratorPool), set once at startup.
 	AnalysisParallelism atomic.Int64
 
 	// Streaming ingestion (/v1/streams). StreamsOpen is the live gauge;
@@ -227,7 +227,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, c tableCounts, coordinator bool) 
 
 	gauge("wolfd_queue_depth", "Queued-but-not-started jobs.", int64(c.depth))
 	gauge("wolfd_workers_busy", "Workers currently running an analysis.", int64(c.busy))
-	gauge("wolfd_analysis_parallelism", "Resolved per-job analysis worker pool size (-analysis-parallelism).", m.AnalysisParallelism.Load())
+	gauge("wolfd_analysis_parallelism", "Widest per-job Generator worker pool (GOMAXPROCS, capped at core.MaxParallelism).", m.AnalysisParallelism.Load())
 	counter("wolfd_cycles_total", "Potential deadlock cycles detected across all reports.", m.CyclesTotal.Load())
 	counter("wolfd_replay_faults_injected_total", "Scheduling perturbations injected across all replays.", m.FaultsInjected.Load())
 

@@ -239,7 +239,7 @@ func New(cfg Config) *Server {
 		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		started: time.Now(),
 	}
-	s.metrics.AnalysisParallelism.Store(int64(cfg.Analysis.EffectiveParallelism()))
+	s.metrics.AnalysisParallelism.Store(int64(core.GeneratorPool()))
 	s.table = newLeaseTable(cfg, time.Now)
 	s.syncRunner = fleet.NewAnalyzerFor(nil, s.analyzerConfig("sync", cfg.Logger))
 	if cfg.Store != nil {
@@ -587,7 +587,7 @@ func (s *Server) handleAnalyzeSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, _, status := s.runSync(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
+	res, status := s.runSync(r.Context(), fleet.WorkView{Source: "sync", TraceID: traceID, Trace: tr})
 	if !res.OK {
 		s.metrics.Fail(FailReason(res.Reason))
 		httpError(w, status, res.Error)
@@ -626,21 +626,20 @@ func (s *Server) analysisSlot(w http.ResponseWriter) (release func(), ok bool) {
 
 // runSync runs one analysis on the synchronous runner, which applies
 // the per-job timeout, panic recovery and watchdog of every leased job,
-// and returns its completion, the report it renders when it succeeded,
-// and the status a failure answers: 504 on a timeout, 400 on another
-// analysis error, 500 on a panic or watchdog.
-func (s *Server) runSync(ctx context.Context, w fleet.WorkView) (fleet.CompleteRequest, *core.Report, int) {
-	res, rep := s.syncRunner.Analyze(ctx, w)
+// and returns its completion and the status a failure answers: 504 on a
+// timeout, 400 on another analysis error, 500 on a panic or watchdog.
+func (s *Server) runSync(ctx context.Context, w fleet.WorkView) (fleet.CompleteRequest, int) {
+	res := s.syncRunner.Analyze(ctx, w)
 	if res.OK {
-		return res, rep, http.StatusOK
+		return res, http.StatusOK
 	}
 	switch FailReason(res.Reason) {
 	case FailTimeout:
-		return res, nil, http.StatusGatewayTimeout
+		return res, http.StatusGatewayTimeout
 	case FailError:
-		return res, nil, http.StatusBadRequest
+		return res, http.StatusBadRequest
 	}
-	return res, nil, http.StatusInternalServerError
+	return res, http.StatusInternalServerError
 }
 
 // handleWorkloads is GET /v1/workloads: the shared registry.
@@ -684,39 +683,51 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.view())
 }
 
-// handleReport is GET /v1/jobs/{id}/report: the analysis report once the
-// job is done; 409 while it is still queued or running.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+// doneJob returns the done job the request names. Otherwise it answers
+// why and reports false: 404 for no such job, 422 with the error of a
+// failed one, and 409 with Retry-After while it is queued or running.
+func (s *Server) doneJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
-		return
+		return nil, false
 	}
 	switch j.State() {
 	case StateDone:
-		// One wire form before and after a restart: the report as the
-		// job's terminal record carries it, read from the journal unless
-		// the job kept it.
-		raw := j.keptReport()
-		if raw == nil && s.cfg.Store != nil {
-			var err error
-			if raw, err = s.cfg.Store.JobReport(j.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
-				s.cfg.Logger.Error("read report", "job", j.ID, "err", err)
-				httpError(w, http.StatusInternalServerError, "report unreadable from the corpus")
-				return
-			}
-		}
-		if raw != nil {
-			writeRaw(w, raw)
-			return
-		}
-		httpError(w, http.StatusGone, "report not preserved across wolfd restart")
+		return j, true
 	case StateFailed:
 		httpError(w, http.StatusUnprocessableEntity, "job failed: "+j.view().Error)
 	default:
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusConflict, "job not finished")
 	}
+	return nil, false
+}
+
+// handleReport is GET /v1/jobs/{id}/report: the analysis report once the
+// job is done; doneJob answers otherwise.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.doneJob(w, r)
+	if !ok {
+		return
+	}
+	// One wire form before and after a restart: the report as the job's
+	// terminal record carries it, read from the journal unless the job
+	// kept it.
+	raw := j.keptReport()
+	if raw == nil && s.cfg.Store != nil {
+		var err error
+		if raw, err = s.cfg.Store.JobReport(j.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
+			s.cfg.Logger.Error("read report", "job", j.ID, "err", err)
+			httpError(w, http.StatusInternalServerError, "report unreadable from the corpus")
+			return
+		}
+	}
+	if raw != nil {
+		writeRaw(w, raw)
+		return
+	}
+	httpError(w, http.StatusGone, "report not preserved across wolfd restart")
 }
 
 // jobTrace returns the job's trace: decoded in memory while it waits or
@@ -752,20 +763,15 @@ func (s *Server) jobTrace(w http.ResponseWriter, j *Job) (*trace.Trace, bool) {
 	return nil, false
 }
 
-// handleDot is GET /v1/jobs/{id}/dot?signature=SIG: the synchronization
-// dependency graph of one defect of a done job as Graphviz dot; without
-// a signature, the first defect that has a graph. A finished job keeps
-// no graphs: the offline stages rerun on its trace under the server's
-// analysis config, in an analysis slot on the synchronous runner, as
-// POST /v1/analyze does. 410 when the trace is gone.
+// handleDot is GET /v1/jobs/{id}/dot?signature=SIG: one defect's Gs as
+// Graphviz dot, without a signature the first defect's with one. Jobs
+// keep no graphs: core.DefectGraph draws it from the job's trace in an
+// analysis slot under JobTimeout (504; 500 on a panic; 410 without the
+// trace). No watchdog: the job's own analysis of the trace, a superset
+// of this work, already finished within JobTimeout.
 func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.doneJob(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	if j.State() != StateDone {
-		httpError(w, http.StatusConflict, "job not finished")
 		return
 	}
 	tr, ok := s.jobTrace(w, j)
@@ -777,28 +783,26 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, rep, status := s.runSync(r.Context(), fleet.WorkView{Job: j.ID, Source: "dot", TraceID: j.TraceID(), Trace: tr})
-	if !res.OK {
-		httpError(w, status, res.Error)
-		return
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
+	defer cancel()
+	defer func() {
+		if p := recover(); p != nil {
+			s.cfg.Logger.Error("dot panicked", "job", j.ID, "panic", fmt.Sprint(p))
+			httpError(w, http.StatusInternalServerError, fmt.Sprintf("analysis panicked: %v", p))
+		}
+	}()
+	sig, g, err := core.DefectGraph(ctx, tr, s.cfg.Analysis, r.URL.Query().Get("signature"))
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		httpError(w, http.StatusGatewayTimeout, fmt.Sprintf("analysis timed out after %v", s.cfg.JobTimeout))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, err.Error())
+	case g == nil:
+		httpError(w, http.StatusNotFound, "no graph for that defect (pruned, or unknown signature)")
+	default:
+		w.Header().Set("Content-Type", "text/vnd.graphviz")
+		fmt.Fprint(w, g.DOT(sig))
 	}
-	want := r.URL.Query().Get("signature")
-	for _, d := range rep.Defects {
-		if want != "" && d.Signature != want {
-			continue
-		}
-		for _, cr := range d.Cycles {
-			if g := cr.Graph(); g != nil {
-				w.Header().Set("Content-Type", "text/vnd.graphviz")
-				fmt.Fprint(w, g.DOT(d.Signature))
-				return
-			}
-		}
-		if want != "" {
-			break
-		}
-	}
-	httpError(w, http.StatusNotFound, "no graph for that defect (pruned, or unknown signature)")
 }
 
 // handleTimeline is GET /v1/jobs/{id}/timeline: the job's recorded

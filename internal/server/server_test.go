@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -557,12 +558,12 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestAnalysisParallelismGauge: the resolved Generator pool size is
-// exported at startup — an explicit setting verbatim, zero resolved via
-// EffectiveParallelism.
+// TestAnalysisParallelismGauge: the widest Generator pool,
+// core.GeneratorPool, is exported at startup: GOMAXPROCS, capped at
+// core.MaxParallelism.
 func TestAnalysisParallelismGauge(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4,
-		Analysis: core.Config{Parallelism: 3}})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	_, ts := startServer(t, Config{Workers: 1, QueueSize: 4})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -570,19 +571,7 @@ func TestAnalysisParallelismGauge(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "wolfd_analysis_parallelism 3") {
-		t.Fatalf("metrics missing explicit wolfd_analysis_parallelism:\n%s", body)
-	}
-
-	_, ts = startServer(t, Config{Workers: 1, QueueSize: 4})
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	def := (&core.Config{}).EffectiveParallelism()
-	if !strings.Contains(string(body), fmt.Sprintf("wolfd_analysis_parallelism %d", def)) {
-		t.Fatalf("metrics missing default wolfd_analysis_parallelism %d:\n%s", def, body)
+		t.Fatalf("metrics missing wolfd_analysis_parallelism 3 at GOMAXPROCS 3:\n%s", body)
 	}
 }
 

@@ -42,10 +42,9 @@ import (
 type streamSession struct {
 	ID      string
 	created time.Time
-	rec     *obs.Recorder
 	// trace is the W3C trace ID from the opening request (minted when
-	// absent), stamped on every chunk span, log line and event the
-	// stream produces — and inherited by the job its close creates.
+	// absent), stamped on every log line and event the stream produces
+	// — and inherited by the job its close creates.
 	trace string
 	// source is the client-declared origin from the open request's
 	// metadata body ("sim", "wolfsync", ...; "unknown" when absent),
@@ -119,7 +118,6 @@ func (st *streamStore) open(max, budget int, traceID, source string) (*streamSes
 		ID:      fmt.Sprintf("s-%06d", st.seq),
 		created: now,
 		last:    now,
-		rec:     obs.NewRecorder(),
 		trace:   traceID,
 		source:  source,
 		dec:     trace.NewDecoder(budget),
@@ -302,8 +300,6 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.last = time.Now()
-	_, sp := obs.Start(obs.WithTrace(obs.WithRecorder(r.Context(), ss.rec), ss.trace, ""), "stream.chunk")
-	sp.Add("bytes", int64(len(data)))
 	werr := ss.dec.Write(data)
 	var resp chunkResponse
 	if werr == nil {
@@ -317,8 +313,6 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 			cands = append(cands, ss.eng.Add(tp)...)
 		}
 		ss.cands += len(cands)
-		sp.Add("events", int64(len(events)))
-		sp.Add("candidates", int64(len(cands)))
 		s.metrics.StreamEvents.Add(int64(len(events)))
 		s.metrics.StreamCandidates.Add(int64(len(cands)))
 		resp = chunkResponse{
@@ -330,7 +324,6 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 			New:        cands,
 		}
 	}
-	sp.End()
 	ss.mu.Unlock()
 
 	if werr != nil {
@@ -367,10 +360,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.last = time.Now()
-	_, sp := obs.Start(obs.WithTrace(obs.WithRecorder(r.Context(), ss.rec), ss.trace, ""), "stream.finalize")
 	tr, err := ss.dec.Finalize()
-	sp.Add("events", int64(ss.eng.Events()))
-	sp.End()
 	bytes, cands := ss.dec.BytesIn(), ss.cands
 	ss.mu.Unlock()
 
